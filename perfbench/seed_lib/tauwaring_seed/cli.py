@@ -1,0 +1,313 @@
+"""Command-line surface: table building, verification sweeps, representation
+solvers, certificate checking, and a micro-benchmark.
+
+Exit codes are part of the contract so shell harnesses can tell failure modes
+apart: 0 success, 1 verification failure, 2 infeasible / search exhausted,
+3 invalid input or unsupported modulus. Every certificate-writing command
+re-verifies its output through the independent verifier before exiting 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import sys
+import time
+
+from . import identity_suite, modp_basis, waring_int
+from .errors import (
+    CapacityError,
+    InfeasibleError,
+    TableFormatError,
+    TauwaringError,
+    UnsupportedModulusError,
+)
+from .tau_core import TauTable, build_tau_table_series, load_table, save_table
+
+EXIT_OK = 0
+EXIT_VERIFY_FAIL = 1
+EXIT_INFEASIBLE = 2
+EXIT_INVALID = 3
+
+TABLE_ENV = "TAU_TABLE_PATH"
+MISMATCH_HOOK_ENV = "TAUWARING_FORCE_MISMATCH"
+
+
+class CliInputError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on bad flags; our contract reserves 2 for
+    # infeasibility, so parse errors are rerouted to exit 3.
+    def error(self, message):
+        raise CliInputError(message)
+
+
+def _resolve_table(table_path, limit, fallback_limit) -> TauTable:
+    if table_path:
+        return load_table(table_path)
+    env_path = os.environ.get(TABLE_ENV)
+    if env_path:
+        return load_table(env_path)
+    return build_tau_table_series(limit if limit else fallback_limit)
+
+
+def _maybe_tamper(cert):
+    """Test hook: force a mismatch so the self-check path is exercisable."""
+    if os.environ.get(MISMATCH_HOOK_ENV):
+        cert.plus[0] += 1
+    return cert
+
+
+def cmd_table(args) -> int:
+    if args.limit < 1:
+        print("error: --limit must be >= 1", file=sys.stderr)
+        return EXIT_INVALID
+    table = build_tau_table_series(args.limit)
+    save_table(args.out, table)
+    with open(args.out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    print(f"TAU-TABLE v1 limit={table.limit} sha256={digest}")
+    return EXIT_OK
+
+
+SUITES = ("mod691", "mod256", "deligne", "hecke", "zero-sums", "multiplicativity")
+
+
+def cmd_verify(args) -> int:
+    table = _resolve_table(args.table, args.limit, fallback_limit=2000)
+    hi = min(args.limit or table.limit, table.limit)
+    if args.suite == "zero-sums":
+        identity_suite.verify_zero_sums(table)
+        print("VERIFY zero-sums violations=0")
+        return EXIT_OK
+    sweeps = {
+        "mod691": identity_suite.check_mod691,
+        "mod256": identity_suite.check_mod256_odd,
+        "deligne": identity_suite.check_deligne_all,
+        "hecke": identity_suite.check_hecke_all,
+        "multiplicativity": identity_suite.check_multiplicativity,
+    }
+    if args.suite == "mod691" or args.suite == "mod256":
+        violations = sweeps[args.suite](table, 1, hi)
+    else:
+        violations = sweeps[args.suite](table, hi)
+    for line in violations:
+        print(line)
+    print(f"VERIFY {args.suite} violations={len(violations)}")
+    return EXIT_OK if not violations else EXIT_VERIFY_FAIL
+
+
+def cmd_represent(args) -> int:
+    target = int(args.target)
+    if args.residue:
+        if not 0 <= target < waring_int.RESIDUE_MODULUS:
+            print(
+                f"error: residue targets live in [0, {waring_int.RESIDUE_MODULUS})",
+                file=sys.stderr,
+            )
+            return EXIT_INVALID
+        if args.max_terms < waring_int.RESIDUE_TERM_COUNT:
+            print(
+                f"error: residue mode emits exactly {waring_int.RESIDUE_TERM_COUNT} terms,"
+                f" which exceeds --max-terms {args.max_terms}",
+                file=sys.stderr,
+            )
+            return EXIT_INVALID
+        cert = _maybe_tamper(waring_int.represent_residue_198(target))
+        table = _resolve_table(args.table, args.limit, fallback_limit=105)
+    else:
+        params = waring_int.RepresentationParams(
+            c_bound=args.c_bound, max_terms=args.max_terms
+        )
+        budget = waring_int.index_budget(target, params.c_bound)
+        table = _resolve_table(args.table, args.limit, fallback_limit=max(budget, 10))
+        cert = _maybe_tamper(waring_int.represent_integer(target, params, table))
+    if not waring_int.verify_integer_certificate(cert, table):
+        print("SELF-CHECK FAILED: certificate did not re-verify", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    payload = json.dumps(cert.to_json_dict(), indent=None, sort_keys=True)
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write(payload + "\n")
+    else:
+        print(payload)
+    print(
+        f"REPRESENT target={target} terms={cert.meta['term_count']}"
+        f" max_index={cert.meta['max_index']}"
+    )
+    return EXIT_OK
+
+
+def cmd_modp(args) -> int:
+    p = args.p
+    if args.mode == "sum96":
+        modp_basis.ensure_sum96_modulus(p)
+    if p <= 23:
+        print(f"error: p={p} must be a prime > 23", file=sys.stderr)
+        return EXIT_INVALID
+    table = _resolve_table(args.table, args.limit, fallback_limit=max(2000, 8 * p))
+    if args.mode == "sum16":
+        cert = modp_basis.represent_sum16(args.lam, p, table)
+    else:
+        ctx = modp_basis.build_context(p, table)
+        if args.mode == "pm32":
+            cert = modp_basis.represent_pm32(args.lam, ctx, table)
+        else:
+            cert = modp_basis.represent_sum96(args.lam, ctx, table)
+    cert = _maybe_tamper(cert)
+    if not modp_basis.verify_modp_certificate(cert, table):
+        print("SELF-CHECK FAILED: certificate did not re-verify", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    payload = json.dumps(cert.to_json_dict(), indent=None, sort_keys=True)
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write(payload + "\n")
+    else:
+        print(payload)
+    print(
+        f"MODP p={p} lambda={cert.lam} mode={cert.kind}"
+        f" terms={len(cert.plus)}+{len(cert.minus)} max_index={cert.meta['max_index']}"
+    )
+    return EXIT_OK
+
+
+def cmd_check(args) -> int:
+    try:
+        with open(args.certificate, "r", encoding="ascii") as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: unreadable certificate: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    if not isinstance(obj, dict) or "kind" not in obj:
+        print("error: certificate has no kind field", file=sys.stderr)
+        return EXIT_INVALID
+    kind = obj["kind"]
+    if kind == "integer_sum":
+        cert = waring_int.sum_certificate_from_json(obj)
+        need = max(max(cert.plus, default=1), 2)
+        table = _resolve_table(args.table, args.limit, fallback_limit=need)
+        ok = waring_int.verify_integer_certificate(cert, table)
+        recomputed = sum(table.values[n] for n in cert.plus if n <= table.limit)
+        print(f"CHECK integer_sum target={cert.target} recomputed={recomputed} ok={ok}")
+        return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    if kind in ("pm32", "sum96", "sum16"):
+        cert = modp_basis.modp_certificate_from_json(obj)
+        declared = cert.meta.get("window", [23, 8 * cert.p])
+        need = max(2000, int(declared[1]), cert.p)
+        table = _resolve_table(args.table, args.limit, fallback_limit=min(need, 10**6))
+        ok = modp_basis.verify_modp_certificate(cert, table)
+        recomputed = modp_basis.recompute_modp_sum(cert, table)
+        print(f"CHECK {kind} p={cert.p} lambda={cert.lam} recomputed={recomputed} ok={ok}")
+        return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    print(f"error: unknown certificate kind {kind!r}", file=sys.stderr)
+    return EXIT_INVALID
+
+
+def cmd_bench(args) -> int:
+    build_times = []
+    table = None
+    for rep in range(args.reps):
+        t0 = time.perf_counter()
+        table = build_tau_table_series(args.limit)
+        dt = time.perf_counter() - t0
+        build_times.append(dt)
+        print(f"BENCH table_build limit={args.limit} rep={rep} seconds={dt:.6f}")
+    med = statistics.median(build_times)
+    print(
+        f"BENCH table_build limit={args.limit} median_seconds={med:.6f}"
+        f" coeffs_per_sec={args.limit / med:.1f}"
+    )
+    sweep_hi = min(args.limit, 20000)
+    sweep_times = []
+    for rep in range(args.reps):
+        t0 = time.perf_counter()
+        violations = identity_suite.check_mod691(table, 1, sweep_hi)
+        dt = time.perf_counter() - t0
+        sweep_times.append(dt)
+        print(
+            f"BENCH sweep_mod691 hi={sweep_hi} rep={rep} seconds={dt:.6f}"
+            f" violations={len(violations)}"
+        )
+    med = statistics.median(sweep_times)
+    print(f"BENCH sweep_mod691 hi={sweep_hi} median_seconds={med:.6f}")
+    return EXIT_OK
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="tauwaring", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_table = sub.add_parser("table", help="build and save a tau table")
+    p_table.add_argument("--limit", type=int, required=True)
+    p_table.add_argument("--out", default=os.environ.get(TABLE_ENV, "tau_table.txt"))
+    p_table.set_defaults(func=cmd_table)
+
+    p_verify = sub.add_parser("verify", help="run an identity sweep")
+    p_verify.add_argument("--suite", required=True, choices=SUITES)
+    p_verify.add_argument("--limit", type=int)
+    p_verify.add_argument("--table")
+    p_verify.set_defaults(func=cmd_verify)
+
+    p_rep = sub.add_parser("represent", help="represent an integer as a tau sum")
+    p_rep.add_argument("--target", required=True)
+    p_rep.add_argument("--residue", action="store_true",
+                       help="198-term residue mode, target in [0, 370944)")
+    p_rep.add_argument("--c-bound", type=int, default=15, dest="c_bound")
+    p_rep.add_argument("--max-terms", type=int, default=74000, dest="max_terms")
+    p_rep.add_argument("--out")
+    p_rep.add_argument("--table")
+    p_rep.add_argument("--limit", type=int)
+    p_rep.set_defaults(func=cmd_represent)
+
+    p_modp = sub.add_parser("modp", help="represent a residue class mod p")
+    p_modp.add_argument("--p", type=int, required=True)
+    p_modp.add_argument("--lambda", type=int, required=True, dest="lam")
+    p_modp.add_argument("--mode", required=True, choices=("pm32", "sum96", "sum16"))
+    p_modp.add_argument("--out")
+    p_modp.add_argument("--table")
+    p_modp.add_argument("--limit", type=int)
+    p_modp.set_defaults(func=cmd_modp)
+
+    p_check = sub.add_parser("check", help="verify a certificate file")
+    p_check.add_argument("certificate")
+    p_check.add_argument("--table")
+    p_check.add_argument("--limit", type=int)
+    p_check.set_defaults(func=cmd_check)
+
+    p_bench = sub.add_parser("bench", help="time table build and one sweep")
+    p_bench.add_argument("--limit", type=int, default=100000)
+    p_bench.add_argument("--reps", type=int, default=1)
+    p_bench.set_defaults(func=cmd_bench)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except CliInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (UnsupportedModulusError, CapacityError, TableFormatError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except TauwaringError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+
+
+def run() -> None:
+    sys.exit(main())

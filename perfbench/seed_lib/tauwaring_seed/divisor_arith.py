@@ -1,0 +1,161 @@
+"""Integer substrate: sieves, factorization, divisor-power sums, prime windows.
+
+Everything here is exact integer arithmetic; divisor-power sums grow like n^s
+and are kept as Python big integers throughout.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import isqrt
+
+import numpy as np
+
+# Primes up to 23; an integer is coprime to 23! iff none of these divides it.
+SMALL_PRIMES_23 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def sieve_spf(limit: int) -> list[int]:
+    """Smallest-prime-factor table for 0..limit.
+
+    spf[0] = 0 and spf[1] = 1 are sentinels; spf[n] for n >= 2 is the least
+    prime dividing n (so spf[p] = p exactly when p is prime).
+    """
+    if limit < 2:
+        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    spf = np.arange(limit + 1, dtype=np.int64)
+    spf[0] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            block = spf[p * p :: p]
+            np.minimum(block, p, out=block)
+    # Python ints on the way out: callers raise these to the 11th power.
+    return spf.tolist()
+
+
+@dataclass(frozen=True)
+class FactorizationMap:
+    """Prime factorization n = prod(q^e) with primes strictly increasing."""
+
+    n: int
+    factors: tuple[tuple[int, int], ...]
+
+    def reconstruct(self) -> int:
+        out = 1
+        for q, e in self.factors:
+            out *= q**e
+        return out
+
+
+def iter_factor_pairs(n: int, spf: list[int]):
+    """Yield (prime, exponent) pairs of n using a precomputed spf table."""
+    if n < 1 or n >= len(spf):
+        raise ValueError(f"n={n} outside sieve range [1, {len(spf) - 1}]")
+    while n > 1:
+        q = spf[n]
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        yield q, e
+
+
+def factorize(n: int, spf: list[int]) -> FactorizationMap:
+    """Factor n via the spf table; n = 1 yields an empty factor list."""
+    return FactorizationMap(n, tuple(iter_factor_pairs(n, spf)))
+
+
+def _trial_factor_pairs(n: int):
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            yield d, e
+        d += 1 if d == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def sigma(s: int, n: int, spf: list[int] | None = None) -> int:
+    """Divisor-power sum sigma_s(n) = sum of d^s over divisors d of n, exact."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if s < 0:
+        raise ValueError(f"exponent must be nonnegative, got {s}")
+    pairs = iter_factor_pairs(n, spf) if spf is not None else _trial_factor_pairs(n)
+    total = 1
+    for q, e in pairs:
+        if s == 0:
+            total *= e + 1
+        else:
+            qs = q**s
+            total *= (qs ** (e + 1) - 1) // (qs - 1)
+    return total
+
+
+@dataclass(frozen=True)
+class SigmaTable:
+    """Exact sigma_s values for 1..limit; values[0] is a zero sentinel."""
+
+    s: int
+    limit: int
+    values: list[int]
+
+
+def build_sigma_table(s: int, limit: int) -> SigmaTable:
+    """Tabulate sigma_s(1..limit) by direct divisor accumulation."""
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    vals = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        ds = d**s
+        for m in range(d, limit + 1, d):
+            vals[m] += ds
+    return SigmaTable(s, limit, vals)
+
+
+def primes_in(lo: int, hi: int) -> list[int]:
+    """All primes q with lo < q <= hi, ascending. Empty list when none."""
+    if hi < lo:
+        raise ValueError(f"need hi >= lo, got ({lo}, {hi})")
+    if hi < 2:
+        return []
+    mask = np.ones(hi + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(hi) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return [int(q) for q in np.nonzero(mask)[0] if q > lo]
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for d in range(2, isqrt(n) + 1):
+        if n % d == 0:
+            return False
+    return True
+
+
+def coprime_to_23_factorial(n: int) -> bool:
+    """True iff n has no prime factor <= 23 (i.e. gcd(n, 23!) = 1)."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return all(n % q for q in SMALL_PRIMES_23)
+
+
+def integer_nth_root(x: int, k: int) -> int:
+    """Floor of the k-th root of x >= 0, exact Newton iteration on integers."""
+    if x < 0 or k < 1:
+        raise ValueError(f"need x >= 0 and k >= 1, got ({x}, {k})")
+    if x == 0:
+        return 0
+    r = 1 << ((x.bit_length() + k - 1) // k)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            return r
+        r = nr

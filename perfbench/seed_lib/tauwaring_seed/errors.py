@@ -1,0 +1,41 @@
+"""Exception types shared across the package; the CLI maps them to exit codes."""
+
+
+class TauwaringError(Exception):
+    """Base class for package-specific failures."""
+
+
+class CapacityError(TauwaringError, ValueError):
+    """A requested size exceeds a configured or combinatorial limit."""
+
+
+class TableFormatError(TauwaringError):
+    """A persisted tau table failed to parse."""
+
+
+class InfeasibleError(TauwaringError):
+    """A search finished without finding a representation within its bounds."""
+
+
+class InfeasibleContextError(InfeasibleError):
+    """No prime window or branch produced a usable coverage context."""
+
+
+class UnsupportedModulusError(TauwaringError, ValueError):
+    """The modulus is incompatible with the requested construction."""
+
+
+class DegenerateContextError(TauwaringError):
+    """A constructed residue context is too small to be usable."""
+
+
+class RelationViolationError(TauwaringError):
+    """A claimed tau-sum relation does not hold for the supplied values."""
+
+
+class InternalCheckError(TauwaringError):
+    """An internal consistency assertion failed; indicates a bug upstream."""
+
+
+class LemmaViolationError(InternalCheckError):
+    """Coverage guaranteed by the product-sum lemma did not materialize."""

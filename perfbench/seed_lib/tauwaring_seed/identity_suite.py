@@ -1,0 +1,159 @@
+"""Verification sweeps for the arithmetic identities the constructions rely on.
+
+Checks collect violations into line-oriented reports instead of failing fast:
+a systematic offset is much easier to diagnose from the full violation pattern
+than from the first bad index. An empty report means success.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import gcd
+
+from .divisor_arith import is_prime, iter_factor_pairs, primes_in, sieve_spf
+from .errors import InternalCheckError
+from .tau_core import TauTable, tau_prime_power
+
+# Index multisets whose tau values sum to exactly zero; used as padding blocks.
+ZERO_SUM_SIX = (12, 27, 55, 69, 90, 105)
+ZERO_SUM_SEVEN = (6, 14, 29, 41, 42, 44, 48)
+
+
+def _violation(name: str, n: int, expected, got) -> str:
+    return f"CHECK {name} n={n} expected={expected} got={got}"
+
+
+def _sigma_pow_mod(n: int, s: int, mod: int, spf: list[int]) -> int:
+    """sigma_s(n) mod `mod` via the multiplicative factor structure."""
+    total = 1
+    for q, e in iter_factor_pairs(n, spf):
+        qs = pow(q, s, mod)
+        power = 1
+        term = 1
+        for _ in range(e):
+            power = power * qs % mod
+            term = (term + power) % mod
+        total = total * term % mod
+    return total
+
+
+def check_mod691(table: TauTable, lo: int = 1, hi: int | None = None,
+                 spf: list[int] | None = None) -> list[str]:
+    """tau(n) = sigma_11(n) (mod 691) for every n in (lo-1, hi]."""
+    hi = hi if hi is not None else table.limit
+    if hi > table.limit:
+        raise ValueError(f"table covers {table.limit}, sweep asks for {hi}")
+    spf = spf if spf is not None else sieve_spf(max(hi, 2))
+    out = []
+    for n in range(lo, hi + 1):
+        want = _sigma_pow_mod(n, 11, 691, spf)
+        got = table.values[n] % 691
+        if want != got:
+            out.append(_violation("mod691", n, want, got))
+    return out
+
+
+def check_mod256_odd(table: TauTable, lo: int = 1, hi: int | None = None,
+                     spf: list[int] | None = None) -> list[str]:
+    """tau(n) = sigma_11(n) (mod 2^8) for every odd n in the range."""
+    hi = hi if hi is not None else table.limit
+    if hi > table.limit:
+        raise ValueError(f"table covers {table.limit}, sweep asks for {hi}")
+    spf = spf if spf is not None else sieve_spf(max(hi, 2))
+    out = []
+    start = lo if lo % 2 else lo + 1
+    for n in range(start, hi + 1, 2):
+        want = _sigma_pow_mod(n, 11, 256, spf)
+        got = table.values[n] % 256
+        if want != got:
+            out.append(_violation("mod256", n, want, got))
+    return out
+
+
+def check_deligne_prime(q: int, table: TauTable) -> bool:
+    """tau(q)^2 <= 4 q^11 for prime q, evaluated in exact integers (no roots)."""
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
+    return table.tau(q) ** 2 <= 4 * q**11
+
+
+def check_deligne_all(table: TauTable, hi: int | None = None) -> list[str]:
+    hi = hi if hi is not None else table.limit
+    out = []
+    for q in primes_in(1, min(hi, table.limit)):
+        t2 = table.values[q] ** 2
+        bound = 4 * q**11
+        if t2 > bound:
+            out.append(_violation("deligne", q, f"<= {bound}", t2))
+    return out
+
+
+def check_hecke_q11(q: int, table: TauTable) -> bool:
+    """tau(q)^2 - tau(q^2) equals q^11 exactly."""
+    return table.tau(q) ** 2 - table.tau(q * q) == q**11
+
+
+def check_hecke_all(table: TauTable, hi: int | None = None) -> list[str]:
+    """Hecke recurrence at every prime power q^a <= hi with a >= 2."""
+    hi = hi if hi is not None else table.limit
+    hi = min(hi, table.limit)
+    out = []
+    for q in primes_in(1, int(hi**0.5) + 1):
+        if q * q > hi:
+            continue
+        tq = table.values[q]
+        q11 = q**11
+        prev, cur = 1, tq
+        power = q
+        while power * q <= hi:
+            power *= q
+            prev, cur = cur, cur * tq - q11 * prev
+            if table.values[power] != cur:
+                out.append(_violation("hecke", power, cur, table.values[power]))
+    return out
+
+
+def check_multiplicativity(table: TauTable, hi: int | None = None) -> list[str]:
+    """tau(mn) = tau(m) tau(n) over all coprime pairs with mn <= hi."""
+    hi = hi if hi is not None else table.limit
+    hi = min(hi, table.limit)
+    vals = table.values
+    out = []
+    m = 2
+    while m * (m + 1) <= hi:
+        tm = vals[m]
+        for n in range(m + 1, hi // m + 1):
+            if gcd(m, n) == 1 and vals[m * n] != tm * vals[n]:
+                out.append(_violation("multiplicativity", m * n, tm * vals[n], vals[m * n]))
+        m += 1
+    return out
+
+
+@dataclass(frozen=True)
+class ZeroSumCertificate:
+    """A multiset of indices whose tau values sum to exactly zero."""
+
+    indices: tuple[int, ...]
+
+    def recompute(self, table: TauTable) -> int:
+        return sum(table.tau(n) for n in self.indices)
+
+
+def make_zero_sum_certificate(indices, table: TauTable) -> ZeroSumCertificate:
+    cert = ZeroSumCertificate(tuple(indices))
+    total = cert.recompute(table)
+    if total != 0:
+        raise InternalCheckError(
+            f"indices {cert.indices} sum to {total}, not zero; table is wrong or claim false"
+        )
+    return cert
+
+
+def verify_zero_sums(table: TauTable) -> tuple[ZeroSumCertificate, ZeroSumCertificate]:
+    """Certify the six-term and seven-term zero sums against the table."""
+    if table.limit < 105:
+        raise ValueError(f"table covers {table.limit}, zero sums need 105")
+    return (
+        make_zero_sum_certificate(ZERO_SUM_SIX, table),
+        make_zero_sum_certificate(ZERO_SUM_SEVEN, table),
+    )

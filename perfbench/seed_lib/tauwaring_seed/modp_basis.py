@@ -1,0 +1,661 @@
+"""Residue-ring representation machinery for primes p > 23.
+
+Builds witnessed residue sets from prime windows, covers Z_p with eight-fold
+sums of pairwise products (Glibichuk-style coverage, realized as a dynamic
+program with back-pointers), and emits three certificate kinds:
+
+  pm32   -- up to 16 plus and 16 minus indices, all coprime to 23!
+  sum96  -- a pure sum of at most 96 indices (pm32 pushed through the
+            six-term zero-sum identity at index 12)
+  sum16  -- a pure sum of at most 16 indices from the half-window sets
+
+Every residue ever placed in a set carries its originating integers, so
+certificates are assembled from witnesses only and can be re-verified from
+prime tau values alone.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import gcd, isqrt
+
+from .divisor_arith import coprime_to_23_factorial, is_prime, primes_in
+from .errors import (
+    DegenerateContextError,
+    InfeasibleContextError,
+    InternalCheckError,
+    LemmaViolationError,
+    UnsupportedModulusError,
+)
+from .identity_suite import ZERO_SUM_SIX
+from .tau_core import TauTable, tau_prime_power
+
+SUM96_BAD_PRIMES = (2, 3, 7, 23)  # prime divisors of 370944 = |tau(12)|
+
+
+@dataclass(frozen=True)
+class WitnessedResidue:
+    """A residue with the signed integers whose tau values produce it.
+
+    origin is a tuple of (sign, n) pairs with sum(sign * tau(n)) = residue
+    (mod p); support records the prime support of the n's so product
+    expansions can assert pairwise coprimality.
+    """
+
+    residue: int
+    origin: tuple[tuple[int, int], ...]
+    support: tuple[int, ...]
+
+
+def _residue_of(x) -> int:
+    return x.residue if isinstance(x, WitnessedResidue) else int(x)
+
+
+class ProductSumCover:
+    """Coverage table for k-fold sums of pairwise products, k = 1..8.
+
+    level[k-1] maps each reachable residue to a back-pointer; walking the
+    pointers recovers, for any covered residue, exactly eight (x, y) pairs
+    whose products sum to it.
+    """
+
+    def __init__(self, p: int, xs, ys):
+        self.p = p
+        s1: dict[int, tuple] = {}
+        for wx in xs:
+            rx = _residue_of(wx)
+            for wy in ys:
+                r = rx * _residue_of(wy) % p
+                if r not in s1:
+                    s1[r] = (wx, wy)
+        self.s1 = s1
+        levels: list[dict[int, tuple | None]] = [{r: None for r in s1}]
+        for _ in range(7):
+            prev = levels[-1]
+            cur: dict[int, tuple | None] = {}
+            for a in prev:
+                for t in s1:
+                    r = (a + t) % p
+                    if r not in cur:
+                        cur[r] = (a, t)
+            levels.append(cur)
+        self.levels = levels
+
+    @property
+    def covered(self) -> bool:
+        return len(self.levels[7]) == self.p
+
+    def covered_at(self, k: int) -> set[int]:
+        """Residues reachable as a sum of exactly k products, 1 <= k <= 8."""
+        return set(self.levels[k - 1])
+
+    def pairs_for(self, lam: int) -> list[tuple]:
+        lam %= self.p
+        if lam not in self.levels[7]:
+            raise InfeasibleContextError(f"residue {lam} not covered at depth 8")
+        out = []
+        r = lam
+        for k in range(7, 0, -1):
+            prev, step = self.levels[k][r]
+            out.append(self.s1[step])
+            r = prev
+        out.append(self.s1[r])
+        return out
+
+
+def product_set_cover(xs, ys, p: int) -> ProductSumCover:
+    """Coverage DP under the |X||Y| > 2p guarantee; raises if S_8 != Z_p.
+
+    Inputs may be witnessed residues or plain integers (synthetic sets);
+    duplicates are collapsed before the cardinality precondition is checked.
+    """
+    seen_x, uniq_x = set(), []
+    for x in xs:
+        r = _residue_of(x) % p
+        if r not in seen_x:
+            seen_x.add(r)
+            uniq_x.append(x)
+    seen_y, uniq_y = set(), []
+    for y in ys:
+        r = _residue_of(y) % p
+        if r not in seen_y:
+            seen_y.add(r)
+            uniq_y.append(y)
+    if len(uniq_x) * len(uniq_y) <= 2 * p:
+        raise ValueError(
+            f"need |X||Y| > 2p, got {len(uniq_x)} * {len(uniq_y)} <= {2 * p}"
+        )
+    cover = ProductSumCover(p, uniq_x, uniq_y)
+    if not cover.covered:
+        raise LemmaViolationError(
+            f"S_8 covers {len(cover.levels[7])} of {p} residues despite |X||Y| > 2p"
+        )
+    return cover
+
+
+@dataclass(frozen=True)
+class WindowPolicy:
+    """Growth policy for the prime window (23, hi] used by build_context."""
+
+    start_factor: float = 4.0
+    growth: float = 1.6
+    branch: str = "auto"  # auto | direct | pairs
+    max_hi: int | None = None
+
+    def __post_init__(self):
+        if self.branch not in ("auto", "direct", "pairs"):
+            raise ValueError(f"unknown branch policy {self.branch!r}")
+
+
+@dataclass
+class ModpContext:
+    """Witnessed construction state for one prime p."""
+
+    p: int
+    window: tuple[int, int]
+    branch: str  # "direct" or "pairs"
+    classes: dict[int, list[int]]
+    trimmed: dict[int, list[int]]
+    j1: list[tuple[int, int]]
+    j2: list[tuple[int, int]]
+    x_set: list[WitnessedResidue]
+    y_set: list[WitnessedResidue]
+    cover: ProductSumCover
+
+
+def _classes_by_tau(qs, p: int, table: TauTable) -> dict[int, list[int]]:
+    classes: dict[int, list[int]] = {}
+    for q in qs:
+        classes.setdefault(table.values[q] % p, []).append(q)
+    return {r: sorted(classes[r]) for r in sorted(classes)}
+
+
+def _direct_sets(classes):
+    residues = sorted(classes)
+    wits = [
+        WitnessedResidue(r, ((1, classes[r][0]),), (classes[r][0],)) for r in residues
+    ]
+    half = (len(wits) + 1) // 2
+    return wits[:half], wits[half:]
+
+
+def _pair_sets(classes, p, table):
+    """Trim classes to multiples of four, pair primes within each class, and
+    split the pairs round-robin into J1/J2; X and Y collect the residues
+    tau(q q') - tau(q^2) = q^11 (mod p) with their witness pairs."""
+    trimmed = {}
+    j1: list[tuple[int, int]] = []
+    j2: list[tuple[int, int]] = []
+    for r in sorted(classes):
+        qs = classes[r]
+        keep = qs[: 4 * (len(qs) // 4)]
+        trimmed[r] = keep
+        side = j1
+        for i in range(0, len(keep), 2):
+            side.append((keep[i], keep[i + 1]))
+            side = j2 if side is j1 else j1
+    def build(pairs):
+        by_res: dict[int, list[tuple[int, int]]] = {}
+        order: list[int] = []
+        for q, q2 in pairs:
+            tq = table.values[q]
+            res = (tq * table.values[q2] - (tq * tq - q**11)) % p
+            if res != pow(q, 11, p):
+                raise InternalCheckError(
+                    f"pair element for q={q} is {res}, expected q^11 mod p"
+                )
+            if res not in by_res:
+                order.append(res)
+            by_res.setdefault(res, []).append((q, q2))
+        wits = []
+        for res in order:
+            q, q2 = by_res[res][0]
+            if len({w[0] % p for w in by_res[res]}) > 11:
+                raise InternalCheckError(
+                    f"residue {res} has more than 11 witness classes mod p"
+                )
+            wits.append(
+                WitnessedResidue(res, ((1, q * q2), (-1, q * q)), (q, q2))
+            )
+        return wits
+    return trimmed, j1, j2, build(j1), build(j2)
+
+
+def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -> ModpContext:
+    """Grow the prime window (23, hi] until one branch reaches |X||Y| > 2p.
+
+    With the class count above 3*sqrt(p) the direct split of tau-value
+    classes suffices; otherwise primes are paired within classes and the
+    pair images are used. The finished context always carries a full
+    depth-8 coverage table.
+    """
+    if p <= 23 or not is_prime(p):
+        raise ValueError(f"p must be a prime > 23, got {p}")
+    policy = policy or WindowPolicy()
+    cap_hi = min(policy.max_hi or table.limit, table.limit)
+    hi = max(29, int(policy.start_factor * isqrt(p)) + 1)
+    hi = min(hi, cap_hi)
+    best = (0, 0)
+    while True:
+        qs = primes_in(23, hi)
+        classes = _classes_by_tau(qs, p, table)
+        n_classes = len(classes)
+        attempt = None
+        if policy.branch in ("auto", "direct") and n_classes * n_classes > 9 * p:
+            xs, ys = _direct_sets(classes)
+            attempt = ("direct", {}, [], [], xs, ys)
+        elif policy.branch in ("auto", "pairs"):
+            trimmed, j1, j2, xs, ys = _pair_sets(classes, p, table)
+            attempt = ("pairs", trimmed, j1, j2, xs, ys)
+        if attempt is not None:
+            branch, trimmed, j1, j2, xs, ys = attempt
+            best = max(best, (len(xs), len(ys)))
+            if len(xs) * len(ys) > 2 * p:
+                cover = product_set_cover(xs, ys, p)
+                ctx = ModpContext(
+                    p=p,
+                    window=(23, hi),
+                    branch=branch,
+                    classes=classes,
+                    trimmed=trimmed,
+                    j1=j1,
+                    j2=j2,
+                    x_set=xs,
+                    y_set=ys,
+                    cover=cover,
+                )
+                _validate_context(ctx)
+                return ctx
+        if hi >= cap_hi:
+            raise InfeasibleContextError(
+                f"window exhausted at hi={hi} for p={p}; best |X|,|Y| = {best}"
+            )
+        hi = min(cap_hi, max(hi + 1, int(hi * policy.growth)))
+
+
+def _validate_context(ctx: ModpContext) -> None:
+    p = ctx.p
+    if ctx.branch == "pairs":
+        used: set[int] = set()
+        for q, q2 in ctx.j1 + ctx.j2:
+            if q == q2 or q in used or q2 in used:
+                raise InternalCheckError("pair sets do not partition their primes")
+            used.update((q, q2))
+        if set(ctx.j1) & set(ctx.j2):
+            raise InternalCheckError("J1 and J2 overlap")
+        for r, keep in ctx.trimmed.items():
+            if len(keep) % 4:
+                raise InternalCheckError(f"trimmed class {r} has size {len(keep)}")
+    for wx in ctx.x_set:
+        if ctx.branch == "pairs":
+            q = wx.support[0]
+            if wx.residue != pow(q, 11, p):
+                raise InternalCheckError("X element does not equal q^11 mod p")
+    if len(ctx.x_set) * len(ctx.y_set) <= 2 * p:
+        raise InternalCheckError("context lost the cardinality precondition")
+    if not ctx.cover.covered:
+        raise InternalCheckError("context carries an incomplete coverage table")
+
+
+@dataclass
+class ModpCertificate:
+    """Claimed congruence sum(tau(plus)) - sum(tau(minus)) = lambda (mod p)."""
+
+    kind: str  # pm32 | sum96 | sum16
+    p: int
+    lam: int
+    plus: list[int]
+    minus: list[int]
+    meta: dict
+
+    def to_json_dict(self) -> dict:
+        def enc(v: int):
+            return v if abs(v) < 2**53 else str(v)
+
+        meta = {k: (enc(v) if isinstance(v, int) else v) for k, v in self.meta.items()}
+        return {
+            "kind": self.kind,
+            "p": self.p,
+            "lambda": self.lam,
+            "plus": [enc(n) for n in self.plus],
+            "minus": [enc(n) for n in self.minus],
+            "meta": meta,
+        }
+
+
+def modp_certificate_from_json(obj: dict) -> ModpCertificate:
+    kind = obj.get("kind")
+    if kind not in ("pm32", "sum96", "sum16"):
+        raise ValueError(f"not a mod-p certificate: {kind!r}")
+    meta = {
+        k: (int(v) if isinstance(v, str) and v.lstrip("-").isdigit() else v)
+        for k, v in dict(obj.get("meta", {})).items()
+    }
+    return ModpCertificate(
+        kind=kind,
+        p=int(obj["p"]),
+        lam=int(obj["lambda"]),
+        plus=[int(n) for n in obj["plus"]],
+        minus=[int(n) for n in obj["minus"]],
+        meta=meta,
+    )
+
+
+def _expand_product(wx: WitnessedResidue, wy: WitnessedResidue):
+    """Multiply two witnessed residues into signed tau indices.
+
+    (sum_i s_i tau(n_i)) * (sum_j t_j tau(m_j)) = sum_ij s_i t_j tau(n_i m_j)
+    requires gcd(n_i, m_j) = 1 throughout; the context constructions
+    guarantee this and it is asserted here.
+    """
+    plus, minus = [], []
+    for s1, n1 in wx.origin:
+        for s2, n2 in wy.origin:
+            if gcd(n1, n2) != 1:
+                raise InternalCheckError(
+                    f"witness indices {n1} and {n2} share a prime factor"
+                )
+            (plus if s1 * s2 > 0 else minus).append(n1 * n2)
+    return plus, minus
+
+
+def represent_pm32(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
+    """Mixed-sign certificate for lambda mod p from eight coverage pairs."""
+    lam %= ctx.p
+    plus: list[int] = []
+    minus: list[int] = []
+    for wx, wy in ctx.cover.pairs_for(lam):
+        pl, mi = _expand_product(wx, wy)
+        plus.extend(pl)
+        minus.extend(mi)
+    if len(plus) > 16 or len(minus) > 16:
+        raise InternalCheckError("pm32 expansion exceeded the 16+16 cap")
+    hi = ctx.window[1]
+    bound = hi**4 if ctx.branch == "pairs" else hi * hi
+    meta = {
+        "max_index": max(plus + minus),
+        "counts": {"plus": len(plus), "minus": len(minus)},
+        "branch": ctx.branch,
+        "window": list(ctx.window),
+        "index_bound": bound,
+        "glibichuk": True,
+    }
+    return ModpCertificate("pm32", ctx.p, lam, plus, minus, meta)
+
+
+def ensure_sum96_modulus(p: int) -> None:
+    if gcd(p, 370944) != 1:
+        raise UnsupportedModulusError(
+            f"p={p} shares a factor with 370944; the six-term block trick needs"
+            " tau(12) invertible mod p"
+        )
+
+
+def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
+    """Pure-sum certificate of at most 96 terms via the index-12 zero-sum block.
+
+    Solves pm32 for lambda * tau(12)^{-1}, then maps plus indices n -> 12n and
+    minus indices m -> {27m, 55m, 69m, 90m, 105m}: by the six-term identity
+    the five-fold block contributes -tau(12) tau(m), flipping every minus
+    term into plus territory.
+    """
+    ensure_sum96_modulus(ctx.p)
+    p = ctx.p
+    lam %= p
+    tau12 = table.values[12] % p
+    lam_star = lam * pow(tau12, -1, p) % p
+    base = represent_pm32(lam_star, ctx, table)
+    plus = [12 * n for n in base.plus]
+    for m in base.minus:
+        plus.extend(k * m for k in ZERO_SUM_SIX[1:])
+    if len(plus) > 96:
+        raise InternalCheckError("sum96 expansion exceeded 96 terms")
+    meta = {
+        "max_index": max(plus),
+        "counts": {"plus": len(plus), "minus": 0},
+        "branch": base.meta["branch"],
+        "window": base.meta["window"],
+        "index_bound": 105 * base.meta["index_bound"],
+        "lambda_star": lam_star,
+        "glibichuk": True,
+    }
+    return ModpCertificate("sum96", p, lam, plus, [], meta)
+
+
+@dataclass
+class AbcContext:
+    """Half-window sets for the pure 16-term construction.
+
+    a0 is the most frequent tau class over primes in (p/2, p]; A holds one
+    witness per remaining class, B the squares tau(q^2) = a0^2 - q^11 from
+    the a0 class, and C tau values of small primes and their squares. The
+    witness supports are pairwise coprime across the three sets.
+    """
+
+    p: int
+    a0: int
+    a0_primes: list[int]
+    a_set: list[WitnessedResidue]
+    b_set: list[WitnessedResidue]
+    c_set: list[WitnessedResidue]
+    cap: int
+
+
+def build_abc_context(p: int, table: TauTable, eps_cap: int | None = None) -> AbcContext:
+    if p <= 23 or not is_prime(p):
+        raise ValueError(f"p must be a prime > 23, got {p}")
+    if table.limit < p:
+        raise ValueError(f"table covers {table.limit}, need {p}")
+    cap = eps_cap if eps_cap is not None else 50
+    # C primes must stay below p/2 so their supports cannot collide with the
+    # half-window witnesses of A and B.
+    cap = min(cap, (p - 1) // 2)
+    classes = _classes_by_tau(primes_in(p // 2, p), p, table)
+    if len(classes) < 2:
+        raise DegenerateContextError(
+            f"only {len(classes)} tau class(es) over primes in ({p // 2}, {p}]"
+        )
+    a0 = max(classes, key=lambda r: (len(classes[r]), -r))
+    a_set = [
+        WitnessedResidue(r, ((1, classes[r][0]),), (classes[r][0],))
+        for r in sorted(classes)
+        if r != a0
+    ]
+    b_set = []
+    seen = set()
+    for q in classes[a0]:
+        res = (a0 * a0 - pow(q, 11, p)) % p
+        if res not in seen:
+            seen.add(res)
+            b_set.append(WitnessedResidue(res, ((1, q * q),), (q,)))
+    c_set = []
+    seen = set()
+    for r_prime in primes_in(1, cap):
+        tq = table.values[r_prime]
+        for e, res in ((1, tq % p), (2, (tq * tq - r_prime**11) % p)):
+            if res not in seen:
+                seen.add(res)
+                c_set.append(WitnessedResidue(res, ((1, r_prime**e),), (r_prime,)))
+    return AbcContext(p, a0, list(classes[a0]), a_set, b_set, c_set, cap)
+
+
+def _sum_elements(a_set, c_set, p):
+    out, seen = [], set()
+    for wa in a_set:
+        for wc in c_set:
+            res = (wa.residue + wc.residue) % p
+            if res not in seen:
+                seen.add(res)
+                out.append(
+                    WitnessedResidue(res, wa.origin + wc.origin, wa.support + wc.support)
+                )
+    return out
+
+
+def _product_elements(a_set, c_set, p):
+    out, seen = [], set()
+    for wa in a_set:
+        for wc in c_set:
+            res = wa.residue * wc.residue % p
+            if res not in seen:
+                seen.add(res)
+                na = wa.origin[0][1]
+                nc = wc.origin[0][1]
+                out.append(
+                    WitnessedResidue(res, ((1, na * nc),), wa.support + wc.support)
+                )
+    return out
+
+
+def represent_sum16(lam: int, p: int, table: TauTable, *, eps_cap: int | None = None,
+                    ctx: AbcContext | None = None) -> ModpCertificate:
+    """Pure-sum certificate of at most 16 terms for lambda mod p.
+
+    Branches are tried in order: split of A against itself, B against C, and
+    B against the larger of A+C and A*C. The cardinality bound |X||Y| > 2p
+    guarantees coverage when it holds, but at desk scale the small windows
+    rarely reach it, so each branch is accepted as soon as its depth-8
+    coverage table is actually complete; the meta records whether the
+    guarantee held.
+    """
+    ctx = ctx or build_abc_context(p, table, eps_cap)
+    cap = ctx.cap
+    attempts = []
+    if len(ctx.a_set) >= 2:
+        half = (len(ctx.a_set) + 1) // 2
+        attempts.append(
+            ("A-split", ctx.a_set[:half], ctx.a_set[half:], "p^2", p * p)
+        )
+    if ctx.b_set and ctx.c_set:
+        attempts.append(
+            ("BxC", ctx.b_set, ctx.c_set, "p^(2+eps)", p * p * cap * cap)
+        )
+    if ctx.b_set and ctx.a_set and ctx.c_set:
+        t_sum = _sum_elements(ctx.a_set, ctx.c_set, p)
+        t_prod = _product_elements(ctx.a_set, ctx.c_set, p)
+        if len(t_prod) > len(t_sum):
+            attempts.append(
+                ("BxT-product", ctx.b_set, t_prod, "p^(3+eps)", p**3 * cap * cap)
+            )
+        else:
+            attempts.append(
+                ("BxT-sum", ctx.b_set, t_sum, "p^3", max(p**3, p * p * cap * cap))
+            )
+    sizes = []
+    for branch, xs, ys, formula, bound in attempts:
+        sizes.append((branch, len(xs), len(ys)))
+        if not xs or not ys:
+            continue
+        cover = ProductSumCover(p, xs, ys)
+        if not cover.covered:
+            continue
+        plus: list[int] = []
+        for wx, wy in cover.pairs_for(lam % p):
+            pl, mi = _expand_product(wx, wy)
+            if mi:
+                raise InternalCheckError("pure-sum branch produced minus terms")
+            plus.extend(pl)
+        if len(plus) > 16:
+            raise InternalCheckError("sum16 expansion exceeded 16 terms")
+        meta = {
+            "max_index": max(plus),
+            "counts": {"plus": len(plus), "minus": 0},
+            "branch": branch,
+            "bound_formula": formula,
+            "index_bound": bound,
+            "eps_cap": cap,
+            "glibichuk": len(xs) * len(ys) > 2 * p,
+        }
+        return ModpCertificate("sum16", p, lam % p, plus, [], meta)
+    raise InfeasibleContextError(
+        f"no branch covered Z_{p}; branch sizes were {sizes}"
+    )
+
+
+def _factor_by_trial(n: int, limit: int):
+    """(prime, exponent) pairs by trial division; None if a factor exceeds limit."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if d > limit:
+                return None
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if n > limit:
+            return None
+        out.append((n, 1))
+    return out
+
+
+def _tau_by_factorization(n: int, table: TauTable) -> int | None:
+    if n < 1:
+        return None
+    if n == 1:
+        return 1
+    pairs = _factor_by_trial(n, table.limit)
+    if pairs is None:
+        return None
+    out = 1
+    for q, e in pairs:
+        out *= tau_prime_power(table.values[q], q, e)
+    return out
+
+
+def recompute_modp_sum(cert: ModpCertificate, table: TauTable) -> int | None:
+    """The certificate's signed tau sum mod p, rebuilt from factorizations."""
+    total = 0
+    for sign, group in ((1, cert.plus), (-1, cert.minus)):
+        for n in group:
+            t = _tau_by_factorization(n, table)
+            if t is None:
+                return None
+            total += sign * t
+    return total % cert.p
+
+
+def verify_modp_certificate(cert: ModpCertificate, table: TauTable) -> bool:
+    """Independent re-check: factor every index, rebuild tau values from prime
+    entries, and test the congruence plus every cap recorded in the meta."""
+    if cert.kind not in ("pm32", "sum96", "sum16"):
+        return False
+    p = cert.p
+    if p <= 23 or not is_prime(p) or not 0 <= cert.lam < p:
+        return False
+    caps = {"pm32": (16, 16), "sum96": (96, 0), "sum16": (16, 0)}[cert.kind]
+    if len(cert.plus) > caps[0] or len(cert.minus) > caps[1]:
+        return False
+    if not cert.plus and not cert.minus:
+        return False
+    indices = cert.plus + cert.minus
+    if any(n < 1 for n in indices):
+        return False
+    if cert.kind == "pm32" and not all(coprime_to_23_factorial(n) for n in indices):
+        return False
+    bound = cert.meta.get("index_bound")
+    if bound is None or max(indices) > bound:
+        return False
+    if cert.meta.get("max_index") != max(indices):
+        return False
+    counts = cert.meta.get("counts", {})
+    if counts.get("plus") != len(cert.plus) or counts.get("minus") != len(cert.minus):
+        return False
+    return recompute_modp_sum(cert, table) == cert.lam
+
+
+def basis_order_scan(p: int, n_bound: int, table: TauTable) -> int | None:
+    """Least k <= 96 with every residue a sum of at most k values tau(n), n <= n_bound."""
+    if n_bound > table.limit:
+        raise ValueError(f"table covers {table.limit}, need {n_bound}")
+    base = sorted({table.values[n] % p for n in range(1, n_bound + 1)})
+    reach = set(base)
+    for k in range(1, 97):
+        if len(reach) == p:
+            return k
+        reach |= {(a + v) % p for a in reach for v in base}
+    return None

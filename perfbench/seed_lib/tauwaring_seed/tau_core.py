@@ -1,0 +1,243 @@
+"""Exact Ramanujan tau values by four independent routes, plus table persistence.
+
+Routes:
+  * series        -- truncated product expansion of X * prod(1 - X^n)^24
+  * niebur        -- sigma_1 convolution identity (quadratic; cross-check oracle)
+  * sigma_formula -- scaled sigma_5 / sigma_11 identity (quadratic; oracle)
+  * multiplicative -- Hecke recurrence at prime powers times multiplicativity
+
+The series route is the production path; the two convolution identities are
+O(n) per value and serve as independent oracles at small n.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+from .divisor_arith import SigmaTable, iter_factor_pairs, primes_in
+from .errors import CapacityError, InternalCheckError, TableFormatError
+
+try:
+    from gmpy2 import mpz
+except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+    mpz = int
+
+# Largest series build accepted by default; beyond this the packed integers
+# pass ~0.5 GB and the build should be an explicit decision by the caller.
+DEFAULT_SERIES_CAP = 2_000_000
+
+TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
+_VALUE_RE = re.compile(r"^-?[0-9]+$")
+
+
+@dataclass
+class TauTable:
+    """Exact tau(1..limit); values[0] is a zero sentinel, entries are exact ints."""
+
+    limit: int
+    values: list[int]
+    method: str = "series"
+
+    def tau(self, n: int) -> int:
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"n={n} outside table range [1, {self.limit}]")
+        return self.values[n]
+
+
+def _cube_terms(n_coeffs: int) -> list[tuple[int, int]]:
+    """Nonzero terms (position, coefficient) of prod(1 - X^m)^3 below n_coeffs.
+
+    Jacobi: prod(1 - X^m)^3 = sum_{k>=0} (-1)^k (2k+1) X^{k(k+1)/2}, so the
+    cube is sparse with O(sqrt(n)) terms; raising it to the 8th power gives
+    the 24th power of the Euler product.
+    """
+    terms = []
+    k = 0
+    while True:
+        pos = k * (k + 1) // 2
+        if pos >= n_coeffs:
+            return terms
+        c = 2 * k + 1
+        terms.append((pos, -c if k & 1 else c))
+        k += 1
+
+
+def _slot_width_bits(limit: int) -> int:
+    # |tau(n)| <= n^{11/2} d(n) <= 2 n^6, so 6*bitlen(limit)+1 bits suffice
+    # for any final coefficient; pad for sign plus carry and byte-align.
+    return ((6 * limit.bit_length() + 10 + 7) // 8) * 8
+
+
+def _pack_terms(terms, width_bytes: int, slots: int) -> int:
+    """Pack sparse signed coefficients into one little-endian integer.
+
+    Positive and negative parts are written into disjoint byte slots and
+    combined by one big subtraction, so no inter-slot carries are needed.
+    """
+    pos_buf = bytearray(width_bytes * slots)
+    neg_buf = bytearray(width_bytes * slots)
+    for pos, c in terms:
+        buf = pos_buf if c > 0 else neg_buf
+        buf[pos * width_bytes : pos * width_bytes + width_bytes] = abs(c).to_bytes(
+            width_bytes, "little"
+        )
+    return int.from_bytes(bytes(pos_buf), "little") - int.from_bytes(
+        bytes(neg_buf), "little"
+    )
+
+
+def _decode_balanced(data: bytes, width_bytes: int, count: int) -> list[int]:
+    """Recover `count` signed slot values from a packed little-endian integer.
+
+    Slots hold balanced residues: a slot value v >= 2^(b-1) encodes v - 2^b
+    with a carry into the next slot. The top (guard) slot is never decoded.
+    """
+    half = 1 << (width_bytes * 8 - 1)
+    full = half << 1
+    out = []
+    carry = 0
+    view = memoryview(data)
+    for i in range(count):
+        v = int.from_bytes(view[i * width_bytes : (i + 1) * width_bytes], "little") + carry
+        if v >= half:
+            out.append(v - full)
+            carry = 1
+        else:
+            out.append(v)
+            carry = 0
+    return out
+
+
+def build_tau_table_series(limit: int, *, max_limit: int = DEFAULT_SERIES_CAP) -> TauTable:
+    """Compute tau(1..limit) from the truncated 24th-power Euler product.
+
+    The sparse cube is raised to the 8th power as seven successive products
+    against the dense accumulator, all carried out on packed big integers
+    (one slot per coefficient) so each product is a single multiplication.
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit > max_limit:
+        raise CapacityError(
+            f"series build for limit={limit} refused; largest feasible limit is {max_limit}"
+        )
+    bits = _slot_width_bits(limit)
+    width = bits // 8
+    slots = limit + 1  # one guard slot on top; it absorbs wraparound
+    mask = mpz((1 << (bits * slots)) - 1)
+    cube = mpz(_pack_terms(_cube_terms(slots), width, slots)) & mask
+    acc = cube
+    for _ in range(7):
+        acc = (acc * cube) & mask
+    data = int(acc).to_bytes(width * slots, "little")
+    # tau(n) is the coefficient of X^(n-1) in the 24th power.
+    values = [0]
+    values.extend(_decode_balanced(data, width, limit))
+    return TauTable(limit=limit, values=values, method="series")
+
+
+def tau_niebur(n: int, sigma1: SigmaTable) -> int:
+    """Niebur's convolution identity for tau(n), using sigma_1 throughout.
+
+    Some printed statements of this identity carry sigma_0 in the convolution;
+    that reading fails already at n = 2 (giving -40, not -24), so sigma_1 is
+    used for both the leading term and the convolution.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if sigma1.limit < n:
+        raise ValueError(f"sigma table covers {sigma1.limit}, need {n}")
+    s = sigma1.values
+    acc = 0
+    for k in range(1, n):
+        acc += (35 * k**4 - 52 * k**3 * n + 18 * k**2 * n * n) * s[k] * s[n - k]
+    return n**4 * s[n] - 24 * acc
+
+
+def tau_sigma_formula(n: int, sigma5: SigmaTable, sigma11: SigmaTable) -> int:
+    """tau(n) from the scaled sigma_5 / sigma_11 identity.
+
+    Evaluates T = 65*sigma_11(n) + 691*sigma_5(n) - 691*252 * conv(sigma_5)
+    and returns T / 756; divisibility by 756 is asserted, a failure means the
+    identity was transcribed wrong or the sigma tables are corrupt.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if sigma5.limit < n or sigma11.limit < n:
+        raise ValueError("sigma tables do not cover n")
+    s5 = sigma5.values
+    conv = 0
+    for k in range(1, n):
+        conv += s5[k] * s5[n - k]
+    t = 65 * sigma11.values[n] + 691 * s5[n] - 174132 * conv
+    if t % 756:
+        raise InternalCheckError(f"756 does not divide scaled identity at n={n}: {t}")
+    return t // 756
+
+
+def tau_prime_power(tau_q: int, q: int, alpha: int) -> int:
+    """tau(q^alpha) via tau(q^(a+2)) = tau(q^(a+1)) tau(q) - q^11 tau(q^a)."""
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if alpha == 0:
+        return 1
+    prev, cur = 1, tau_q
+    q11 = q**11
+    for _ in range(alpha - 1):
+        prev, cur = cur, cur * tau_q - q11 * prev
+    return cur
+
+
+def tau_multiplicative(n: int, prime_tau: dict[int, int], spf: list[int]) -> int:
+    """tau(n) assembled from prime values by multiplicativity plus the Hecke rule."""
+    out = 1
+    for q, e in iter_factor_pairs(n, spf):
+        if q not in prime_tau:
+            raise ValueError(f"tau map has no entry for prime {q}")
+        out *= tau_prime_power(prime_tau[q], q, e)
+    return out
+
+
+def build_prime_tau_map(table: TauTable) -> dict[int, int]:
+    """Map prime q -> tau(q) for every prime within the table."""
+    return {q: table.values[q] for q in primes_in(1, table.limit)}
+
+
+def save_table(path, table: TauTable) -> None:
+    """Write the line-oriented cache format (header + one value per line)."""
+    lines = [f"TAU-TABLE v1 limit={table.limit}"]
+    lines.extend(f"{n}\t{table.values[n]}" for n in range(1, table.limit + 1))
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_table(path) -> TauTable:
+    """Parse a saved table; raises TableFormatError with a line number on damage."""
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise TableFormatError("line 1: file is not newline-terminated")
+    if text.endswith("\n\n"):
+        raise TableFormatError("trailing blank line at end of file")
+    lines = text[:-1].split("\n")
+    m = TABLE_HEADER_RE.match(lines[0])
+    if not m:
+        raise TableFormatError(f"line 1: bad header {lines[0]!r}")
+    limit = int(m.group(1))
+    if limit < 1:
+        raise TableFormatError("line 1: limit must be >= 1")
+    if len(lines) - 1 != limit:
+        raise TableFormatError(
+            f"line {len(lines)}: expected {limit} value lines, found {len(lines) - 1}"
+        )
+    values = [0]
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if len(parts) != 2 or not _VALUE_RE.match(parts[1]):
+            raise TableFormatError(f"line {i}: malformed entry {line!r}")
+        n = i - 1
+        if parts[0] != str(n):
+            raise TableFormatError(f"line {i}: expected index {n}, found {parts[0]!r}")
+        values.append(int(parts[1]))
+    return TauTable(limit=limit, values=values, method="loaded")

@@ -1,0 +1,518 @@
+"""Integer-side representation machinery.
+
+Covers: the digit decomposition of residues mod 370944 over the tau values at
+{8, 5, 3, 2, 1}, exact-count padding with zero-sum blocks, admissible-set
+search, the q^11 identity from forced tau-sum relations, a meet-in-the-middle
+solver for small sums of prime 11th powers, and a desk-scale solver that
+writes any integer as a bounded sum of tau values with a verifiable
+certificate.
+"""
+
+from __future__ import annotations
+
+import bisect
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+
+import numpy as np
+
+from .divisor_arith import integer_nth_root, is_prime, primes_in, sieve_spf
+from .errors import (
+    CapacityError,
+    InfeasibleError,
+    InternalCheckError,
+    RelationViolationError,
+)
+from .identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
+from .tau_core import TauTable, tau_multiplicative
+
+# Everything used to assemble residue certificates stays at index <= 105.
+RESIDUE_MODULUS = 370944
+RESIDUE_TERM_COUNT = 198
+MAX_RESIDUE_INDEX = 105
+
+# tau at the small indices the residue construction needs; cross-checked
+# against the series table in the test suite.
+TAU_SMALL = {
+    1: 1,
+    2: -24,
+    3: 252,
+    5: 4830,
+    6: -6048,
+    8: 84480,
+    12: -370944,
+    14: 401856,
+    27: -73279080,
+    29: 128406630,
+    41: 308120442,
+    42: 101267712,
+    44: -786948864,
+    48: 248758272,
+    55: 2582175960,
+    69: 4698104544,
+    90: 13173496560,
+    105: -20380127040,
+}
+
+# Remainders that 6x + 7y cannot reach; everything >= 30 is reachable.
+NON_REPRESENTABLE_6X7Y = frozenset(
+    {1, 2, 3, 4, 5, 8, 9, 10, 11, 15, 16, 17, 22, 23, 29}
+)
+
+# Below this remainder the exact finisher over tau(1..10) takes over from
+# the greedy descent.
+DP_THRESHOLD = 10**6
+
+
+@dataclass(frozen=True)
+class DigitVector:
+    """Digit counts for r = 84480 r5 + 4830 r4 + 252 r3 - 24 r2 + r1."""
+
+    r5: int
+    r4: int
+    r3: int
+    r2: int
+    r1: int
+
+    def total(self) -> int:
+        return self.r5 + self.r4 + self.r3 + self.r2 + self.r1
+
+    def value(self) -> int:
+        return 84480 * self.r5 + 4830 * self.r4 + 252 * self.r3 - 24 * self.r2 + self.r1
+
+
+@dataclass
+class SumCertificate:
+    """Claimed representation target = sum of tau(n) over the plus multiset."""
+
+    target: int
+    plus: list[int]
+    meta: dict
+    kind: str = "integer_sum"
+
+    def to_json_dict(self) -> dict:
+        meta = dict(self.meta)
+        if "max_abs_tau" in meta:
+            meta["max_abs_tau"] = str(meta["max_abs_tau"])
+        return {
+            "kind": self.kind,
+            "target": str(self.target),
+            "plus": list(self.plus),
+            "meta": meta,
+        }
+
+
+def sum_certificate_from_json(obj: dict) -> SumCertificate:
+    if obj.get("kind") != "integer_sum":
+        raise ValueError(f"not an integer_sum certificate: {obj.get('kind')!r}")
+    meta = dict(obj.get("meta", {}))
+    if "max_abs_tau" in meta:
+        meta["max_abs_tau"] = int(meta["max_abs_tau"])
+    return SumCertificate(
+        target=int(obj["target"]),
+        plus=[int(v) for v in obj["plus"]],
+        meta=meta,
+    )
+
+
+@dataclass(frozen=True)
+class AdmissibleSet:
+    """Primes certified to admit no nontrivial equal pair of 6-term tau sums."""
+
+    primes: tuple[int, ...]
+    certified: bool
+
+
+@dataclass(frozen=True)
+class RepresentationParams:
+    """Knobs for the integer representation solver.
+
+    c_bound scales the index budget c_bound * (|N|^{2/11} + 1); 15 is the
+    constant the construction yields, kept configurable upward because the
+    hidden asymptotics can pinch for small targets.
+    """
+
+    c_bound: int | Fraction = 15
+    max_terms: int = 74000
+    canonical_residue_count: int = RESIDUE_TERM_COUNT
+
+    def __post_init__(self):
+        if self.c_bound <= 0:
+            raise ValueError("c_bound must be positive")
+        if self.canonical_residue_count != RESIDUE_TERM_COUNT:
+            raise ValueError(f"canonical residue count is fixed at {RESIDUE_TERM_COUNT}")
+        if self.max_terms < RESIDUE_TERM_COUNT:
+            raise ValueError(f"max_terms must be >= {RESIDUE_TERM_COUNT}")
+
+
+def digits_mod_370944(r: int) -> DigitVector:
+    """Cascade r in [0, 370944) into bounded digits over tau(8,5,3,2,1).
+
+    The last two steps run over-and-correct: r3' = 252 r3 - r2' and
+    r2' = 24 r2 - r1, which is what keeps every digit within its cap.
+    """
+    if not 0 <= r < RESIDUE_MODULUS:
+        raise ValueError(f"r={r} outside [0, {RESIDUE_MODULUS})")
+    r5, rest4 = divmod(r, 84480)
+    r4, rest3 = divmod(rest4, 4830)
+    r3 = -(-rest3 // 252)
+    rest2 = 252 * r3 - rest3
+    r2 = -(-rest2 // 24)
+    r1 = 24 * r2 - rest2
+    vec = DigitVector(r5, r4, r3, r2, r1)
+    if not (vec.r5 <= 4 and vec.r4 <= 17 and vec.r3 <= 20 and vec.r2 <= 11 and vec.r1 <= 23):
+        raise InternalCheckError(f"digit bounds violated for r={r}: {vec}")
+    if vec.value() != r:
+        raise InternalCheckError(f"digit cascade does not reproduce r={r}: {vec}")
+    return vec
+
+
+def pad_count_6x7y(gap: int) -> tuple[int, int]:
+    """Nonnegative (x, y) with 6x + 7y = gap, canonical minimal-y solution."""
+    if gap < 0:
+        raise ValueError(f"gap must be nonnegative, got {gap}")
+    y = gap % 6
+    if 7 * y > gap:
+        raise InfeasibleError(f"{gap} is not representable as 6x + 7y")
+    return (gap - 7 * y) // 6, y
+
+
+def represent_residue_198(r: int) -> SumCertificate:
+    """Exactly 198 indices <= 105 whose tau values sum to r in [0, 370944).
+
+    Digits give at most 75 terms; the remaining count (always >= 123, hence
+    representable as 6x + 7y) is filled with zero-sum blocks.
+    """
+    vec = digits_mod_370944(r)
+    indices = (
+        [8] * vec.r5 + [5] * vec.r4 + [3] * vec.r3 + [2] * vec.r2 + [1] * vec.r1
+    )
+    x, y = pad_count_6x7y(RESIDUE_TERM_COUNT - len(indices))
+    indices += list(ZERO_SUM_SIX) * x + list(ZERO_SUM_SEVEN) * y
+    meta = {
+        "term_count": len(indices),
+        "max_index": max(indices),
+        "max_abs_tau": max(abs(TAU_SMALL[i]) for i in set(indices)),
+        "index_bound": MAX_RESIDUE_INDEX,
+        "exact_terms": RESIDUE_TERM_COUNT,
+    }
+    return SumCertificate(target=r, plus=indices, meta=meta)
+
+
+def verify_integer_certificate(cert: SumCertificate, table: TauTable,
+                               spf: list[int] | None = None) -> bool:
+    """Recompute the sum through the multiplicative route and re-check meta.
+
+    Deliberately avoids reading tau(n) straight off the table for composite n:
+    values are reassembled from prime tau values via the Hecke recurrence, so
+    a corrupt certificate cannot hide behind the path that produced it.
+    """
+    if cert.kind != "integer_sum" or not cert.plus:
+        return False
+    if any(n < 1 for n in cert.plus):
+        return False
+    top = max(cert.plus)
+    if top > table.limit:
+        return False
+    spf = spf if spf is not None else sieve_spf(max(top, 2))
+    prime_tau = {q: table.values[q] for q in set(spf[2 : top + 1]) if q >= 2}
+    total = 0
+    tau_of = {}
+    counts = Counter(cert.plus)
+    max_abs = 0
+    for n, c in counts.items():
+        if n not in tau_of:
+            tau_of[n] = tau_multiplicative(n, prime_tau, spf) if n > 1 else 1
+        total += c * tau_of[n]
+        max_abs = max(max_abs, abs(tau_of[n]))
+    meta = cert.meta
+    if total != cert.target:
+        return False
+    if meta.get("term_count") != len(cert.plus):
+        return False
+    if meta.get("max_index") != top:
+        return False
+    if "max_abs_tau" in meta and meta["max_abs_tau"] != max_abs:
+        return False
+    if "index_bound" in meta and top > meta["index_bound"]:
+        return False
+    if "exact_terms" in meta and len(cert.plus) != meta["exact_terms"]:
+        return False
+    if "max_terms" in meta and len(cert.plus) > meta["max_terms"]:
+        return False
+    return True
+
+
+def is_admissible(primes, table: TauTable) -> tuple[bool, tuple | None]:
+    """Check that all increasing 6-tuple tau sums over the set are distinct.
+
+    Returns (True, None) or (False, (tuple_a, tuple_b)) with the colliding
+    6-tuples. Vacuously true below 6 elements.
+    """
+    ps = sorted(primes)
+    if len(set(ps)) != len(ps):
+        raise ValueError("prime set contains repeats")
+    if any(q <= 23 for q in ps):
+        raise ValueError("admissible sets live above 23")
+    if any(q > table.limit for q in ps):
+        raise ValueError("prime outside table range")
+    if len(ps) > 16:
+        raise CapacityError(f"admissibility check capped at 16 primes, got {len(ps)}")
+    seen: dict[int, tuple] = {}
+    for combo in combinations(ps, 6):
+        s = sum(table.values[q] for q in combo)
+        if s in seen:
+            return False, (seen[s], combo)
+        seen[s] = combo
+    return True, None
+
+
+def grow_admissible(candidates, cap: int, table: TauTable) -> AdmissibleSet:
+    """Greedily extend an admissible set from ascending candidates up to cap."""
+    if cap > 16:
+        raise CapacityError(f"cap must be <= 16, got {cap}")
+    chosen: list[int] = []
+    sums: dict[int, tuple] = {}
+    for q in sorted(candidates):
+        if len(chosen) >= cap:
+            break
+        if q <= 23 or q > table.limit:
+            raise ValueError(f"candidate {q} out of range")
+        new_sums = {}
+        ok = True
+        for combo5 in combinations(chosen, 5):
+            combo = tuple(sorted(combo5 + (q,)))
+            s = sum(table.values[t] for t in combo)
+            if s in sums or s in new_sums:
+                ok = False
+                break
+            new_sums[s] = combo
+        if ok:
+            chosen.append(q)
+            sums.update(new_sums)
+    certified, _ = is_admissible(chosen, table) if chosen else (True, None)
+    return AdmissibleSet(tuple(chosen), certified)
+
+
+def find_dyadic_tau_primes(bound: int, table: TauTable) -> dict[int, int]:
+    """Least prime l <= bound with tau(l) = 2^j (mod 5528), for each j in 1..12.
+
+    The map may be partial: existence is only guaranteed asymptotically, so
+    absent entries simply mean no witness below the scan bound.
+    """
+    bound = min(bound, table.limit)
+    targets = {pow(2, j, 5528): j for j in range(1, 13)}
+    found: dict[int, int] = {}
+    for q in primes_in(1, bound):
+        j = targets.get(table.values[q] % 5528)
+        if j is not None and j not in found:
+            found[j] = q
+            if len(found) == 12:
+                break
+    return dict(sorted(found.items()))
+
+
+def q11_from_relation(q: int, tilde, provider) -> int:
+    """Evaluate q^11 from a forced 6-vs-5 tau-sum relation.
+
+    Given 11 distinct primes with sum(tau(t_i), i<6) = sum(tau(t_i), i>=6)
+    + tau(q) under `provider`, the alternating sum of tau(t_i * q) minus
+    tau(q^2) collapses to tau(q)^2 - tau(q^2) = q^11. The provider is any
+    callable n -> tau(n) honoring the Hecke square rule; it is consulted at
+    the primes, at q, and at q^2, with multiplicativity applied here.
+    """
+    tilde = list(tilde)
+    if len(tilde) != 11 or len(set(tilde)) != 11:
+        raise ValueError("need 11 distinct companion primes")
+    if q in tilde:
+        raise ValueError("q must not appear among the companions")
+    t_vals = [provider(t) for t in tilde]
+    tau_q = provider(q)
+    if sum(t_vals[:6]) != sum(t_vals[6:]) + tau_q:
+        raise RelationViolationError(
+            f"companion relation does not hold for q={q} under this provider"
+        )
+    rhs = sum(v * tau_q for v in t_vals[:6]) - sum(v * tau_q for v in t_vals[6:])
+    rhs -= provider(q * q)
+    if rhs != q**11:
+        raise InternalCheckError(
+            f"provider violates the Hecke square rule at q={q}: got {rhs}"
+        )
+    return rhs
+
+
+def solve_prime_power_sum(target: int, s: int, pool) -> list[int] | None:
+    """Primes q_1..q_s from the pool (repeats allowed) with sum q_i^11 = target.
+
+    Meet-in-the-middle over pair sums; s is capped at 4 and the pool at 200,
+    which keeps the pair dictionary around 20k entries. Returns None when no
+    solution exists (infeasibility is an answer, not an error).
+    """
+    pool = sorted(set(pool))
+    if not 1 <= s <= 4:
+        raise ValueError(f"term count must be in 1..4, got {s}")
+    if len(pool) > 200:
+        raise CapacityError(f"pool capped at 200 primes, got {len(pool)}")
+    if not all(is_prime(q) for q in pool):
+        raise ValueError("pool must consist of primes")
+    power = {q: q**11 for q in pool}
+    if s == 1:
+        for q in pool:
+            if power[q] == target:
+                return [q]
+        return None
+    pair_sums: dict[int, tuple[int, int]] = {}
+    for a, b in combinations_with_replacement(pool, 2):
+        pair_sums.setdefault(power[a] + power[b], (a, b))
+    if s == 2:
+        hit = pair_sums.get(target)
+        return sorted(hit) if hit else None
+    if s == 3:
+        for q in pool:
+            hit = pair_sums.get(target - power[q])
+            if hit:
+                return sorted((q,) + hit)
+        return None
+    for t, (a, b) in pair_sums.items():
+        hit = pair_sums.get(target - t)
+        if hit:
+            return sorted((a, b) + hit)
+    return None
+
+
+@lru_cache(maxsize=2)
+def _finisher_distances(coins: tuple[int, ...], radius: int):
+    """Breadth-first minimum-term table over sums of the given tau values.
+
+    dist[v + radius] = least number of coins (tau values at indices 1..10)
+    summing to v, for every v in [-radius, radius]. The mixed signs make the
+    whole window reachable; layers are expanded vectorized.
+    """
+    coin_arr = np.array(coins, dtype=np.int64)
+    size = 2 * radius + 1
+    dist = np.full(size, -1, dtype=np.int16)
+    dist[radius] = 0
+    frontier = np.array([0], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        nxt = (frontier[:, None] + coin_arr[None, :]).ravel()
+        nxt = nxt[(nxt >= -radius) & (nxt <= radius)]
+        idx = nxt + radius
+        idx = np.unique(idx[dist[idx] == -1])
+        if idx.size == 0:
+            break
+        dist[idx] = depth
+        frontier = idx - radius
+    if (dist < 0).any():
+        raise InternalCheckError("finisher table has unreachable remainders")
+    return dist
+
+
+def _finish_exact(r: int, coins: list[tuple[int, int]], dist, radius: int) -> list[int]:
+    """Walk the distance table back from remainder r to zero, emitting indices."""
+    out = []
+    while r != 0:
+        d = int(dist[r + radius])
+        for value, idx in coins:
+            rr = r - value
+            if -radius <= rr <= radius and dist[rr + radius] == d - 1:
+                out.append(idx)
+                r = rr
+                break
+        else:
+            raise InternalCheckError(f"finisher table inconsistent at remainder {r}")
+    return out
+
+
+def index_budget(target: int, c_bound: int | Fraction) -> int:
+    """Concrete index cap floor(c_bound * (|target|^{2/11} + 1))."""
+    root = integer_nth_root(target * target, 11)
+    return int(c_bound * (root + 1))
+
+
+def represent_integer(target: int, params: RepresentationParams,
+                      table: TauTable) -> SumCertificate:
+    """Write target as a sum of tau values at indices within the budget.
+
+    Strategy: greedy descent on the remainder using the closest tau value
+    within the index budget while |remainder| is large, then an exact
+    minimum-term finish over tau(1..10) once it drops below DP_THRESHOLD.
+    Zero gets the canonical 33-block certificate so the result is never an
+    empty sum.
+    """
+    budget = index_budget(target, params.c_bound)
+    if table.limit < budget:
+        raise ValueError(
+            f"table covers {table.limit}, index budget for {target} needs {budget}"
+        )
+    if table.limit < 10:
+        raise ValueError("the exact finisher needs tau(1..10); table too small")
+    if target == 0:
+        # Canonical 33-block zero certificate: a positive term count is kept
+        # at the cost of indices up to 105, which the meta bound records.
+        indices = list(ZERO_SUM_SIX) * 33
+        meta = {
+            "term_count": len(indices),
+            "max_index": max(indices),
+            "max_abs_tau": max(abs(TAU_SMALL[i]) for i in ZERO_SUM_SIX),
+            "index_bound": max(budget, MAX_RESIDUE_INDEX),
+            "max_terms": params.max_terms,
+        }
+        return SumCertificate(target=0, plus=indices, meta=meta)
+
+    terms: list[int] = []
+    remainder = target
+    if abs(remainder) > DP_THRESHOLD:
+        ladder = sorted((table.values[n], n) for n in range(1, budget + 1))
+        ladder_vals = [v for v, _ in ladder]
+        while abs(remainder) > DP_THRESHOLD:
+            if len(terms) >= params.max_terms:
+                raise InfeasibleError(
+                    f"term budget {params.max_terms} exhausted at remainder {remainder};"
+                    " raise c_bound or max_terms"
+                )
+            pos = bisect.bisect_left(ladder_vals, remainder)
+            best = None
+            for cand in (pos - 1, pos, pos + 1):
+                if 0 <= cand < len(ladder):
+                    v, idx = ladder[cand]
+                    key = (abs(remainder - v), idx)
+                    if best is None or key < best[0]:
+                        best = (key, v, idx)
+            _, v, idx = best
+            if abs(remainder - v) >= abs(remainder):
+                raise InfeasibleError(
+                    f"greedy descent stalled at remainder {remainder} with budget {budget}"
+                )
+            terms.append(idx)
+            remainder -= v
+
+    coins = tuple(table.values[n] for n in range(1, 11))
+    radius = DP_THRESHOLD + max(abs(c) for c in coins)
+    dist = _finisher_distances(coins, radius)
+    coin_pairs = sorted(zip(coins, range(1, 11)), key=lambda t: (-abs(t[0]), t[1]))
+    terms.extend(_finish_exact(remainder, coin_pairs, dist, radius))
+
+    if len(terms) > params.max_terms:
+        raise InfeasibleError(
+            f"representation needs {len(terms)} terms, budget is {params.max_terms}"
+        )
+    # Finisher indices stay below 11, so this only fires for c_bound choices
+    # tight enough to squeeze the budget under the finisher alphabet.
+    if max(terms) > budget:
+        raise InfeasibleError(
+            f"representation uses index {max(terms)} above budget {budget};"
+            " raise c_bound"
+        )
+    meta = {
+        "term_count": len(terms),
+        "max_index": max(terms),
+        "max_abs_tau": max(abs(table.values[n]) for n in set(terms)),
+        "index_bound": budget,
+        "max_terms": params.max_terms,
+    }
+    return SumCertificate(target=target, plus=terms, meta=meta)
