@@ -25,7 +25,7 @@ from .errors import (
     TauwaringError,
     UnsupportedModulusError,
 )
-from .tau_core import TauTable, build_tau_table_series, load_table, save_table
+from .tau_core import SERIES_BACKEND, TauTable, build_tau_table_series, load_table, save_table
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -71,7 +71,7 @@ def cmd_table(args) -> int:
     save_table(args.out, table)
     with open(args.out, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    print(f"TAU-TABLE v1 limit={table.limit} sha256={digest}")
+    print(f"TAU-TABLE v1 limit={table.limit} sha256={digest} backend={SERIES_BACKEND}")
     return EXIT_OK
 
 
@@ -192,7 +192,7 @@ def cmd_check(args) -> int:
         need = max(max(cert.plus, default=1), 2)
         table = _resolve_table(args.table, args.limit, fallback_limit=need)
         ok = waring_int.verify_integer_certificate(cert, table)
-        recomputed = sum(table.values[n] for n in cert.plus if n <= table.limit)
+        recomputed = waring_int.recompute_integer_sum(cert, table)
         print(f"CHECK integer_sum target={cert.target} recomputed={recomputed} ok={ok}")
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
     if kind in ("pm32", "sum96", "sum16"):
@@ -216,11 +216,14 @@ def cmd_bench(args) -> int:
         table = build_tau_table_series(args.limit)
         dt = time.perf_counter() - t0
         build_times.append(dt)
-        print(f"BENCH table_build limit={args.limit} rep={rep} seconds={dt:.6f}")
+        print(
+            f"BENCH table_build limit={args.limit} rep={rep} seconds={dt:.6f}"
+            f" backend={SERIES_BACKEND}"
+        )
     med = statistics.median(build_times)
     print(
         f"BENCH table_build limit={args.limit} median_seconds={med:.6f}"
-        f" coeffs_per_sec={args.limit / med:.1f}"
+        f" coeffs_per_sec={args.limit / med:.1f} backend={SERIES_BACKEND}"
     )
     sweep_hi = min(args.limit, 20000)
     sweep_times = []

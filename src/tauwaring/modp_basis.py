@@ -327,6 +327,9 @@ def modp_certificate_from_json(obj: dict) -> ModpCertificate:
     kind = obj.get("kind")
     if kind not in ("pm32", "sum96", "sum16"):
         raise ValueError(f"not a mod-p certificate: {kind!r}")
+    for field in ("p", "lambda", "plus", "minus"):
+        if field not in obj:
+            raise ValueError(f"{kind} certificate has no {field!r} field")
     meta = {
         k: (int(v) if isinstance(v, str) and v.lstrip("-").isdigit() else v)
         for k, v in dict(obj.get("meta", {})).items()

@@ -12,6 +12,7 @@ O(n) per value and serve as independent oracles at small n.
 
 from __future__ import annotations
 
+import decimal
 import re
 from dataclasses import dataclass
 
@@ -20,11 +21,24 @@ from .errors import CapacityError, InternalCheckError, TableFormatError
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # pragma: no cover - which branch runs depends on the install
     mpz = int
 
-# Largest series build accepted by default; beyond this the packed integers
-# pass ~0.5 GB and the build should be an explicit decision by the caller.
+# Big-number backend of the series build: gmpy2 when it imports (the `fast`
+# extra), else the stdlib decimal module.
+SERIES_BACKEND = "decimal" if mpz is int else "gmpy2"
+
+# Exact integer arithmetic on Decimal: any rounding raises instead.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.Overflow],
+)
+
+# Largest series build accepted by default. A 1e6 build peaks near 230 MB on
+# the decimal backend; beyond this the three squarings pass ~0.5 GB and the
+# build should be an explicit decision by the caller.
 DEFAULT_SERIES_CAP = 2_000_000
 
 TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
@@ -69,6 +83,12 @@ def _slot_width_bits(limit: int) -> int:
     return ((6 * limit.bit_length() + 10 + 7) // 8) * 8
 
 
+def _slot_width_digits(limit: int) -> int:
+    # Balanced base-10^w slots hold [-10^w / 2, 10^w / 2), and 2 |tau(n)|
+    # <= 4 n^6 < 10^w for every n <= limit.
+    return len(str(4 * limit**6))
+
+
 def _pack_terms(terms, width_bytes: int, slots: int) -> int:
     """Pack sparse signed coefficients into one little-endian integer.
 
@@ -87,34 +107,80 @@ def _pack_terms(terms, width_bytes: int, slots: int) -> int:
     )
 
 
-def _decode_balanced(data: bytes, width_bytes: int, count: int) -> list[int]:
-    """Recover `count` signed slot values from a packed little-endian integer.
+def _decode_balanced(slot_values, base: int) -> list[int]:
+    """Recover signed coefficients from the base-`base` digits of a packed value.
 
-    Slots hold balanced residues: a slot value v >= 2^(b-1) encodes v - 2^b
-    with a carry into the next slot. The top (guard) slot is never decoded.
+    `slot_values` yields the digits, least significant first. Slots hold
+    balanced residues: a digit v >= base/2 encodes v - base with a carry into
+    the next slot. The caller stops before the top (guard) slot.
     """
-    half = 1 << (width_bytes * 8 - 1)
-    full = half << 1
+    half = base >> 1
     out = []
     carry = 0
-    view = memoryview(data)
-    for i in range(count):
-        v = int.from_bytes(view[i * width_bytes : (i + 1) * width_bytes], "little") + carry
-        if v >= half:
-            out.append(v - full)
-            carry = 1
-        else:
-            out.append(v)
-            carry = 0
+    for v in slot_values:
+        v += carry
+        carry = v >= half
+        out.append(v - base if carry else v)
     return out
+
+
+def _series_binary(limit: int, big=mpz) -> list[int]:
+    """tau(1..limit) by three truncated squarings on base-2^bits slots.
+
+    `big` is the big-integer type; gmpy2's mpz in production, and plain int
+    keeps this branch testable where gmpy2 is absent.
+    """
+    bits = _slot_width_bits(limit)
+    width = bits // 8
+    slots = limit + 1  # one guard slot on top; it absorbs wraparound
+    mask = big((1 << (bits * slots)) - 1)
+    acc = big(_pack_terms(_cube_terms(slots), width, slots)) & mask
+    for _ in range(3):
+        acc = (acc * acc) & mask
+    view = memoryview(int(acc).to_bytes(width * slots, "little"))
+    return _decode_balanced(
+        (int.from_bytes(view[i * width : (i + 1) * width], "little") for i in range(limit)),
+        1 << bits,
+    )
+
+
+def _series_decimal(limit: int) -> list[int]:
+    """tau(1..limit) by three truncated squarings on base-10^w slots.
+
+    The packed values are decimal.Decimal integers: libmpdec multiplies large
+    operands with a number-theoretic transform, far faster than CPython's
+    Karatsuba at these sizes. Digit strings do the packing and decoding.
+    """
+    width = _slot_width_digits(limit)
+    slots = limit + 1  # one guard slot on top; it absorbs wraparound
+    n = width * slots
+    pos = ["0" * width] * slots  # most significant slot first
+    neg = list(pos)
+    for p, c in _cube_terms(slots):
+        (pos if c > 0 else neg)[slots - 1 - p] = str(abs(c)).zfill(width)
+    with decimal.localcontext(_EXACT):
+        acc = decimal.Decimal("".join(pos)) - decimal.Decimal("".join(neg))
+        for _ in range(3):
+            acc = acc * acc
+            # acc mod 10^n; acc is a square, so this is the least residue.
+            acc -= acc.scaleb(-n).to_integral_value(decimal.ROUND_DOWN).scaleb(n)
+    text = str(acc).rjust(n, "0")
+    return _decode_balanced(
+        (int(text[n - (i + 1) * width : n - i * width]) for i in range(limit)),
+        10**width,
+    )
 
 
 def build_tau_table_series(limit: int, *, max_limit: int = DEFAULT_SERIES_CAP) -> TauTable:
     """Compute tau(1..limit) from the truncated 24th-power Euler product.
 
-    The sparse cube is raised to the 8th power as seven successive products
-    against the dense accumulator, all carried out on packed big integers
-    (one slot per coefficient) so each product is a single multiplication.
+    The sparse Jacobi cube is packed into one big number (Kronecker
+    substitution, one balanced slot per coefficient) and squared three times,
+    cube -> cube^2 -> cube^4 -> cube^8, truncating mod B^slots after each
+    squaring. Substitution is a ring map from Z[X]/(X^slots) onto
+    Z/B^slots, so only the final coefficients need to fit a slot. The
+    squarings run on gmpy2 when it is installed and on the stdlib decimal
+    module otherwise (`SERIES_BACKEND`).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -122,18 +188,9 @@ def build_tau_table_series(limit: int, *, max_limit: int = DEFAULT_SERIES_CAP) -
         raise CapacityError(
             f"series build for limit={limit} refused; largest feasible limit is {max_limit}"
         )
-    bits = _slot_width_bits(limit)
-    width = bits // 8
-    slots = limit + 1  # one guard slot on top; it absorbs wraparound
-    mask = mpz((1 << (bits * slots)) - 1)
-    cube = mpz(_pack_terms(_cube_terms(slots), width, slots)) & mask
-    acc = cube
-    for _ in range(7):
-        acc = (acc * cube) & mask
-    data = int(acc).to_bytes(width * slots, "little")
     # tau(n) is the coefficient of X^(n-1) in the 24th power.
     values = [0]
-    values.extend(_decode_balanced(data, width, limit))
+    values.extend(_series_decimal(limit) if mpz is int else _series_binary(limit))
     return TauTable(limit=limit, values=values, method="series")
 
 

@@ -108,6 +108,9 @@ class SumCertificate:
 def sum_certificate_from_json(obj: dict) -> SumCertificate:
     if obj.get("kind") != "integer_sum":
         raise ValueError(f"not an integer_sum certificate: {obj.get('kind')!r}")
+    for field in ("target", "plus"):
+        if field not in obj:
+            raise ValueError(f"integer_sum certificate has no {field!r} field")
     meta = dict(obj.get("meta", {}))
     if "max_abs_tau" in meta:
         meta["max_abs_tau"] = int(meta["max_abs_tau"])
@@ -202,6 +205,25 @@ def represent_residue_198(r: int) -> SumCertificate:
     return SumCertificate(target=r, plus=indices, meta=meta)
 
 
+def _hecke_tau(ns, table: TauTable, spf: list[int] | None = None) -> dict[int, int]:
+    """tau(n) for each n in `ns` (all in [1, table.limit]), reassembled from
+    the table's prime entries by multiplicativity and the Hecke recurrence."""
+    top = max(ns, default=1)
+    spf = spf if spf is not None else sieve_spf(max(top, 2))
+    prime_tau = {q: table.values[q] for q in set(spf[2 : top + 1]) if q >= 2}
+    return {n: tau_multiplicative(n, prime_tau, spf) if n > 1 else 1 for n in ns}
+
+
+def recompute_integer_sum(cert: SumCertificate, table: TauTable) -> int:
+    """The certificate's tau sum through the verifier's factor-and-Hecke path.
+
+    Indices outside [1, table.limit] have no tau value here and are skipped.
+    """
+    counts = Counter(n for n in cert.plus if 1 <= n <= table.limit)
+    tau_of = _hecke_tau(counts, table)
+    return sum(c * tau_of[n] for n, c in counts.items())
+
+
 def verify_integer_certificate(cert: SumCertificate, table: TauTable,
                                spf: list[int] | None = None) -> bool:
     """Recompute the sum through the multiplicative route and re-check meta.
@@ -217,17 +239,10 @@ def verify_integer_certificate(cert: SumCertificate, table: TauTable,
     top = max(cert.plus)
     if top > table.limit:
         return False
-    spf = spf if spf is not None else sieve_spf(max(top, 2))
-    prime_tau = {q: table.values[q] for q in set(spf[2 : top + 1]) if q >= 2}
-    total = 0
-    tau_of = {}
     counts = Counter(cert.plus)
-    max_abs = 0
-    for n, c in counts.items():
-        if n not in tau_of:
-            tau_of[n] = tau_multiplicative(n, prime_tau, spf) if n > 1 else 1
-        total += c * tau_of[n]
-        max_abs = max(max_abs, abs(tau_of[n]))
+    tau_of = _hecke_tau(counts, table, spf)
+    total = sum(c * tau_of[n] for n, c in counts.items())
+    max_abs = max(abs(t) for t in tau_of.values())
     meta = cert.meta
     if total != cert.target:
         return False

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tauwaring.cli import main
-from tauwaring.tau_core import load_table
+from tauwaring.tau_core import SERIES_BACKEND, load_table
 
 
 def run(capsys, *argv):
@@ -17,6 +17,7 @@ def test_table_command(tmp_path, capsys):
     code, out, _ = run(capsys, "table", "--limit", "105", "--out", str(out_path))
     assert code == 0
     assert "limit=105" in out and "sha256=" in out
+    assert f"backend={SERIES_BACKEND}" in out
     table = load_table(out_path)
     assert table.tau(105) == -20380127040
 
@@ -129,7 +130,7 @@ def test_represent_then_check_roundtrip(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "check", str(cert_path), "--limit", "105")
     assert code == 0
-    assert "ok=True" in out
+    assert "target=-4821 recomputed=-4821 ok=True" in out
 
 
 def test_check_rejects_tampered_certificate(tmp_path, capsys):
@@ -156,6 +157,31 @@ def test_check_rejects_unknown_kind(tmp_path, capsys):
     cert_path.write_text('{"kind": "mystery"}')
     code, _, err = run(capsys, "check", str(cert_path))
     assert code == 3
+
+
+def test_check_integer_skips_out_of_range_index(tmp_path, capsys):
+    # A raw table lookup would wrap tau(-3) to tau(48) = 248758272 here.
+    cert_path = tmp_path / "c.json"
+    cert_path.write_text(json.dumps({
+        "kind": "integer_sum", "target": "1", "plus": [-3, 1],
+        "meta": {"term_count": 2, "max_index": 1},
+    }))
+    code, out, _ = run(capsys, "check", str(cert_path), "--limit", "50")
+    assert code == 1
+    assert "recomputed=1 ok=False" in out
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"kind": "integer_sum"}', "target"),
+    ('{"kind": "integer_sum", "target": "5"}', "plus"),
+    ('{"kind": "pm32", "p": 29, "plus": [], "minus": []}', "lambda"),
+])
+def test_check_names_missing_field(tmp_path, capsys, text, field):
+    cert_path = tmp_path / "c.json"
+    cert_path.write_text(text)
+    code, _, err = run(capsys, "check", str(cert_path))
+    assert code == 3
+    assert f"no {field!r} field" in err
 
 
 def test_modp_pm32(tmp_path, capsys):
@@ -215,8 +241,11 @@ def test_bench_format(capsys):
     code, out, _ = run(capsys, "bench", "--limit", "2000", "--reps", "2")
     assert code == 0
     lines = out.splitlines()
-    assert sum(1 for l in lines if l.startswith("BENCH table_build") and "rep=" in l) == 2
-    assert any("median_seconds=" in l for l in lines)
+    builds = [l for l in lines if l.startswith("BENCH table_build")]
+    assert sum(1 for l in builds if "rep=" in l) == 2
+    assert any("median_seconds=" in l for l in builds)
+    assert SERIES_BACKEND in ("gmpy2", "decimal")
+    assert all(l.endswith(f" backend={SERIES_BACKEND}") for l in builds)
     assert any(l.startswith("BENCH sweep_mod691") for l in lines)
 
 

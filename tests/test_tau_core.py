@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 
 import pytest
@@ -7,6 +8,8 @@ from tauwaring.errors import CapacityError, InternalCheckError, TableFormatError
 from tauwaring.divisor_arith import SigmaTable, build_sigma_table
 from tauwaring.tau_core import (
     _cube_terms,
+    _series_binary,
+    _series_decimal,
     build_tau_table_series,
     load_table,
     save_table,
@@ -65,12 +68,40 @@ def test_cube_terms_match_dense_cube():
         assert coeffs[pos] == sparse.get(pos, 0)
 
 
+# sha256 of save_table(build_tau_table_series(N)), taken from the seven-product
+# build that the three truncated squarings replaced.
+TABLE_SHA256 = {
+    2000: "5fe01649cd70cd1ed7e5e3ffdda9ef1382fb0b25d69dbb77f972223166f808da",
+    100_000: "cd51f72681b1bbad0493b554aaa1e8791dc621cfc5d895da096a548ce5f4fea9",
+}
+
+
 def test_series_matches_dense_oracle():
-    n = 150
-    oracle = dense_delta_prefix(n)
-    table = build_tau_table_series(n)
-    for k in range(1, n + 1):
-        assert table.tau(k) == oracle[k], k
+    # The slot width and the guard slot both depend on the limit.
+    oracle = dense_delta_prefix(150)
+    for limit in range(1, 151):
+        table = build_tau_table_series(limit)
+        for k in range(1, limit + 1):
+            assert table.tau(k) == oracle[k], (limit, k)
+
+
+@pytest.mark.parametrize("limit", [*range(1, 80), 150, 1000, 2001])
+def test_binary_branch_matches_decimal_branch(limit):
+    # The gmpy2 branch, run on plain int, must agree with the decimal branch.
+    assert _series_binary(limit, big=int) == _series_decimal(limit)
+
+
+def _saved_sha256(path, table):
+    save_table(path, table)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_series_table_digest_2k(tmp_path, table_2k):
+    assert _saved_sha256(tmp_path / "t.txt", table_2k) == TABLE_SHA256[2000]
+
+
+def test_series_table_digest_100k(tmp_path, table_100k):
+    assert _saved_sha256(tmp_path / "t.txt", table_100k) == TABLE_SHA256[100_000]
 
 
 def test_series_matches_quoted_values(table_2k):
