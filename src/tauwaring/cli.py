@@ -25,7 +25,7 @@ from .errors import (
     TauwaringError,
     UnsupportedModulusError,
 )
-from .tau_core import SERIES_BACKEND, TauTable, build_tau_table_series, load_table, save_table
+from .tau_core import TauTable, build_tau_table_series, load_table, save_table
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -71,7 +71,7 @@ def cmd_table(args) -> int:
     save_table(args.out, table)
     with open(args.out, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    print(f"TAU-TABLE v1 limit={table.limit} sha256={digest} backend={SERIES_BACKEND}")
+    print(f"TAU-TABLE v1 limit={table.limit} sha256={digest}")
     return EXIT_OK
 
 
@@ -191,8 +191,7 @@ def cmd_check(args) -> int:
         cert = waring_int.sum_certificate_from_json(obj)
         need = max(max(cert.plus, default=1), 2)
         table = _resolve_table(args.table, args.limit, fallback_limit=need)
-        ok = waring_int.verify_integer_certificate(cert, table)
-        recomputed = waring_int.recompute_integer_sum(cert, table)
+        recomputed, ok = waring_int.check_integer_certificate(cert, table)
         print(f"CHECK integer_sum target={cert.target} recomputed={recomputed} ok={ok}")
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
     if kind in ("pm32", "sum96", "sum16"):
@@ -216,14 +215,11 @@ def cmd_bench(args) -> int:
         table = build_tau_table_series(args.limit)
         dt = time.perf_counter() - t0
         build_times.append(dt)
-        print(
-            f"BENCH table_build limit={args.limit} rep={rep} seconds={dt:.6f}"
-            f" backend={SERIES_BACKEND}"
-        )
+        print(f"BENCH table_build limit={args.limit} rep={rep} seconds={dt:.6f}")
     med = statistics.median(build_times)
     print(
         f"BENCH table_build limit={args.limit} median_seconds={med:.6f}"
-        f" coeffs_per_sec={args.limit / med:.1f} backend={SERIES_BACKEND}"
+        f" coeffs_per_sec={args.limit / med:.1f}"
     )
     sweep_hi = min(args.limit, 20000)
     sweep_times = []

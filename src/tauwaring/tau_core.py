@@ -19,14 +19,9 @@ from dataclasses import dataclass
 from .divisor_arith import SigmaTable, iter_factor_pairs, primes_in
 from .errors import CapacityError, InternalCheckError, TableFormatError
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - which branch runs depends on the install
-    mpz = int
-
-# Big-number backend of the series build: gmpy2 when it imports (the `fast`
-# extra), else the stdlib decimal module.
-SERIES_BACKEND = "decimal" if mpz is int else "gmpy2"
+# Big-integer type of the library; the series build runs on decimal.Decimal.
+# The benchmark's environment record reads this name.
+mpz = int
 
 # Exact integer arithmetic on Decimal: any rounding raises instead.
 _EXACT = decimal.Context(
@@ -36,9 +31,8 @@ _EXACT = decimal.Context(
     traps=[decimal.Inexact, decimal.InvalidOperation, decimal.Overflow],
 )
 
-# Largest series build accepted by default. A 1e6 build peaks near 230 MB on
-# the decimal backend; beyond this the three squarings pass ~0.5 GB and the
-# build should be an explicit decision by the caller.
+# Largest series build accepted by default; larger builds must be asked for
+# explicitly. A 1e6 build takes about 10 s and peaks near 230 MB.
 DEFAULT_SERIES_CAP = 2_000_000
 
 TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
@@ -77,34 +71,10 @@ def _cube_terms(n_coeffs: int) -> list[tuple[int, int]]:
         k += 1
 
 
-def _slot_width_bits(limit: int) -> int:
-    # |tau(n)| <= n^{11/2} d(n) <= 2 n^6, so 6*bitlen(limit)+1 bits suffice
-    # for any final coefficient; pad for sign plus carry and byte-align.
-    return ((6 * limit.bit_length() + 10 + 7) // 8) * 8
-
-
 def _slot_width_digits(limit: int) -> int:
     # Balanced base-10^w slots hold [-10^w / 2, 10^w / 2), and 2 |tau(n)|
     # <= 4 n^6 < 10^w for every n <= limit.
     return len(str(4 * limit**6))
-
-
-def _pack_terms(terms, width_bytes: int, slots: int) -> int:
-    """Pack sparse signed coefficients into one little-endian integer.
-
-    Positive and negative parts are written into disjoint byte slots and
-    combined by one big subtraction, so no inter-slot carries are needed.
-    """
-    pos_buf = bytearray(width_bytes * slots)
-    neg_buf = bytearray(width_bytes * slots)
-    for pos, c in terms:
-        buf = pos_buf if c > 0 else neg_buf
-        buf[pos * width_bytes : pos * width_bytes + width_bytes] = abs(c).to_bytes(
-            width_bytes, "little"
-        )
-    return int.from_bytes(bytes(pos_buf), "little") - int.from_bytes(
-        bytes(neg_buf), "little"
-    )
 
 
 def _decode_balanced(slot_values, base: int) -> list[int]:
@@ -124,33 +94,25 @@ def _decode_balanced(slot_values, base: int) -> list[int]:
     return out
 
 
-def _series_binary(limit: int, big=mpz) -> list[int]:
-    """tau(1..limit) by three truncated squarings on base-2^bits slots.
+def build_tau_table_series(limit: int, *, max_limit: int = DEFAULT_SERIES_CAP) -> TauTable:
+    """Compute tau(1..limit) from the truncated 24th-power Euler product.
 
-    `big` is the big-integer type; gmpy2's mpz in production, and plain int
-    keeps this branch testable where gmpy2 is absent.
+    The sparse Jacobi cube is packed into one big number (Kronecker
+    substitution, one balanced base-10^w slot per coefficient) and squared
+    three times, cube -> cube^2 -> cube^4 -> cube^8, truncating mod
+    10^(w*slots) after each squaring. Substitution is a ring map from
+    Z[X]/(X^slots) onto Z/10^(w*slots), so only the final coefficients need
+    to fit a slot. The packed values are decimal.Decimal integers: libmpdec
+    multiplies large operands with a number-theoretic transform, far faster
+    than CPython's Karatsuba at these sizes. Digit strings do the packing and
+    decoding.
     """
-    bits = _slot_width_bits(limit)
-    width = bits // 8
-    slots = limit + 1  # one guard slot on top; it absorbs wraparound
-    mask = big((1 << (bits * slots)) - 1)
-    acc = big(_pack_terms(_cube_terms(slots), width, slots)) & mask
-    for _ in range(3):
-        acc = (acc * acc) & mask
-    view = memoryview(int(acc).to_bytes(width * slots, "little"))
-    return _decode_balanced(
-        (int.from_bytes(view[i * width : (i + 1) * width], "little") for i in range(limit)),
-        1 << bits,
-    )
-
-
-def _series_decimal(limit: int) -> list[int]:
-    """tau(1..limit) by three truncated squarings on base-10^w slots.
-
-    The packed values are decimal.Decimal integers: libmpdec multiplies large
-    operands with a number-theoretic transform, far faster than CPython's
-    Karatsuba at these sizes. Digit strings do the packing and decoding.
-    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit > max_limit:
+        raise CapacityError(
+            f"series build for limit={limit} refused; largest feasible limit is {max_limit}"
+        )
     width = _slot_width_digits(limit)
     slots = limit + 1  # one guard slot on top; it absorbs wraparound
     n = width * slots
@@ -165,32 +127,12 @@ def _series_decimal(limit: int) -> list[int]:
             # acc mod 10^n; acc is a square, so this is the least residue.
             acc -= acc.scaleb(-n).to_integral_value(decimal.ROUND_DOWN).scaleb(n)
     text = str(acc).rjust(n, "0")
-    return _decode_balanced(
-        (int(text[n - (i + 1) * width : n - i * width]) for i in range(limit)),
-        10**width,
-    )
-
-
-def build_tau_table_series(limit: int, *, max_limit: int = DEFAULT_SERIES_CAP) -> TauTable:
-    """Compute tau(1..limit) from the truncated 24th-power Euler product.
-
-    The sparse Jacobi cube is packed into one big number (Kronecker
-    substitution, one balanced slot per coefficient) and squared three times,
-    cube -> cube^2 -> cube^4 -> cube^8, truncating mod B^slots after each
-    squaring. Substitution is a ring map from Z[X]/(X^slots) onto
-    Z/B^slots, so only the final coefficients need to fit a slot. The
-    squarings run on gmpy2 when it is installed and on the stdlib decimal
-    module otherwise (`SERIES_BACKEND`).
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > max_limit:
-        raise CapacityError(
-            f"series build for limit={limit} refused; largest feasible limit is {max_limit}"
-        )
     # tau(n) is the coefficient of X^(n-1) in the 24th power.
     values = [0]
-    values.extend(_series_decimal(limit) if mpz is int else _series_binary(limit))
+    values.extend(_decode_balanced(
+        (int(text[n - (i + 1) * width : n - i * width]) for i in range(limit)),
+        10**width,
+    ))
     return TauTable(limit=limit, values=values, method="series")
 
 

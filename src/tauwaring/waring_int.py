@@ -214,51 +214,41 @@ def _hecke_tau(ns, table: TauTable, spf: list[int] | None = None) -> dict[int, i
     return {n: tau_multiplicative(n, prime_tau, spf) if n > 1 else 1 for n in ns}
 
 
-def recompute_integer_sum(cert: SumCertificate, table: TauTable) -> int:
-    """The certificate's tau sum through the verifier's factor-and-Hecke path.
+def check_integer_certificate(cert: SumCertificate, table: TauTable,
+                              spf: list[int] | None = None) -> tuple[int, bool]:
+    """Recompute the sum through the multiplicative route and re-check meta.
 
-    Indices outside [1, table.limit] have no tau value here and are skipped.
+    Returns (recomputed sum, verdict). Deliberately avoids reading tau(n)
+    straight off the table for composite n: values are reassembled from prime
+    tau values via the Hecke recurrence, so a corrupt certificate cannot hide
+    behind the path that produced it. Indices outside [1, table.limit] have no
+    tau value here; they are left out of the sum and fail the verdict.
     """
     counts = Counter(n for n in cert.plus if 1 <= n <= table.limit)
-    tau_of = _hecke_tau(counts, table)
-    return sum(c * tau_of[n] for n, c in counts.items())
+    tau_of = _hecke_tau(counts, table, spf)
+    total = sum(c * tau_of[n] for n, c in counts.items())
+    if cert.kind != "integer_sum" or not cert.plus or len(counts) < len(set(cert.plus)):
+        return total, False
+    n_terms = len(cert.plus)
+    top = max(cert.plus)
+    max_abs = max(abs(t) for t in tau_of.values())
+    meta = cert.meta
+    ok = (
+        total == cert.target
+        and meta.get("term_count") == n_terms
+        and meta.get("max_index") == top
+        and meta.get("max_abs_tau", max_abs) == max_abs
+        and top <= meta.get("index_bound", top)
+        and meta.get("exact_terms", n_terms) == n_terms
+        and n_terms <= meta.get("max_terms", n_terms)
+    )
+    return total, ok
 
 
 def verify_integer_certificate(cert: SumCertificate, table: TauTable,
                                spf: list[int] | None = None) -> bool:
-    """Recompute the sum through the multiplicative route and re-check meta.
-
-    Deliberately avoids reading tau(n) straight off the table for composite n:
-    values are reassembled from prime tau values via the Hecke recurrence, so
-    a corrupt certificate cannot hide behind the path that produced it.
-    """
-    if cert.kind != "integer_sum" or not cert.plus:
-        return False
-    if any(n < 1 for n in cert.plus):
-        return False
-    top = max(cert.plus)
-    if top > table.limit:
-        return False
-    counts = Counter(cert.plus)
-    tau_of = _hecke_tau(counts, table, spf)
-    total = sum(c * tau_of[n] for n, c in counts.items())
-    max_abs = max(abs(t) for t in tau_of.values())
-    meta = cert.meta
-    if total != cert.target:
-        return False
-    if meta.get("term_count") != len(cert.plus):
-        return False
-    if meta.get("max_index") != top:
-        return False
-    if "max_abs_tau" in meta and meta["max_abs_tau"] != max_abs:
-        return False
-    if "index_bound" in meta and top > meta["index_bound"]:
-        return False
-    if "exact_terms" in meta and len(cert.plus) != meta["exact_terms"]:
-        return False
-    if "max_terms" in meta and len(cert.plus) > meta["max_terms"]:
-        return False
-    return True
+    """The verdict of check_integer_certificate."""
+    return check_integer_certificate(cert, table, spf)[1]
 
 
 def is_admissible(primes, table: TauTable) -> tuple[bool, tuple | None]:

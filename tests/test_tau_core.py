@@ -8,8 +8,6 @@ from tauwaring.errors import CapacityError, InternalCheckError, TableFormatError
 from tauwaring.divisor_arith import SigmaTable, build_sigma_table
 from tauwaring.tau_core import (
     _cube_terms,
-    _series_binary,
-    _series_decimal,
     build_tau_table_series,
     load_table,
     save_table,
@@ -83,12 +81,6 @@ def test_series_matches_dense_oracle():
         table = build_tau_table_series(limit)
         for k in range(1, limit + 1):
             assert table.tau(k) == oracle[k], (limit, k)
-
-
-@pytest.mark.parametrize("limit", [*range(1, 80), 150, 1000, 2001])
-def test_binary_branch_matches_decimal_branch(limit):
-    # The gmpy2 branch, run on plain int, must agree with the decimal branch.
-    assert _series_binary(limit, big=int) == _series_decimal(limit)
 
 
 def _saved_sha256(path, table):

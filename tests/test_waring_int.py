@@ -19,6 +19,7 @@ from tauwaring.waring_int import (
     TAU_SMALL,
     RepresentationParams,
     SumCertificate,
+    check_integer_certificate,
     digits_mod_370944,
     find_dyadic_tau_primes,
     grow_admissible,
@@ -26,7 +27,6 @@ from tauwaring.waring_int import (
     is_admissible,
     pad_count_6x7y,
     q11_from_relation,
-    recompute_integer_sum,
     represent_integer,
     represent_residue_198,
     solve_prime_power_sum,
@@ -367,12 +367,12 @@ def test_certificate_json_roundtrip(table_2k, spf_2k):
     assert verify_integer_certificate(back, table_2k, spf_2k)
 
 
-def test_recompute_integer_sum(table_2k):
+def test_check_integer_certificate_recomputes(table_2k):
     cert = represent_integer(-98765, RepresentationParams(), table_2k)
-    assert recompute_integer_sum(cert, table_2k) == -98765
+    assert check_integer_certificate(cert, table_2k) == (-98765, True)
     # indices outside [1, limit] are skipped, never wrapped around the table
     padded = SumCertificate(target=0, plus=[0, -3, 2001, *cert.plus], meta={})
-    assert recompute_integer_sum(padded, table_2k) == -98765
+    assert check_integer_certificate(padded, table_2k) == (-98765, False)
 
 
 def test_verify_rejects_tampering(table_2k, spf_2k):
