@@ -205,15 +205,6 @@ def represent_residue_198(r: int) -> SumCertificate:
     return SumCertificate(target=r, plus=indices, meta=meta)
 
 
-def _hecke_tau(ns, table: TauTable, spf: list[int] | None = None) -> dict[int, int]:
-    """tau(n) for each n in `ns` (all in [1, table.limit]), reassembled from
-    the table's prime entries by multiplicativity and the Hecke recurrence."""
-    top = max(ns, default=1)
-    spf = spf if spf is not None else sieve_spf(max(top, 2))
-    prime_tau = {q: table.values[q] for q in set(spf[2 : top + 1]) if q >= 2}
-    return {n: tau_multiplicative(n, prime_tau, spf) if n > 1 else 1 for n in ns}
-
-
 def check_integer_certificate(cert: SumCertificate, table: TauTable,
                               spf: list[int] | None = None) -> tuple[int, bool]:
     """Recompute the sum through the multiplicative route and re-check meta.
@@ -225,12 +216,14 @@ def check_integer_certificate(cert: SumCertificate, table: TauTable,
     tau value here; they are left out of the sum and fail the verdict.
     """
     counts = Counter(n for n in cert.plus if 1 <= n <= table.limit)
-    tau_of = _hecke_tau(counts, table, spf)
+    top = max(counts, default=1)
+    spf = spf if spf is not None else sieve_spf(max(top, 2))
+    prime_tau = {q: table.values[q] for q in set(spf[2 : top + 1]) if q >= 2}
+    tau_of = {n: tau_multiplicative(n, prime_tau, spf) if n > 1 else 1 for n in counts}
     total = sum(c * tau_of[n] for n, c in counts.items())
     if cert.kind != "integer_sum" or not cert.plus or len(counts) < len(set(cert.plus)):
         return total, False
     n_terms = len(cert.plus)
-    top = max(cert.plus)
     max_abs = max(abs(t) for t in tau_of.values())
     meta = cert.meta
     ok = (
