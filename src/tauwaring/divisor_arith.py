@@ -7,6 +7,7 @@ and are kept as Python big integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -65,29 +66,14 @@ def factorize(n: int, spf: list[int]) -> FactorizationMap:
     return FactorizationMap(n, tuple(iter_factor_pairs(n, spf)))
 
 
-def _trial_factor_pairs(n: int):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            yield d, e
-        d += 1 if d == 2 else 2
-    if n > 1:
-        yield n, 1
-
-
-def sigma(s: int, n: int, spf: list[int] | None = None) -> int:
+def sigma(s: int, n: int) -> int:
     """Divisor-power sum sigma_s(n) = sum of d^s over divisors d of n, exact."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if s < 0:
         raise ValueError(f"exponent must be nonnegative, got {s}")
-    pairs = iter_factor_pairs(n, spf) if spf is not None else _trial_factor_pairs(n)
     total = 1
-    for q, e in pairs:
+    for q, e in factor_within(n, n):
         if s == 0:
             total *= e + 1
         else:
@@ -129,6 +115,36 @@ def primes_in(lo: int, hi: int) -> list[int]:
         if mask[p]:
             mask[p * p :: p] = False
     return [int(q) for q in np.nonzero(mask)[0] if q > lo]
+
+
+@lru_cache(maxsize=32)
+def primes_upto(limit: int) -> tuple[int, ...]:
+    """All primes <= limit, ascending; sieved once per limit."""
+    return tuple(primes_in(1, limit)) if limit > 1 else ()
+
+
+def factor_within(n: int, limit: int) -> list[tuple[int, int]] | None:
+    """(prime, exponent) pairs of n, primes ascending; None when n < 1 or a
+    prime factor of n exceeds limit. Trial division by the primes up to
+    min(limit, sqrt(n)), at most pi(limit) divisions plus one per prime-power
+    step however large n is; the sieve is cached per power of two above that."""
+    if n < 1:
+        return None
+    pairs = []
+    for q in primes_upto(1 << isqrt(min(n, limit * limit)).bit_length()):
+        if q * q > n or q > limit:
+            break
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            pairs.append((q, e))
+    if n > 1:
+        if n > limit:
+            return None
+        pairs.append((n, 1))
+    return pairs
 
 
 def is_prime(n: int) -> bool:

@@ -17,9 +17,10 @@ prime tau values alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from math import gcd, isqrt
 
-from .divisor_arith import coprime_to_23_factorial, is_prime, primes_in
+from .divisor_arith import coprime_to_23_factorial, is_prime, primes_in, primes_upto
 from .errors import (
     DegenerateContextError,
     InfeasibleContextError,
@@ -28,9 +29,10 @@ from .errors import (
     UnsupportedModulusError,
 )
 from .identity_suite import ZERO_SUM_SIX
-from .tau_core import TauTable, tau_prime_power
+from .tau_core import TauTable, json_int, json_ints, json_meta, tau_factored
 
-SUM96_BAD_PRIMES = (2, 3, 7, 23)  # prime divisors of 370944 = |tau(12)|
+# Largest (plus, minus) term counts of each mod-p certificate kind.
+MODP_CAPS = {"pm32": (16, 16), "sum96": (96, 0), "sum16": (16, 0)}
 
 
 @dataclass(frozen=True)
@@ -330,16 +332,17 @@ def modp_certificate_from_json(obj: dict) -> ModpCertificate:
     for field in ("p", "lambda", "plus", "minus"):
         if field not in obj:
             raise ValueError(f"{kind} certificate has no {field!r} field")
-    meta = {
-        k: (int(v) if isinstance(v, str) and v.lstrip("-").isdigit() else v)
-        for k, v in dict(obj.get("meta", {})).items()
-    }
+    meta = json_meta(obj, ("max_index", "index_bound"))
+    if not isinstance(meta.get("counts", {}), dict):
+        raise ValueError("certificate field 'meta.counts' must be an object")
+    if "window" in meta:
+        meta["window"] = json_ints(meta["window"], "meta.window")
     return ModpCertificate(
         kind=kind,
-        p=int(obj["p"]),
-        lam=int(obj["lambda"]),
-        plus=[int(n) for n in obj["plus"]],
-        minus=[int(n) for n in obj["minus"]],
+        p=json_int(obj["p"], "p"),
+        lam=json_int(obj["lambda"], "lambda"),
+        plus=json_ints(obj["plus"], "plus"),
+        minus=json_ints(obj["minus"], "minus"),
         meta=meta,
     )
 
@@ -575,80 +578,42 @@ def represent_sum16(lam: int, p: int, table: TauTable, *, eps_cap: int | None = 
     )
 
 
-def _factor_by_trial(n: int, limit: int):
-    """(prime, exponent) pairs by trial division; None if a factor exceeds limit."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if d > limit:
-                return None
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if n > limit:
-            return None
-        out.append((n, 1))
-    return out
+def check_modp_certificate(cert: ModpCertificate, table: TauTable) -> tuple[int | None, bool]:
+    """Independent re-check: rebuild every tau(n) from prime entries
+    (tau_core.tau_factored) and test the congruence plus every cap in the meta.
 
-
-def _tau_by_factorization(n: int, table: TauTable) -> int | None:
-    if n < 1:
-        return None
-    if n == 1:
-        return 1
-    pairs = _factor_by_trial(n, table.limit)
-    if pairs is None:
-        return None
-    out = 1
-    for q, e in pairs:
-        out *= tau_prime_power(table.values[q], q, e)
-    return out
-
-
-def recompute_modp_sum(cert: ModpCertificate, table: TauTable) -> int | None:
-    """The certificate's signed tau sum mod p, rebuilt from factorizations."""
-    total = 0
-    for sign, group in ((1, cert.plus), (-1, cert.minus)):
-        for n in group:
-            t = _tau_by_factorization(n, table)
-            if t is None:
-                return None
-            total += sign * t
-    return total % cert.p
+    Returns (signed tau sum mod p, verdict); the sum is None when the kind or
+    term counts are out of bounds, p is not a prime in (23, table.limit^2]
+    (settled by the table's primes) or an index has a prime factor beyond the
+    table, so the work is bounded by the table, not by the certificate."""
+    p = cert.p
+    caps = MODP_CAPS.get(cert.kind)
+    small = takewhile(lambda q: q * q <= p, primes_upto(table.limit))
+    if (caps is None or not 23 < p <= table.limit**2 or any(p % q == 0 for q in small)
+            or len(cert.plus) > caps[0] or len(cert.minus) > caps[1]):
+        return None, False
+    indices = cert.plus + cert.minus
+    taus = [tau_factored(n, table) for n in indices]
+    if None in taus:
+        return None, False
+    recomputed = (sum(taus[: len(cert.plus)]) - sum(taus[len(cert.plus) :])) % p
+    meta = cert.meta
+    counts = meta.get("counts", {})
+    ok = (
+        recomputed == cert.lam
+        and bool(indices)
+        and (cert.kind != "pm32" or all(coprime_to_23_factorial(n) for n in indices))
+        and max(indices) <= meta.get("index_bound", 0)
+        and meta.get("max_index") == max(indices)
+        and counts.get("plus") == len(cert.plus)
+        and counts.get("minus") == len(cert.minus)
+    )
+    return recomputed, ok
 
 
 def verify_modp_certificate(cert: ModpCertificate, table: TauTable) -> bool:
-    """Independent re-check: factor every index, rebuild tau values from prime
-    entries, and test the congruence plus every cap recorded in the meta."""
-    if cert.kind not in ("pm32", "sum96", "sum16"):
-        return False
-    p = cert.p
-    if p <= 23 or not is_prime(p) or not 0 <= cert.lam < p:
-        return False
-    caps = {"pm32": (16, 16), "sum96": (96, 0), "sum16": (16, 0)}[cert.kind]
-    if len(cert.plus) > caps[0] or len(cert.minus) > caps[1]:
-        return False
-    if not cert.plus and not cert.minus:
-        return False
-    indices = cert.plus + cert.minus
-    if any(n < 1 for n in indices):
-        return False
-    if cert.kind == "pm32" and not all(coprime_to_23_factorial(n) for n in indices):
-        return False
-    bound = cert.meta.get("index_bound")
-    if bound is None or max(indices) > bound:
-        return False
-    if cert.meta.get("max_index") != max(indices):
-        return False
-    counts = cert.meta.get("counts", {})
-    if counts.get("plus") != len(cert.plus) or counts.get("minus") != len(cert.minus):
-        return False
-    return recompute_modp_sum(cert, table) == cert.lam
+    """The verdict of check_modp_certificate."""
+    return check_modp_certificate(cert, table)[1]
 
 
 def basis_order_scan(p: int, n_bound: int, table: TauTable) -> int | None:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import decimal
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 
-from .divisor_arith import SigmaTable, iter_factor_pairs, primes_in
+from .divisor_arith import SigmaTable, factor_within, iter_factor_pairs, primes_in
 from .errors import CapacityError, InternalCheckError, TableFormatError
 
 # Big-integer type of the library; the series build runs on decimal.Decimal.
@@ -188,14 +189,26 @@ def tau_prime_power(tau_q: int, q: int, alpha: int) -> int:
     return cur
 
 
-def tau_multiplicative(n: int, prime_tau: dict[int, int], spf: list[int]) -> int:
-    """tau(n) assembled from prime values by multiplicativity plus the Hecke rule."""
+def tau_from_factors(pairs, prime_tau) -> int:
+    """tau(prod q^e) from prime values prime_tau[q] by multiplicativity plus the Hecke rule."""
     out = 1
-    for q, e in iter_factor_pairs(n, spf):
-        if q not in prime_tau:
-            raise ValueError(f"tau map has no entry for prime {q}")
+    for q, e in pairs:
         out *= tau_prime_power(prime_tau[q], q, e)
     return out
+
+
+def tau_multiplicative(n: int, prime_tau: dict[int, int], spf: list[int]) -> int:
+    """tau(n) assembled from prime values by multiplicativity plus the Hecke rule."""
+    try:
+        return tau_from_factors(iter_factor_pairs(n, spf), prime_tau)
+    except KeyError as exc:
+        raise ValueError(f"tau map has no entry for prime {exc.args[0]}") from None
+
+
+def tau_factored(n: int, table: TauTable) -> int | None:
+    """tau(n) from the table's prime entries, for both verifiers; None past the table or n < 1."""
+    pairs = factor_within(n, table.limit)
+    return None if pairs is None else tau_from_factors(pairs, table.values)
 
 
 def build_prime_tau_map(table: TauTable) -> dict[int, int]:
@@ -240,3 +253,31 @@ def load_table(path) -> TauTable:
             raise TableFormatError(f"line {i}: expected index {n}, found {parts[0]!r}")
         values.append(int(parts[1]))
     return TauTable(limit=limit, values=values, method="loaded")
+
+
+# Certificate field decoding for both codecs: a wrongly typed field raises a
+# ValueError that names it.
+
+
+def json_int(value, field: str) -> int:
+    """An integer certificate field: a JSON integer or a decimal string."""
+    with suppress(ValueError):  # a digit string past int()'s length limit
+        if type(value) is int or isinstance(value, str) and _VALUE_RE.match(value):
+            return int(value)
+    raise ValueError(f"certificate field {field!r} must be an integer, got {value!r:.40}")
+
+
+def json_ints(value, field: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"certificate field {field!r} must be a list, got {value!r:.40}")
+    if set(map(type, value)) <= {int}:  # the common case, kept as fast as int()
+        return list(value)
+    return [json_int(v, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
+def json_meta(obj: dict, int_fields) -> dict:
+    """The meta object, with each listed field present decoded by json_int."""
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"certificate field 'meta' must be an object, got {meta!r:.40}")
+    return {k: json_int(v, f"meta.{k}") if k in int_fields else v for k, v in meta.items()}

@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .divisor_arith import integer_nth_root, is_prime, primes_in, sieve_spf
+from .divisor_arith import integer_nth_root, is_prime, primes_in
 from .errors import (
     CapacityError,
     InfeasibleError,
@@ -27,7 +27,7 @@ from .errors import (
     RelationViolationError,
 )
 from .identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
-from .tau_core import TauTable, tau_multiplicative
+from .tau_core import TauTable, json_int, json_ints, json_meta, tau_factored
 
 # Everything used to assemble residue certificates stays at index <= 105.
 RESIDUE_MODULUS = 370944
@@ -111,13 +111,11 @@ def sum_certificate_from_json(obj: dict) -> SumCertificate:
     for field in ("target", "plus"):
         if field not in obj:
             raise ValueError(f"integer_sum certificate has no {field!r} field")
-    meta = dict(obj.get("meta", {}))
-    if "max_abs_tau" in meta:
-        meta["max_abs_tau"] = int(meta["max_abs_tau"])
     return SumCertificate(
-        target=int(obj["target"]),
-        plus=[int(v) for v in obj["plus"]],
-        meta=meta,
+        target=json_int(obj["target"], "target"),
+        plus=json_ints(obj["plus"], "plus"),
+        meta=json_meta(obj, ("term_count", "max_index", "max_abs_tau", "index_bound",
+                             "exact_terms", "max_terms")),
     )
 
 
@@ -205,25 +203,21 @@ def represent_residue_198(r: int) -> SumCertificate:
     return SumCertificate(target=r, plus=indices, meta=meta)
 
 
-def check_integer_certificate(cert: SumCertificate, table: TauTable,
-                              spf: list[int] | None = None) -> tuple[int, bool]:
+def check_integer_certificate(cert: SumCertificate, table: TauTable) -> tuple[int, bool]:
     """Recompute the sum through the multiplicative route and re-check meta.
 
-    Returns (recomputed sum, verdict). Deliberately avoids reading tau(n)
-    straight off the table for composite n: values are reassembled from prime
-    tau values via the Hecke recurrence, so a corrupt certificate cannot hide
-    behind the path that produced it. Indices outside [1, table.limit] have no
-    tau value here; they are left out of the sum and fail the verdict.
+    Returns (recomputed sum, verdict). tau(n) is rebuilt from prime entries
+    (tau_core.tau_factored), never read off the table, so a corrupt
+    certificate cannot hide behind the path that produced it. Indices outside
+    [1, table.limit] are left out of the sum and fail the verdict.
     """
     counts = Counter(n for n in cert.plus if 1 <= n <= table.limit)
-    top = max(counts, default=1)
-    spf = spf if spf is not None else sieve_spf(max(top, 2))
-    prime_tau = {q: table.values[q] for q in set(spf[2 : top + 1]) if q >= 2}
-    tau_of = {n: tau_multiplicative(n, prime_tau, spf) if n > 1 else 1 for n in counts}
+    tau_of = {n: tau_factored(n, table) for n in counts}
     total = sum(c * tau_of[n] for n, c in counts.items())
     if cert.kind != "integer_sum" or not cert.plus or len(counts) < len(set(cert.plus)):
         return total, False
     n_terms = len(cert.plus)
+    top = max(counts)
     max_abs = max(abs(t) for t in tau_of.values())
     meta = cert.meta
     ok = (
@@ -238,10 +232,9 @@ def check_integer_certificate(cert: SumCertificate, table: TauTable,
     return total, ok
 
 
-def verify_integer_certificate(cert: SumCertificate, table: TauTable,
-                               spf: list[int] | None = None) -> bool:
+def verify_integer_certificate(cert: SumCertificate, table: TauTable) -> bool:
     """The verdict of check_integer_certificate."""
-    return check_integer_certificate(cert, table, spf)[1]
+    return check_integer_certificate(cert, table)[1]
 
 
 def is_admissible(primes, table: TauTable) -> tuple[bool, tuple | None]:

@@ -211,11 +211,11 @@ def test_criterion_9_waring_goldbach(table_2k):
     report(9, "20 synthetic prime-power sums recovered; 5 perturbed infeasible")
 
 
-def test_criterion_10_integer_representation(integer_certs, table_2k, spf_2k):
+def test_criterion_10_integer_representation(integer_certs, table_2k):
     params = RepresentationParams()
     failures = []
     for n, cert in integer_certs:
-        if not verify_integer_certificate(cert, table_2k, spf_2k):
+        if not verify_integer_certificate(cert, table_2k):
             failures.append((n, "verify"))
             continue
         if cert.meta["term_count"] > params.max_terms:

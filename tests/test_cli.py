@@ -1,9 +1,26 @@
+import contextlib
+import copy
+import io
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tauwaring.cli import main
-from tauwaring.tau_core import load_table
+from tauwaring.modp_basis import (
+    WindowPolicy,
+    build_context,
+    represent_pm32,
+    verify_modp_certificate,
+)
+from tauwaring.tau_core import load_table, save_table
+from tauwaring.waring_int import (
+    RepresentationParams,
+    represent_integer,
+    verify_integer_certificate,
+)
 
 
 def run(capsys, *argv):
@@ -248,3 +265,136 @@ def test_bench_format(capsys):
 def test_bad_flag_exits_3(capsys):
     code, _, _ = run(capsys, "table", "--limit", "abc")
     assert code == 3
+
+
+# ------------------------------------------------- check: total and bounded
+
+
+@pytest.fixture(scope="module")
+def check_inputs(tmp_path_factory, table_2k):
+    """A saved 2000-entry table plus one valid pm32 (pairs branch, 16+16
+    terms) and one valid integer certificate, as JSON objects."""
+    workdir = tmp_path_factory.mktemp("check")
+    table_path = workdir / "table.txt"
+    save_table(table_path, table_2k)
+    ctx = build_context(29, table_2k, WindowPolicy(branch="pairs"))
+    pm32 = represent_pm32(3, ctx, table_2k)
+    integer = represent_integer(123456789, RepresentationParams(), table_2k)
+    assert verify_modp_certificate(pm32, table_2k)
+    assert verify_integer_certificate(integer, table_2k)
+    return SimpleNamespace(
+        dir=workdir,
+        table=str(table_path),
+        certs={"pm32": pm32.to_json_dict(), "integer": integer.to_json_dict()},
+    )
+
+
+def run_check(path, *flags):
+    """`tauwaring check` in process; returns (exit code, stderr, seconds)."""
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path), *flags])
+    return code, err.getvalue(), time.perf_counter() - t0
+
+
+def edited(obj, path, value):
+    obj = copy.deepcopy(obj)
+    box = obj
+    for key in path[:-1]:
+        box = box[key]
+    box[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("kind, path, value, field", [
+    ("integer", ("plus",), [[1]], "plus[0]"),
+    ("pm32", ("meta", "window"), "x", "meta.window"),
+    ("pm32", ("meta", "index_bound"), "abc", "meta.index_bound"),
+    ("integer", ("meta", "index_bound"), "abc", "meta.index_bound"),
+    ("pm32", ("meta", "counts"), [1], "meta.counts"),
+    ("pm32", ("p",), 0, None),
+])
+def test_check_wrongly_typed_field(check_inputs, kind, path, value, field):
+    cert_path = check_inputs.dir / "typed.json"
+    cert_path.write_text(json.dumps(edited(check_inputs.certs[kind], path, value)))
+    code, err, _ = run_check(cert_path, "--limit", "2000")
+    assert code in (1, 3)
+    if code == 3:
+        assert repr(field) in err
+
+
+BIG_PRIME = 10**20 + 39
+
+
+@pytest.mark.parametrize("kind, path, value, flags", [
+    ("pm32", ("p",), 2**61 - 1, ("--limit", "2000")),
+    ("pm32", ("plus", 0), str(BIG_PRIME), ("--limit", "2000")),
+    ("integer", ("plus", 0), BIG_PRIME, ("--limit", "2000")),
+    ("pm32", ("meta", "window"), [23, 900000], ()),
+])
+def test_check_work_is_bounded_by_the_table(check_inputs, monkeypatch, kind, path, value,
+                                            flags):
+    monkeypatch.delenv("TAU_TABLE_PATH", raising=False)
+    obj = edited(check_inputs.certs[kind], path, value)
+    if path[0] == "plus":  # keep the meta consistent so the index is factored
+        obj["meta"].update(max_index=value, index_bound=BIG_PRIME)
+    elif path[-1] == "window":
+        obj["lambda"] += 1  # any wrong claim
+    cert_path = check_inputs.dir / "bounded.json"
+    cert_path.write_text(json.dumps(obj))
+    code, _, seconds = run_check(cert_path, *flags)
+    assert code in (1, 3)
+    assert seconds < 1.0
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.sampled_from([0, 1, -1, 29, 2**53, 2**61 - 1, BIG_PRIME, -BIG_PRIME, 10**4000]),
+    st.floats(),
+    st.sampled_from(["", "x", "-7", "29", "1e5", " 5", "pm32", "sum96", "sum16",
+                     "integer_sum", str(BIG_PRIME), str(2**61 - 1), "9" * 5000]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                               max_size=3),
+    max_leaves=8,
+)
+
+
+def containers(obj):
+    """The certificate object, its meta, counts and index lists, where present."""
+    out = [obj]
+    for key in ("meta", "plus", "minus"):
+        if isinstance(obj.get(key), (dict, list)):
+            out.append(obj[key])
+    if isinstance(obj.get("meta"), dict) and isinstance(obj["meta"].get("counts"), dict):
+        out.append(obj["meta"]["counts"])
+    return out
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_check_survives_mutated_certificates(check_inputs, data):
+    obj = copy.deepcopy(check_inputs.certs[data.draw(st.sampled_from(["pm32", "integer"]))])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        box = data.draw(st.sampled_from(containers(obj)))
+        if isinstance(box, dict):
+            key = data.draw(st.sampled_from(sorted(box) + ["p", "index_bound"])
+                            | st.text(max_size=4))
+            if key in box and data.draw(st.booleans()):
+                del box[key]
+            else:
+                box[key] = data.draw(JSON_VALUES)
+        else:
+            i = data.draw(st.integers(min_value=0, max_value=len(box)))
+            box[i:i + 1] = [data.draw(JSON_VALUES)]
+    cert_path = check_inputs.dir / "fuzz.json"
+    cert_path.write_text(json.dumps(obj))
+    code, err, seconds = run_check(cert_path, "--table", check_inputs.table)
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+    assert seconds < 2.0

@@ -1,13 +1,16 @@
-from math import gcd
+from math import gcd, isqrt, prod
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tauwaring.divisor_arith import (
     build_sigma_table,
     coprime_to_23_factorial,
+    factor_within,
     factorize,
     integer_nth_root,
+    iter_factor_pairs,
     primes_in,
     sieve_spf,
     sigma,
@@ -116,3 +119,45 @@ def test_coprime_to_23_factorial():
 def test_integer_nth_root_brackets(x, k):
     r = integer_nth_root(x, k)
     assert r**k <= x < (r + 1) ** k
+
+
+FACTOR_MAX = 10**7
+
+
+@pytest.fixture(scope="module")
+def spf_1e7():
+    # Kept as an int32 array: the list sieve_spf returns would take ~400 MB here.
+    spf = np.arange(FACTOR_MAX + 1, dtype=np.int32)
+    for p in range(2, isqrt(FACTOR_MAX) + 1):
+        if spf[p] == p:
+            block = spf[p * p :: p]
+            np.minimum(block, p, out=block)
+    return spf
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=-3, max_value=FACTOR_MAX),
+    st.sampled_from([1, 2, 3, 10, 97, 2000, 10**4, FACTOR_MAX]),
+)
+def test_factor_within_matches_spf(spf_1e7, n, limit):
+    got = factor_within(n, limit)
+    if n < 1:
+        assert got is None
+        return
+    want = [(int(q), e) for q, e in iter_factor_pairs(n, spf_1e7)]
+    if any(q > limit for q, _ in want):
+        assert got is None
+        return
+    assert got == want
+    primes = [q for q, _ in got]
+    assert primes == sorted(set(primes))
+    assert prod(q**e for q, e in got) == n
+
+
+def test_factor_within_bounded_on_huge_input():
+    # a prime near 1e20 costs at most pi(2000) = 303 divisions
+    assert factor_within(10**20 + 39, 2000) is None
+    assert factor_within(2**64 * 3**40, 3) == [(2, 64), (3, 40)]
+    assert factor_within(1, 1) == []
+    assert factor_within(2, 1) is None

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations_with_replacement
 from math import gcd, isqrt
 
@@ -300,6 +301,25 @@ def test_verifier_rejects_index_above_bound(table_2k):
     cert = represent_pm32(3, ctx, table_2k)
     cert.meta["index_bound"] = 1
     assert not verify_modp_certificate(cert, table_2k)
+
+
+def test_verifier_settles_p_with_table_primes(table_2k):
+    def cert(p):
+        counts = {"plus": 1, "minus": 0}
+        return ModpCertificate("sum16", p, 1, [1], [],
+                               {"index_bound": 1, "max_index": 1, "counts": counts})
+
+    def head(limit):
+        return TauTable(limit, table_2k.values[: limit + 1])
+
+    assert verify_modp_certificate(cert(29), head(6))  # 29 <= 6^2
+    assert not verify_modp_certificate(cert(29), head(5))  # 29 > 5^2
+    assert verify_modp_certificate(cert(1_000_003), table_2k)  # prime above the table
+    assert not verify_modp_certificate(cert(31 * 37), table_2k)
+    t0 = time.perf_counter()
+    # trial division up to sqrt(p) would not finish; the table bound answers at once
+    assert not verify_modp_certificate(cert(2**61 - 1), table_2k)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_modp_json_roundtrip(table_2k):

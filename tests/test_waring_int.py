@@ -106,18 +106,18 @@ def test_residue_zero_is_pure_blocks():
     assert Counter(cert.plus) == Counter({n: 33 for n in ZERO_SUM_SIX})
 
 
-def test_residue_84480(table_2k, spf_2k):
+def test_residue_84480(table_2k):
     cert = represent_residue_198(84480)
     assert len(cert.plus) == 198
     assert cert.plus.count(8) == 1
-    assert verify_integer_certificate(cert, table_2k, spf_2k)
+    assert verify_integer_certificate(cert, table_2k)
 
 
-def test_residue_370943(table_2k, spf_2k):
+def test_residue_370943(table_2k):
     cert = represent_residue_198(370943)
     assert len(cert.plus) == 198
     assert max(cert.plus) <= 105
-    assert verify_integer_certificate(cert, table_2k, spf_2k)
+    assert verify_integer_certificate(cert, table_2k)
 
 
 @settings(max_examples=80)
@@ -129,10 +129,10 @@ def test_residue_certificates_sum_correctly(r):
     assert sum(TAU_SMALL[n] for n in cert.plus) == r
 
 
-def test_residue_certificate_tamper_detected(table_2k, spf_2k):
+def test_residue_certificate_tamper_detected(table_2k):
     cert = represent_residue_198(12345)
     cert.plus[0] = 4 if cert.plus[0] != 4 else 9
-    assert not verify_integer_certificate(cert, table_2k, spf_2k)
+    assert not verify_integer_certificate(cert, table_2k)
 
 
 # ---------------------------------------------------------------- admissible sets
@@ -318,32 +318,32 @@ def test_params_validation():
         RepresentationParams(canonical_residue_count=199)
 
 
-def test_represent_zero(table_2k, spf_2k):
+def test_represent_zero(table_2k):
     cert = represent_integer(0, RepresentationParams(), table_2k)
     assert Counter(cert.plus) == Counter({n: 33 for n in ZERO_SUM_SIX})
-    assert verify_integer_certificate(cert, table_2k, spf_2k)
+    assert verify_integer_certificate(cert, table_2k)
 
 
-def test_represent_one(table_2k, spf_2k):
+def test_represent_one(table_2k):
     cert = represent_integer(1, RepresentationParams(), table_2k)
     assert cert.plus == [1]
-    assert verify_integer_certificate(cert, table_2k, spf_2k)
+    assert verify_integer_certificate(cert, table_2k)
 
 
-def test_represent_respects_index_budget(table_2k, spf_2k):
+def test_represent_respects_index_budget(table_2k):
     params = RepresentationParams()
     rng = random.Random(2024)
     for _ in range(40):
         n = rng.randint(-(10**4), 10**4)
         cert = represent_integer(n, params, table_2k)
-        assert verify_integer_certificate(cert, table_2k, spf_2k), n
+        assert verify_integer_certificate(cert, table_2k), n
         assert cert.meta["max_index"] <= index_budget(n, params.c_bound)
         assert cert.meta["term_count"] <= params.max_terms
 
 
-def test_represent_greedy_stage(table_2k, spf_2k):
+def test_represent_greedy_stage(table_2k):
     cert = represent_integer(5_000_000_000, RepresentationParams(), table_2k)
-    assert verify_integer_certificate(cert, table_2k, spf_2k)
+    assert verify_integer_certificate(cert, table_2k)
     assert cert.meta["max_index"] <= index_budget(5_000_000_000, 15)
 
 
@@ -358,13 +358,13 @@ def test_represent_tight_c_bound_is_infeasible(table_2k):
         represent_integer(26, RepresentationParams(c_bound=1), table_2k)
 
 
-def test_certificate_json_roundtrip(table_2k, spf_2k):
+def test_certificate_json_roundtrip(table_2k):
     cert = represent_integer(-98765, RepresentationParams(), table_2k)
     back = sum_certificate_from_json(cert.to_json_dict())
     assert back.target == cert.target
     assert back.plus == cert.plus
     assert back.meta == cert.meta
-    assert verify_integer_certificate(back, table_2k, spf_2k)
+    assert verify_integer_certificate(back, table_2k)
 
 
 def test_check_integer_certificate_recomputes(table_2k):
@@ -375,14 +375,14 @@ def test_check_integer_certificate_recomputes(table_2k):
     assert check_integer_certificate(padded, table_2k) == (-98765, False)
 
 
-def test_verify_rejects_tampering(table_2k, spf_2k):
+def test_verify_rejects_tampering(table_2k):
     cert = represent_integer(777, RepresentationParams(), table_2k)
     cert.plus[0] += 1
     cert.meta["max_index"] = max(cert.plus)
-    assert not verify_integer_certificate(cert, table_2k, spf_2k)
+    assert not verify_integer_certificate(cert, table_2k)
 
 
-def test_verify_rejects_meta_tampering(table_2k, spf_2k):
+def test_verify_rejects_meta_tampering(table_2k):
     cert = represent_integer(777, RepresentationParams(), table_2k)
     cert.meta["term_count"] += 1
-    assert not verify_integer_certificate(cert, table_2k, spf_2k)
+    assert not verify_integer_certificate(cert, table_2k)
