@@ -140,7 +140,9 @@ def cmd_represent(args) -> int:
             c_bound=args.c_bound, max_terms=args.max_terms
         )
         budget = waring_int.index_budget(target, params.c_bound)
-        table = _resolve_table(args.table, args.limit, fallback_limit=max(budget, 10))
+        # the zero certificate's six-term blocks reach index MAX_RESIDUE_INDEX
+        table = _resolve_table(args.table, args.limit,
+                               fallback_limit=max(budget, waring_int.MAX_RESIDUE_INDEX))
         cert = _maybe_tamper(waring_int.represent_integer(target, params, table))
     return _emit(args.out, cert, waring_int.verify_integer_certificate(cert, table),
                  f"REPRESENT target={target} terms={cert.meta['term_count']}"
@@ -151,9 +153,6 @@ def cmd_modp(args) -> int:
     p = args.p
     if args.mode == "sum96":
         modp_basis.ensure_sum96_modulus(p)
-    if p <= 23:
-        print(f"error: p={p} must be a prime > 23", file=sys.stderr)
-        return EXIT_INVALID
     table = _resolve_table(args.table, args.limit, fallback_limit=max(2000, 8 * p))
     if args.mode == "sum16":
         cert = modp_basis.represent_sum16(args.lam, p, table)

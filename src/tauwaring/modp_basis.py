@@ -2,7 +2,8 @@
 
 Builds witnessed residue sets from prime windows, covers Z_p with eight-fold
 sums of pairwise products (Glibichuk-style coverage, realized as a dynamic
-program with back-pointers), and emits three certificate kinds:
+program with back-pointers whose levels stop at the first one equal to Z_p),
+and emits three certificate kinds:
 
   pm32   -- up to 16 plus and 16 minus indices, all coprime to 23!
   sum96  -- a pure sum of at most 96 indices (pm32 pushed through the
@@ -16,11 +17,12 @@ prime tau values alone.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import takewhile
 from math import gcd, isqrt
 
-from .divisor_arith import coprime_to_23_factorial, is_prime, primes_in, primes_upto
+from .divisor_arith import coprime_to_23_factorial, primes_in, primes_upto
 from .errors import (
     DegenerateContextError,
     InfeasibleContextError,
@@ -33,6 +35,20 @@ from .tau_core import TauTable, json_int, json_ints, json_meta, tau_factored
 
 # Largest (plus, minus) term counts of each mod-p certificate kind.
 MODP_CAPS = {"pm32": (16, 16), "sum96": (96, 0), "sum16": (16, 0)}
+
+# build_context starts its prime window at WINDOW_START * sqrt(p) and widens it
+# by WINDOW_GROWTH until a branch qualifies or the table runs out.
+WINDOW_START = 4
+WINDOW_GROWTH = 1.6
+# sum16 draws its C set from the primes up to min(EPS_CAP, (p - 1) // 2).
+EPS_CAP = 50
+
+
+def _table_prime(p: int, table: TauTable) -> bool:
+    """True iff p is a prime in (23, table.limit^2], settled by the table's
+    primes up to sqrt(p), so the work is bounded by the table."""
+    small = takewhile(lambda q: q * q <= p, primes_upto(table.limit))
+    return 23 < p <= table.limit**2 and all(p % q for q in small)
 
 
 @dataclass(frozen=True)
@@ -56,9 +72,12 @@ def _residue_of(x) -> int:
 class ProductSumCover:
     """Coverage table for k-fold sums of pairwise products, k = 1..8.
 
-    level[k-1] maps each reachable residue to a back-pointer; walking the
-    pointers recovers, for any covered residue, exactly eight (x, y) pairs
-    whose products sum to it.
+    levels[k-1] maps each residue reachable as a sum of exactly k products to
+    a back-pointer. Levels stop at the first one equal to Z_p (at most 8):
+    from there on every level is Z_p, since r = (r - t0) + t0 for any fixed
+    product t0. Walking the pointers and padding with copies of t0 recovers,
+    for any covered residue, exactly eight (x, y) pairs whose products sum
+    to it.
     """
 
     def __init__(self, p: int, xs, ys):
@@ -72,7 +91,7 @@ class ProductSumCover:
                     s1[r] = (wx, wy)
         self.s1 = s1
         levels: list[dict[int, tuple | None]] = [{r: None for r in s1}]
-        for _ in range(7):
+        while len(levels[-1]) < p and len(levels) < 8:
             prev = levels[-1]
             cur: dict[int, tuple | None] = {}
             for a in prev:
@@ -85,24 +104,33 @@ class ProductSumCover:
 
     @property
     def covered(self) -> bool:
-        return len(self.levels[7]) == self.p
+        return len(self.levels[-1]) == self.p
 
     def covered_at(self, k: int) -> set[int]:
         """Residues reachable as a sum of exactly k products, 1 <= k <= 8."""
-        return set(self.levels[k - 1])
+        return set(self.levels[min(k, len(self.levels)) - 1])
 
     def pairs_for(self, lam: int) -> list[tuple]:
         lam %= self.p
-        if lam not in self.levels[7]:
+        pad = 8 - len(self.levels)  # > 0 only when the last level is Z_p
+        t0 = next(iter(self.s1), 0)
+        r = (lam - pad * t0) % self.p
+        if r not in self.levels[-1]:
             raise InfeasibleContextError(f"residue {lam} not covered at depth 8")
-        out = []
-        r = lam
-        for k in range(7, 0, -1):
-            prev, step = self.levels[k][r]
+        out = [self.s1[t0]] * pad
+        for level in reversed(self.levels[1:]):
+            r, step = level[r]
             out.append(self.s1[step])
-            r = prev
         out.append(self.s1[r])
         return out
+
+
+def _first_by_residue(items, p: int) -> list:
+    """The items with distinct residues mod p, keeping the first of each."""
+    first: dict[int, object] = {}
+    for x in items:
+        first.setdefault(_residue_of(x) % p, x)
+    return list(first.values())
 
 
 def product_set_cover(xs, ys, p: int) -> ProductSumCover:
@@ -111,18 +139,7 @@ def product_set_cover(xs, ys, p: int) -> ProductSumCover:
     Inputs may be witnessed residues or plain integers (synthetic sets);
     duplicates are collapsed before the cardinality precondition is checked.
     """
-    seen_x, uniq_x = set(), []
-    for x in xs:
-        r = _residue_of(x) % p
-        if r not in seen_x:
-            seen_x.add(r)
-            uniq_x.append(x)
-    seen_y, uniq_y = set(), []
-    for y in ys:
-        r = _residue_of(y) % p
-        if r not in seen_y:
-            seen_y.add(r)
-            uniq_y.append(y)
+    uniq_x, uniq_y = _first_by_residue(xs, p), _first_by_residue(ys, p)
     if len(uniq_x) * len(uniq_y) <= 2 * p:
         raise ValueError(
             f"need |X||Y| > 2p, got {len(uniq_x)} * {len(uniq_y)} <= {2 * p}"
@@ -130,19 +147,16 @@ def product_set_cover(xs, ys, p: int) -> ProductSumCover:
     cover = ProductSumCover(p, uniq_x, uniq_y)
     if not cover.covered:
         raise LemmaViolationError(
-            f"S_8 covers {len(cover.levels[7])} of {p} residues despite |X||Y| > 2p"
+            f"S_8 covers {len(cover.levels[-1])} of {p} residues despite |X||Y| > 2p"
         )
     return cover
 
 
 @dataclass(frozen=True)
 class WindowPolicy:
-    """Growth policy for the prime window (23, hi] used by build_context."""
+    """Branch policy for the prime window (23, hi] used by build_context."""
 
-    start_factor: float = 4.0
-    growth: float = 1.6
     branch: str = "auto"  # auto | direct | pairs
-    max_hi: int | None = None
 
     def __post_init__(self):
         if self.branch not in ("auto", "direct", "pairs"):
@@ -172,11 +186,15 @@ def _classes_by_tau(qs, p: int, table: TauTable) -> dict[int, list[int]]:
     return {r: sorted(classes[r]) for r in sorted(classes)}
 
 
-def _direct_sets(classes):
-    residues = sorted(classes)
-    wits = [
-        WitnessedResidue(r, ((1, classes[r][0]),), (classes[r][0],)) for r in residues
+def _class_witnesses(classes) -> list[WitnessedResidue]:
+    """One witness per tau class, its least prime, in residue order."""
+    return [
+        WitnessedResidue(r, ((1, classes[r][0]),), (classes[r][0],)) for r in sorted(classes)
     ]
+
+
+def _direct_sets(classes):
+    wits = _class_witnesses(classes)
     half = (len(wits) + 1) // 2
     return wits[:half], wits[half:]
 
@@ -228,51 +246,39 @@ def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -
 
     With the class count above 3*sqrt(p) the direct split of tau-value
     classes suffices; otherwise primes are paired within classes and the
-    pair images are used. The finished context always carries a full
-    depth-8 coverage table.
+    pair images are used. The finished context always carries a coverage
+    table that reaches Z_p within eight levels.
     """
-    if p <= 23 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 23, got {p}")
+    if not _table_prime(p, table):
+        raise ValueError(f"p must be a prime in (23, {table.limit}^2], got {p}")
     policy = policy or WindowPolicy()
-    cap_hi = min(policy.max_hi or table.limit, table.limit)
-    hi = max(29, int(policy.start_factor * isqrt(p)) + 1)
-    hi = min(hi, cap_hi)
+    cap_hi = table.limit
+    hi = min(max(29, WINDOW_START * isqrt(p) + 1), cap_hi)
+    primes = primes_upto(cap_hi)  # sieved once; each window is a slice
+    lo = bisect_right(primes, 23)
     best = (0, 0)
     while True:
-        qs = primes_in(23, hi)
-        classes = _classes_by_tau(qs, p, table)
-        n_classes = len(classes)
-        attempt = None
-        if policy.branch in ("auto", "direct") and n_classes * n_classes > 9 * p:
+        classes = _classes_by_tau(primes[lo : bisect_right(primes, hi)], p, table)
+        if policy.branch != "pairs" and len(classes) ** 2 > 9 * p:
+            branch, trimmed, j1, j2 = "direct", {}, [], []
             xs, ys = _direct_sets(classes)
-            attempt = ("direct", {}, [], [], xs, ys)
-        elif policy.branch in ("auto", "pairs"):
+        elif policy.branch != "direct":
+            branch = "pairs"
             trimmed, j1, j2, xs, ys = _pair_sets(classes, p, table)
-            attempt = ("pairs", trimmed, j1, j2, xs, ys)
-        if attempt is not None:
-            branch, trimmed, j1, j2, xs, ys = attempt
-            best = max(best, (len(xs), len(ys)))
-            if len(xs) * len(ys) > 2 * p:
-                cover = product_set_cover(xs, ys, p)
-                ctx = ModpContext(
-                    p=p,
-                    window=(23, hi),
-                    branch=branch,
-                    classes=classes,
-                    trimmed=trimmed,
-                    j1=j1,
-                    j2=j2,
-                    x_set=xs,
-                    y_set=ys,
-                    cover=cover,
-                )
-                _validate_context(ctx)
-                return ctx
+        else:
+            xs = ys = []
+        best = max(best, (len(xs), len(ys)))
+        if len(xs) * len(ys) > 2 * p:
+            ctx = ModpContext(p=p, window=(23, hi), branch=branch, classes=classes,
+                              trimmed=trimmed, j1=j1, j2=j2, x_set=xs, y_set=ys,
+                              cover=product_set_cover(xs, ys, p))
+            _validate_context(ctx)
+            return ctx
         if hi >= cap_hi:
             raise InfeasibleContextError(
                 f"window exhausted at hi={hi} for p={p}; best |X|,|Y| = {best}"
             )
-        hi = min(cap_hi, max(hi + 1, int(hi * policy.growth)))
+        hi = min(cap_hi, max(hi + 1, int(hi * WINDOW_GROWTH)))
 
 
 def _validate_context(ctx: ModpContext) -> None:
@@ -347,33 +353,29 @@ def modp_certificate_from_json(obj: dict) -> ModpCertificate:
     )
 
 
-def _expand_product(wx: WitnessedResidue, wy: WitnessedResidue):
-    """Multiply two witnessed residues into signed tau indices.
+def _expand(cover: ProductSumCover, lam: int) -> tuple[list[int], list[int]]:
+    """Signed tau indices (plus, minus) for lambda from the cover's eight pairs.
 
     (sum_i s_i tau(n_i)) * (sum_j t_j tau(m_j)) = sum_ij s_i t_j tau(n_i m_j)
     requires gcd(n_i, m_j) = 1 throughout; the context constructions
     guarantee this and it is asserted here.
     """
     plus, minus = [], []
-    for s1, n1 in wx.origin:
-        for s2, n2 in wy.origin:
-            if gcd(n1, n2) != 1:
-                raise InternalCheckError(
-                    f"witness indices {n1} and {n2} share a prime factor"
-                )
-            (plus if s1 * s2 > 0 else minus).append(n1 * n2)
+    for wx, wy in cover.pairs_for(lam):
+        for s1, n1 in wx.origin:
+            for s2, n2 in wy.origin:
+                if gcd(n1, n2) != 1:
+                    raise InternalCheckError(
+                        f"witness indices {n1} and {n2} share a prime factor"
+                    )
+                (plus if s1 * s2 > 0 else minus).append(n1 * n2)
     return plus, minus
 
 
 def represent_pm32(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
     """Mixed-sign certificate for lambda mod p from eight coverage pairs."""
     lam %= ctx.p
-    plus: list[int] = []
-    minus: list[int] = []
-    for wx, wy in ctx.cover.pairs_for(lam):
-        pl, mi = _expand_product(wx, wy)
-        plus.extend(pl)
-        minus.extend(mi)
+    plus, minus = _expand(ctx.cover, lam)
     if len(plus) > 16 or len(minus) > 16:
         raise InternalCheckError("pm32 expansion exceeded the 16+16 cap")
     hi = ctx.window[1]
@@ -447,41 +449,28 @@ class AbcContext:
     cap: int
 
 
-def build_abc_context(p: int, table: TauTable, eps_cap: int | None = None) -> AbcContext:
-    if p <= 23 or not is_prime(p):
-        raise ValueError(f"p must be a prime > 23, got {p}")
+def build_abc_context(p: int, table: TauTable) -> AbcContext:
+    if not _table_prime(p, table):
+        raise ValueError(f"p must be a prime in (23, {table.limit}^2], got {p}")
     if table.limit < p:
         raise ValueError(f"table covers {table.limit}, need {p}")
-    cap = eps_cap if eps_cap is not None else 50
     # C primes must stay below p/2 so their supports cannot collide with the
     # half-window witnesses of A and B.
-    cap = min(cap, (p - 1) // 2)
+    cap = min(EPS_CAP, (p - 1) // 2)
     classes = _classes_by_tau(primes_in(p // 2, p), p, table)
     if len(classes) < 2:
         raise DegenerateContextError(
             f"only {len(classes)} tau class(es) over primes in ({p // 2}, {p}]"
         )
     a0 = max(classes, key=lambda r: (len(classes[r]), -r))
-    a_set = [
-        WitnessedResidue(r, ((1, classes[r][0]),), (classes[r][0],))
-        for r in sorted(classes)
-        if r != a0
-    ]
-    b_set = []
-    seen = set()
-    for q in classes[a0]:
-        res = (a0 * a0 - pow(q, 11, p)) % p
-        if res not in seen:
-            seen.add(res)
-            b_set.append(WitnessedResidue(res, ((1, q * q),), (q,)))
-    c_set = []
-    seen = set()
-    for r_prime in primes_in(1, cap):
-        tq = table.values[r_prime]
-        for e, res in ((1, tq % p), (2, (tq * tq - r_prime**11) % p)):
-            if res not in seen:
-                seen.add(res)
-                c_set.append(WitnessedResidue(res, ((1, r_prime**e),), (r_prime,)))
+    a_set = _class_witnesses({r: qs for r, qs in classes.items() if r != a0})
+    b_set = _first_by_residue(
+        [WitnessedResidue((a0 * a0 - pow(q, 11, p)) % p, ((1, q * q),), (q,))
+         for q in classes[a0]], p)
+    c_set = _first_by_residue(
+        [WitnessedResidue(res, ((1, r**e),), (r,))
+         for r in primes_in(1, cap)
+         for e, res in ((1, table.values[r] % p), (2, (table.values[r] ** 2 - r**11) % p))], p)
     return AbcContext(p, a0, list(classes[a0]), a_set, b_set, c_set, cap)
 
 
@@ -513,18 +502,18 @@ def _product_elements(a_set, c_set, p):
     return out
 
 
-def represent_sum16(lam: int, p: int, table: TauTable, *, eps_cap: int | None = None,
+def represent_sum16(lam: int, p: int, table: TauTable, *,
                     ctx: AbcContext | None = None) -> ModpCertificate:
     """Pure-sum certificate of at most 16 terms for lambda mod p.
 
     Branches are tried in order: split of A against itself, B against C, and
     B against the larger of A+C and A*C. The cardinality bound |X||Y| > 2p
     guarantees coverage when it holds, but at desk scale the small windows
-    rarely reach it, so each branch is accepted as soon as its depth-8
-    coverage table is actually complete; the meta records whether the
-    guarantee held.
+    rarely reach it, so each branch is accepted as soon as its coverage
+    table actually reaches Z_p within eight levels; the meta records whether
+    the guarantee held.
     """
-    ctx = ctx or build_abc_context(p, table, eps_cap)
+    ctx = ctx or build_abc_context(p, table)
     cap = ctx.cap
     attempts = []
     if len(ctx.a_set) >= 2:
@@ -555,12 +544,9 @@ def represent_sum16(lam: int, p: int, table: TauTable, *, eps_cap: int | None = 
         cover = ProductSumCover(p, xs, ys)
         if not cover.covered:
             continue
-        plus: list[int] = []
-        for wx, wy in cover.pairs_for(lam % p):
-            pl, mi = _expand_product(wx, wy)
-            if mi:
-                raise InternalCheckError("pure-sum branch produced minus terms")
-            plus.extend(pl)
+        plus, minus = _expand(cover, lam % p)
+        if minus:
+            raise InternalCheckError("pure-sum branch produced minus terms")
         if len(plus) > 16:
             raise InternalCheckError("sum16 expansion exceeded 16 terms")
         meta = {
@@ -588,9 +574,8 @@ def check_modp_certificate(cert: ModpCertificate, table: TauTable) -> tuple[int 
     table, so the work is bounded by the table, not by the certificate."""
     p = cert.p
     caps = MODP_CAPS.get(cert.kind)
-    small = takewhile(lambda q: q * q <= p, primes_upto(table.limit))
-    if (caps is None or not 23 < p <= table.limit**2 or any(p % q == 0 for q in small)
-            or len(cert.plus) > caps[0] or len(cert.minus) > caps[1]):
+    if (caps is None or len(cert.plus) > caps[0] or len(cert.minus) > caps[1]
+            or not _table_prime(p, table)):
         return None, False
     indices = cert.plus + cert.minus
     taus = [tau_factored(n, table) for n in indices]

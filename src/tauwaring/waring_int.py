@@ -138,13 +138,10 @@ class RepresentationParams:
 
     c_bound: int | Fraction = 15
     max_terms: int = 74000
-    canonical_residue_count: int = RESIDUE_TERM_COUNT
 
     def __post_init__(self):
         if self.c_bound <= 0:
             raise ValueError("c_bound must be positive")
-        if self.canonical_residue_count != RESIDUE_TERM_COUNT:
-            raise ValueError(f"canonical residue count is fixed at {RESIDUE_TERM_COUNT}")
         if self.max_terms < RESIDUE_TERM_COUNT:
             raise ValueError(f"max_terms must be >= {RESIDUE_TERM_COUNT}")
 

@@ -227,6 +227,14 @@ def test_modp_sum96_bad_modulus(capsys):
     assert code == 3
 
 
+def test_represent_zero_without_table(capsys, monkeypatch):
+    # the zero certificate uses the six-term block up to index 105
+    monkeypatch.delenv("TAU_TABLE_PATH", raising=False)
+    code, out, _ = run(capsys, "represent", "--target", "0")
+    assert code == 0
+    assert "terms=198" in out
+
+
 def test_modp_small_p(capsys):
     code, _, err = run(capsys, "modp", "--p", "19", "--lambda", "0", "--mode", "pm32")
     assert code == 3
@@ -398,3 +406,12 @@ def test_check_survives_mutated_certificates(check_inputs, data):
     assert code in (0, 1, 3)
     assert "Traceback" not in err
     assert seconds < 2.0
+
+
+@pytest.mark.parametrize("mode", ["pm32", "sum16"])
+def test_modp_huge_p_is_refused_by_the_table(check_inputs, capsys, mode):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "modp", "--p", str(2**61 - 1), "--lambda", "0",
+                       "--mode", mode, "--table", check_inputs.table)
+    assert code == 3, err
+    assert time.perf_counter() - t0 < 1

@@ -27,7 +27,7 @@ from tauwaring.modp_basis import (
     represent_sum96,
     verify_modp_certificate,
 )
-from tauwaring.tau_core import TauTable, tau_prime_power
+from tauwaring.tau_core import TauTable, build_tau_table_series, tau_prime_power
 
 
 def recompute_witnessed(w, table, p):
@@ -114,6 +114,43 @@ def test_cover_always_complete_when_precondition_holds():
             assert product_set_cover(xs, ys, p).covered
 
 
+def exact_sumsets(products, p):
+    """Residues that are sums of exactly k products, k = 1..8 (test oracle)."""
+    out = [set(products)]
+    for _ in range(7):
+        out.append({(a + t) % p for a in out[-1] for t in products})
+    return out
+
+
+def check_shallow_cover(cover, p, products, product_of):
+    """Levels stop at the first full one, and the padded walk is exact."""
+    assert cover.covered
+    assert all(len(level) < p for level in cover.levels[:-1])
+    exact = exact_sumsets(products, p)
+    for k in range(1, 9):
+        assert cover.covered_at(k) == exact[k - 1], k
+    for lam in range(p):
+        pairs = cover.pairs_for(lam)
+        assert len(pairs) == 8
+        assert sum(product_of(x, y) for x, y in pairs) % p == lam
+
+
+@pytest.mark.parametrize("p", [29, 101, 499])
+def test_context_cover_stops_at_first_full_level(table_2k, p):
+    ctx = build_context(p, table_2k)
+    assert len(ctx.cover.levels) < 8
+    products = {wx.residue * wy.residue % p for wx in ctx.x_set for wy in ctx.y_set}
+    check_shallow_cover(ctx.cover, p, products, lambda wx, wy: wx.residue * wy.residue)
+
+
+def test_synthetic_cover_fills_at_a_middle_level():
+    # exact-k sums of 1..30 span k..30k, which first wraps Z_101 at k = 4
+    p, xs, ys = 101, [1], list(range(1, 31))
+    cover = ProductSumCover(p, xs, ys)
+    assert len(cover.levels) == 4
+    check_shallow_cover(cover, p, {x * y % p for x in xs for y in ys}, lambda x, y: x * y)
+
+
 def test_cover_lemma_violation_is_reported(monkeypatch):
     # unreachable with honest inputs; force the defensive path
     monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
@@ -131,6 +168,15 @@ def test_build_context_rejects_bad_p(table_2k):
         build_context(24, table_2k)
     with pytest.raises(ValueError):
         build_context(23, table_2k)
+
+
+def test_context_builders_settle_p_with_table_primes(table_2k):
+    # trial division up to sqrt(2^61 - 1) would not finish; the table bound answers at once
+    for build in (build_context, build_abc_context):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            build(2**61 - 1, table_2k)
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_build_context_direct(table_2k):
@@ -164,9 +210,9 @@ def test_build_context_pairs_forced(table_2k):
     assert len(ctx.x_set) * len(ctx.y_set) > 2 * p
 
 
-def test_build_context_window_exhaustion(table_2k):
+def test_build_context_window_exhaustion():
     with pytest.raises(InfeasibleContextError):
-        build_context(29, table_2k, WindowPolicy(branch="pairs", max_hi=60))
+        build_context(29, build_tau_table_series(60), WindowPolicy(branch="pairs"))
 
 
 # ---------------------------------------------------------------- pm32 / sum96

@@ -314,8 +314,6 @@ def test_params_validation():
         RepresentationParams(c_bound=0)
     with pytest.raises(ValueError):
         RepresentationParams(max_terms=100)
-    with pytest.raises(ValueError):
-        RepresentationParams(canonical_residue_count=199)
 
 
 def test_represent_zero(table_2k):
