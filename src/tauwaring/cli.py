@@ -23,7 +23,6 @@ from .errors import (
     InfeasibleError,
     TableFormatError,
     TauwaringError,
-    UnsupportedModulusError,
 )
 from .tau_core import TauTable, build_tau_table_series, load_table, save_table
 
@@ -133,7 +132,7 @@ def cmd_represent(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INVALID
-        cert = _maybe_tamper(waring_int.represent_residue_198(target))
+        cert = waring_int.represent_residue_198(target)
         table = _resolve_table(args.table, args.limit, fallback_limit=105)
     else:
         params = waring_int.RepresentationParams(
@@ -143,7 +142,10 @@ def cmd_represent(args) -> int:
         # the zero certificate's six-term blocks reach index MAX_RESIDUE_INDEX
         table = _resolve_table(args.table, args.limit,
                                fallback_limit=max(budget, waring_int.MAX_RESIDUE_INDEX))
-        cert = _maybe_tamper(waring_int.represent_integer(target, params, table))
+        cert = waring_int.represent_integer(target, params, table)
+    if max(cert.plus) > table.limit:
+        raise ValueError(f"table covers {table.limit}, certificate needs index {max(cert.plus)}")
+    cert = _maybe_tamper(cert)
     return _emit(args.out, cert, waring_int.verify_integer_certificate(cert, table),
                  f"REPRESENT target={target} terms={cert.meta['term_count']}"
                  f" max_index={cert.meta['max_index']}")
@@ -151,8 +153,6 @@ def cmd_represent(args) -> int:
 
 def cmd_modp(args) -> int:
     p = args.p
-    if args.mode == "sum96":
-        modp_basis.ensure_sum96_modulus(p)
     table = _resolve_table(args.table, args.limit, fallback_limit=max(2000, 8 * p))
     if args.mode == "sum16":
         cert = modp_basis.represent_sum16(args.lam, p, table)
@@ -191,6 +191,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        print("error: --reps must be >= 1", file=sys.stderr)
+        return EXIT_INVALID
     build_times = []
     table = None
     for rep in range(args.reps):
@@ -277,7 +280,7 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (UnsupportedModulusError, CapacityError, TableFormatError, ValueError) as exc:
+    except (CapacityError, TableFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InfeasibleError as exc:

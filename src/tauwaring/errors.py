@@ -21,10 +21,6 @@ class InfeasibleContextError(InfeasibleError):
     """No prime window or branch produced a usable coverage context."""
 
 
-class UnsupportedModulusError(TauwaringError, ValueError):
-    """The modulus is incompatible with the requested construction."""
-
-
 class DegenerateContextError(TauwaringError):
     """A constructed residue context is too small to be usable."""
 

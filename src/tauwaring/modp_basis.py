@@ -10,9 +10,12 @@ and emits three certificate kinds:
             six-term zero-sum identity at index 12)
   sum16  -- a pure sum of at most 16 indices from the half-window sets
 
-Every residue ever placed in a set carries its originating integers, so
-certificates are assembled from witnesses only and can be re-verified from
-prime tau values alone.
+Each context (ModpContext for pm32 and sum96, AbcContext for sum16) settles
+its covering branch once and keeps the cover; an emitter only walks that
+cover and finishes through one cap check against MODP_CAPS. Every residue
+ever placed in a set carries its originating integers, so certificates are
+assembled from witnesses only and can be re-verified from prime tau values
+alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import (
     InfeasibleContextError,
     InternalCheckError,
     LemmaViolationError,
-    UnsupportedModulusError,
 )
 from .identity_suite import ZERO_SUM_SIX
 from .tau_core import TauTable, json_int, json_ints, json_meta, tau_factored
@@ -372,31 +374,30 @@ def _expand(cover: ProductSumCover, lam: int) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
+def _certificate(kind: str, p: int, lam: int, plus: list[int], minus: list[int],
+                 **meta) -> ModpCertificate:
+    """Finish a certificate of any kind: hold its term counts to MODP_CAPS[kind],
+    the caps the verifier reads, and record max_index and counts in the meta."""
+    cap_plus, cap_minus = MODP_CAPS[kind]
+    if len(plus) > cap_plus or len(minus) > cap_minus:
+        raise InternalCheckError(
+            f"{kind} expansion has {len(plus)}+{len(minus)} terms,"
+            f" over the {cap_plus}+{cap_minus} cap"
+        )
+    meta = {"max_index": max(plus + minus),
+            "counts": {"plus": len(plus), "minus": len(minus)}, **meta}
+    return ModpCertificate(kind, p, lam, plus, minus, meta)
+
+
 def represent_pm32(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
     """Mixed-sign certificate for lambda mod p from eight coverage pairs."""
     lam %= ctx.p
     plus, minus = _expand(ctx.cover, lam)
-    if len(plus) > 16 or len(minus) > 16:
-        raise InternalCheckError("pm32 expansion exceeded the 16+16 cap")
     hi = ctx.window[1]
-    bound = hi**4 if ctx.branch == "pairs" else hi * hi
-    meta = {
-        "max_index": max(plus + minus),
-        "counts": {"plus": len(plus), "minus": len(minus)},
-        "branch": ctx.branch,
-        "window": list(ctx.window),
-        "index_bound": bound,
-        "glibichuk": True,
-    }
-    return ModpCertificate("pm32", ctx.p, lam, plus, minus, meta)
-
-
-def ensure_sum96_modulus(p: int) -> None:
-    if gcd(p, 370944) != 1:
-        raise UnsupportedModulusError(
-            f"p={p} shares a factor with 370944; the six-term block trick needs"
-            " tau(12) invertible mod p"
-        )
+    return _certificate("pm32", ctx.p, lam, plus, minus, branch=ctx.branch,
+                        window=list(ctx.window),
+                        index_bound=hi**4 if ctx.branch == "pairs" else hi * hi,
+                        glibichuk=True)
 
 
 def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
@@ -405,9 +406,9 @@ def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertific
     Solves pm32 for lambda * tau(12)^{-1}, then maps plus indices n -> 12n and
     minus indices m -> {27m, 55m, 69m, 90m, 105m}: by the six-term identity
     the five-fold block contributes -tau(12) tau(m), flipping every minus
-    term into plus territory.
+    term into plus territory. tau(12) = -2^8 3^2 7 23 is invertible mod every
+    prime p > 23, the only primes a context admits.
     """
-    ensure_sum96_modulus(ctx.p)
     p = ctx.p
     lam %= p
     tau12 = table.values[12] % p
@@ -416,28 +417,23 @@ def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertific
     plus = [12 * n for n in base.plus]
     for m in base.minus:
         plus.extend(k * m for k in ZERO_SUM_SIX[1:])
-    if len(plus) > 96:
-        raise InternalCheckError("sum96 expansion exceeded 96 terms")
-    meta = {
-        "max_index": max(plus),
-        "counts": {"plus": len(plus), "minus": 0},
-        "branch": base.meta["branch"],
-        "window": base.meta["window"],
-        "index_bound": 105 * base.meta["index_bound"],
-        "lambda_star": lam_star,
-        "glibichuk": True,
-    }
-    return ModpCertificate("sum96", p, lam, plus, [], meta)
+    return _certificate("sum96", p, lam, plus, [], branch=ctx.branch,
+                        window=list(ctx.window),
+                        index_bound=105 * base.meta["index_bound"],
+                        lambda_star=lam_star, glibichuk=True)
 
 
 @dataclass
 class AbcContext:
-    """Half-window sets for the pure 16-term construction.
+    """Half-window sets and the settled covering branch of the pure 16-term
+    construction.
 
     a0 is the most frequent tau class over primes in (p/2, p]; A holds one
     witness per remaining class, B the squares tau(q^2) = a0^2 - q^11 from
     the a0 class, and C tau values of small primes and their squares. The
-    witness supports are pairwise coprime across the three sets.
+    witness supports are pairwise coprime across the three sets. branch names
+    the first pair of sets whose cover reaches Z_p, with its index bound;
+    glibichuk records whether |X||Y| > 2p guaranteed that cover.
     """
 
     p: int
@@ -447,9 +443,22 @@ class AbcContext:
     b_set: list[WitnessedResidue]
     c_set: list[WitnessedResidue]
     cap: int
+    branch: str
+    bound_formula: str
+    index_bound: int
+    glibichuk: bool
+    cover: ProductSumCover
 
 
 def build_abc_context(p: int, table: TauTable) -> AbcContext:
+    """Build the A, B, C sets for p and settle the covering branch once.
+
+    Branches are tried in order: split of A against itself, B against C, and
+    B against the larger of A+C and A*C (built only if the first two fail).
+    The cardinality bound |X||Y| > 2p guarantees coverage when it holds, but
+    at desk scale the small windows rarely reach it, so the first branch
+    whose coverage table reaches Z_p within eight levels is kept.
+    """
     if not _table_prime(p, table):
         raise ValueError(f"p must be a prime in (23, {table.limit}^2], got {p}")
     if table.limit < p:
@@ -471,7 +480,30 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
         [WitnessedResidue(res, ((1, r**e),), (r,))
          for r in primes_in(1, cap)
          for e, res in ((1, table.values[r] % p), (2, (table.values[r] ** 2 - r**11) % p))], p)
-    return AbcContext(p, a0, list(classes[a0]), a_set, b_set, c_set, cap)
+    sizes = []
+    for branch, xs, ys, formula, bound in _abc_branches(p, a_set, b_set, c_set, cap):
+        sizes.append((branch, len(xs), len(ys)))
+        cover = ProductSumCover(p, xs, ys)
+        if cover.covered:
+            return AbcContext(p, a0, list(classes[a0]), a_set, b_set, c_set, cap, branch,
+                              formula, bound, len(xs) * len(ys) > 2 * p, cover)
+    raise InfeasibleContextError(f"no branch covered Z_{p}; branch sizes were {sizes}")
+
+
+def _abc_branches(p, a_set, b_set, c_set, cap):
+    """(branch, X, Y, bound formula, index bound) in the order they are tried."""
+    if len(a_set) >= 2:
+        half = (len(a_set) + 1) // 2
+        yield "A-split", a_set[:half], a_set[half:], "p^2", p * p
+    if b_set and c_set:
+        yield "BxC", b_set, c_set, "p^(2+eps)", p * p * cap * cap
+    if b_set and a_set and c_set:
+        t_sum = _sum_elements(a_set, c_set, p)
+        t_prod = _product_elements(a_set, c_set, p)
+        if len(t_prod) > len(t_sum):
+            yield "BxT-product", b_set, t_prod, "p^(3+eps)", p**3 * cap * cap
+        else:
+            yield "BxT-sum", b_set, t_sum, "p^3", max(p**3, p * p * cap * cap)
 
 
 def _sum_elements(a_set, c_set, p):
@@ -504,64 +536,16 @@ def _product_elements(a_set, c_set, p):
 
 def represent_sum16(lam: int, p: int, table: TauTable, *,
                     ctx: AbcContext | None = None) -> ModpCertificate:
-    """Pure-sum certificate of at most 16 terms for lambda mod p.
-
-    Branches are tried in order: split of A against itself, B against C, and
-    B against the larger of A+C and A*C. The cardinality bound |X||Y| > 2p
-    guarantees coverage when it holds, but at desk scale the small windows
-    rarely reach it, so each branch is accepted as soon as its coverage
-    table actually reaches Z_p within eight levels; the meta records whether
-    the guarantee held.
-    """
-    ctx = ctx or build_abc_context(p, table)
-    cap = ctx.cap
-    attempts = []
-    if len(ctx.a_set) >= 2:
-        half = (len(ctx.a_set) + 1) // 2
-        attempts.append(
-            ("A-split", ctx.a_set[:half], ctx.a_set[half:], "p^2", p * p)
-        )
-    if ctx.b_set and ctx.c_set:
-        attempts.append(
-            ("BxC", ctx.b_set, ctx.c_set, "p^(2+eps)", p * p * cap * cap)
-        )
-    if ctx.b_set and ctx.a_set and ctx.c_set:
-        t_sum = _sum_elements(ctx.a_set, ctx.c_set, p)
-        t_prod = _product_elements(ctx.a_set, ctx.c_set, p)
-        if len(t_prod) > len(t_sum):
-            attempts.append(
-                ("BxT-product", ctx.b_set, t_prod, "p^(3+eps)", p**3 * cap * cap)
-            )
-        else:
-            attempts.append(
-                ("BxT-sum", ctx.b_set, t_sum, "p^3", max(p**3, p * p * cap * cap))
-            )
-    sizes = []
-    for branch, xs, ys, formula, bound in attempts:
-        sizes.append((branch, len(xs), len(ys)))
-        if not xs or not ys:
-            continue
-        cover = ProductSumCover(p, xs, ys)
-        if not cover.covered:
-            continue
-        plus, minus = _expand(cover, lam % p)
-        if minus:
-            raise InternalCheckError("pure-sum branch produced minus terms")
-        if len(plus) > 16:
-            raise InternalCheckError("sum16 expansion exceeded 16 terms")
-        meta = {
-            "max_index": max(plus),
-            "counts": {"plus": len(plus), "minus": 0},
-            "branch": branch,
-            "bound_formula": formula,
-            "index_bound": bound,
-            "eps_cap": cap,
-            "glibichuk": len(xs) * len(ys) > 2 * p,
-        }
-        return ModpCertificate("sum16", p, lam % p, plus, [], meta)
-    raise InfeasibleContextError(
-        f"no branch covered Z_{p}; branch sizes were {sizes}"
-    )
+    """Pure-sum certificate of at most 16 terms for lambda mod p, walked from
+    the cover that build_abc_context settled (built here only without ctx)."""
+    if ctx is None:
+        ctx = build_abc_context(p, table)
+    elif ctx.p != p:
+        raise ValueError(f"context is for p={ctx.p}, not {p}")
+    plus, minus = _expand(ctx.cover, lam)
+    return _certificate("sum16", p, lam % p, plus, minus, branch=ctx.branch,
+                        bound_formula=ctx.bound_formula, index_bound=ctx.index_bound,
+                        eps_cap=ctx.cap, glibichuk=ctx.glibichuk)
 
 
 def check_modp_certificate(cert: ModpCertificate, table: TauTable) -> tuple[int | None, bool]:

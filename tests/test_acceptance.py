@@ -51,7 +51,7 @@ from tauwaring.waring_int import (
 )
 
 PM32_PRIMES = (29, 31, 101, 499)
-SUM16_PRIMES = (29, 101)
+SUM16_PRIMES = (29, 31, 101, 499)
 
 PAPER_TAU = {
     1: 1, 2: -24, 3: 252, 5: 4830, 8: 84480,
@@ -175,7 +175,7 @@ def test_criterion_7_sum16(sum16_sweeps, table_100k):
             assert cert.meta["bound_formula"] in formulas
             assert max(cert.plus) <= cert.meta["index_bound"]
             assert verify_modp_certificate(cert, table_100k), (p, lam)
-    report(7, "sum16 sweeps verified with recorded branch bounds for p in {29, 101}")
+    report(7, "sum16 sweeps verified with recorded branch bounds for p in {29, 31, 101, 499}")
 
 
 def test_criterion_8_glibichuk_realization(contexts):

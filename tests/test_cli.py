@@ -235,6 +235,15 @@ def test_represent_zero_without_table(capsys, monkeypatch):
     assert "terms=198" in out
 
 
+@pytest.mark.parametrize("argv", [("--target", "5", "--residue"), ("--target", "0")])
+def test_represent_table_below_block_index_exits_3(capsys, monkeypatch, argv):
+    # both certificates use the six-term block up to index 105
+    monkeypatch.delenv("TAU_TABLE_PATH", raising=False)
+    code, _, err = run(capsys, "represent", *argv, "--limit", "50")
+    assert code == 3
+    assert "50" in err and "105" in err
+
+
 def test_modp_small_p(capsys):
     code, _, err = run(capsys, "modp", "--p", "19", "--lambda", "0", "--mode", "pm32")
     assert code == 3
@@ -268,6 +277,12 @@ def test_bench_format(capsys):
     assert sum(1 for l in lines if l.startswith("BENCH table_build") and "rep=" in l) == 2
     assert any("median_seconds=" in l for l in lines)
     assert any(l.startswith("BENCH sweep_mod691") for l in lines)
+
+
+def test_bench_rejects_zero_reps(capsys):
+    code, _, err = run(capsys, "bench", "--limit", "100", "--reps", "0")
+    assert code == 3
+    assert "--reps" in err
 
 
 def test_bad_flag_exits_3(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 from itertools import combinations_with_replacement
 from math import gcd, isqrt
@@ -8,9 +10,10 @@ from tauwaring.divisor_arith import coprime_to_23_factorial, primes_in
 from tauwaring.errors import (
     DegenerateContextError,
     InfeasibleContextError,
+    InternalCheckError,
     LemmaViolationError,
-    UnsupportedModulusError,
 )
+from tauwaring import modp_basis
 from tauwaring.modp_basis import (
     ModpCertificate,
     ProductSumCover,
@@ -19,7 +22,6 @@ from tauwaring.modp_basis import (
     basis_order_scan,
     build_abc_context,
     build_context,
-    ensure_sum96_modulus,
     modp_certificate_from_json,
     product_set_cover,
     represent_pm32,
@@ -275,11 +277,11 @@ def test_sum96_block_identity(table_2k):
     assert block == -table_2k.tau(12) * tau_of(m, table_2k)
 
 
-def test_sum96_unsupported_modulus():
+def test_sum96_unsupported_modulus(table_2k):
+    # tau(12) = -2^8 3^2 7 23 is invertible mod every prime a context admits
     for p in (2, 3, 7, 23):
-        with pytest.raises(UnsupportedModulusError):
-            ensure_sum96_modulus(p)
-    ensure_sum96_modulus(29)
+        with pytest.raises(ValueError):
+            build_context(p, table_2k)
 
 
 # ---------------------------------------------------------------- abc / sum16
@@ -324,6 +326,68 @@ def test_sum16_records_guarantee_flag(table_2k):
 def test_sum16_bad_p(table_2k):
     with pytest.raises(ValueError):
         represent_sum16(1, 21, table_2k)
+
+
+def test_sum16_refuses_a_context_for_another_prime(table_2k):
+    with pytest.raises(ValueError, match="p=29"):
+        represent_sum16(50, 101, table_2k, ctx=build_abc_context(29, table_2k))
+
+
+def test_sum16_walks_the_context_cover(table_2k, monkeypatch):
+    ctx = build_abc_context(101, table_2k)
+    built = []
+
+    class CountingCover(ProductSumCover):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(modp_basis, "ProductSumCover", CountingCover)
+    for lam in range(101):
+        cert = represent_sum16(lam, 101, table_2k, ctx=ctx)
+        assert cert.meta["branch"] == ctx.branch and cert.lam == lam
+    assert built == []
+
+
+def test_abc_context_builds_sum_sets_only_after_both_branches_fail(table_2k, monkeypatch):
+    calls = []
+    monkeypatch.setattr(modp_basis, "_sum_elements", lambda *a: calls.append(a) or [])
+    for p in (29, 101):
+        assert build_abc_context(p, table_2k).branch in ("A-split", "BxC")
+    assert calls == []
+
+
+def test_abc_context_reports_uncovered_branches(table_2k, monkeypatch):
+    monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
+    with pytest.raises(InfeasibleContextError, match="no branch covered Z_29; branch sizes"):
+        build_abc_context(29, table_2k)
+
+
+def test_certificate_finisher_holds_every_cap():
+    for kind, (cap_plus, cap_minus) in modp_basis.MODP_CAPS.items():
+        with pytest.raises(InternalCheckError):
+            modp_basis._certificate(kind, 29, 0, [31] * (cap_plus + 1), [])
+        with pytest.raises(InternalCheckError):
+            modp_basis._certificate(kind, 29, 0, [31], [37] * (cap_minus + 1))
+        cert = modp_basis._certificate(kind, 29, 0, [31] * cap_plus, [37] * cap_minus)
+        assert cert.meta["counts"] == {"plus": cap_plus, "minus": cap_minus}
+
+
+# Certificate bytes pinned before the sum16 branch moved into its context:
+# sha256 over the sorted-key JSON lines of pm32, sum96 and sum16, for every
+# lambda at p = 29 and 101 on the 2000-entry table.
+CERT_DIGEST_29_101 = "82a70353ae099a6349032d53c027e16a0aa23434430f87d21a6726c89cccc7c5"
+
+
+def test_modp_certificates_are_byte_identical(table_2k):
+    digest = hashlib.sha256()
+    for p in (29, 101):
+        ctx, abc = build_context(p, table_2k), build_abc_context(p, table_2k)
+        for lam in range(p):
+            for cert in (represent_pm32(lam, ctx, table_2k), represent_sum96(lam, ctx, table_2k),
+                         represent_sum16(lam, p, table_2k, ctx=abc)):
+                digest.update((json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == CERT_DIGEST_29_101
 
 
 # ---------------------------------------------------------------- verifier
