@@ -2,11 +2,9 @@
 certificates over the integers and over Z/p."""
 
 from .divisor_arith import (
-    FactorizationMap,
     SigmaTable,
     build_sigma_table,
     coprime_to_23_factorial,
-    factorize,
     primes_in,
     sieve_spf,
     sigma,

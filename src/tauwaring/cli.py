@@ -153,7 +153,8 @@ def cmd_represent(args) -> int:
 
 def cmd_modp(args) -> int:
     p = args.p
-    table = _resolve_table(args.table, args.limit, fallback_limit=max(2000, 8 * p))
+    # sum16 needs the table to reach p; the pm32 window stops near 26-42 sqrt(p)
+    table = _resolve_table(args.table, args.limit, fallback_limit=max(2000, p))
     if args.mode == "sum16":
         cert = modp_basis.represent_sum16(args.lam, p, table)
     else:

@@ -34,20 +34,6 @@ def sieve_spf(limit: int) -> list[int]:
     return spf.tolist()
 
 
-@dataclass(frozen=True)
-class FactorizationMap:
-    """Prime factorization n = prod(q^e) with primes strictly increasing."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def reconstruct(self) -> int:
-        out = 1
-        for q, e in self.factors:
-            out *= q**e
-        return out
-
-
 def iter_factor_pairs(n: int, spf: list[int]):
     """Yield (prime, exponent) pairs of n using a precomputed spf table."""
     if n < 1 or n >= len(spf):
@@ -59,11 +45,6 @@ def iter_factor_pairs(n: int, spf: list[int]):
             n //= q
             e += 1
         yield q, e
-
-
-def factorize(n: int, spf: list[int]) -> FactorizationMap:
-    """Factor n via the spf table; n = 1 yields an empty factor list."""
-    return FactorizationMap(n, tuple(iter_factor_pairs(n, spf)))
 
 
 def sigma(s: int, n: int) -> int:

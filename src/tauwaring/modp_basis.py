@@ -2,7 +2,8 @@
 
 Builds witnessed residue sets from prime windows, covers Z_p with eight-fold
 sums of pairwise products (Glibichuk-style coverage, realized as a dynamic
-program with back-pointers whose levels stop at the first one equal to Z_p),
+program filled in numpy arrays with int32 back-pointers; each level stops
+filling once it holds all of Z_p, and the levels stop at the first such one),
 and emits three certificate kinds:
 
   pm32   -- up to 16 plus and 16 minus indices, all coprime to 23!
@@ -25,6 +26,8 @@ from dataclasses import dataclass
 from itertools import takewhile
 from math import gcd, isqrt
 
+import numpy as np
+
 from .divisor_arith import coprime_to_23_factorial, primes_in, primes_upto
 from .errors import (
     DegenerateContextError,
@@ -44,6 +47,9 @@ WINDOW_START = 4
 WINDOW_GROWTH = 1.6
 # sum16 draws its C set from the primes up to min(EPS_CAP, (p - 1) // 2).
 EPS_CAP = 50
+# ProductSumCover forms its level-1 products this many at a time, which bounds
+# the int64 temporaries of that fill (512 kB a chunk) whatever |X||Y| is.
+COVER_CHUNK = 1 << 16
 
 
 def _table_prime(p: int, table: TauTable) -> bool:
@@ -74,35 +80,54 @@ def _residue_of(x) -> int:
 class ProductSumCover:
     """Coverage table for k-fold sums of pairwise products, k = 1..8.
 
-    levels[k-1] maps each residue reachable as a sum of exactly k products to
-    a back-pointer. Levels stop at the first one equal to Z_p (at most 8):
-    from there on every level is Z_p, since r = (r - t0) + t0 for any fixed
-    product t0. Walking the pointers and padding with copies of t0 recovers,
-    for any covered residue, exactly eight (x, y) pairs whose products sum
-    to it.
+    levels[k-1] is an array of the residues reachable as a sum of exactly k
+    products, in the order the fill first reached them. Level 1 takes the
+    products x*y row by row (x in xs, y in ys) and keeps the first pair of
+    each residue; level k+1 walks level k in that order, and each a claims
+    the residues a + t not yet reached, t over level 1 in its order. The
+    back-pointers are int32 arrays indexed by residue: for level 1 the flat
+    index i*|ys| + j of the pair (xs[i], ys[j]), for each later level the
+    last product t, so that a = r - t. A level stops filling as soon as it
+    holds all p residues, and the levels stop at the first one equal to Z_p
+    (at most 8): from there on every level is Z_p, since r = (r - t0) + t0
+    for the fixed product t0 = levels[0][0]. Walking the pointers and padding
+    with copies of t0 recovers, for any covered residue, exactly eight
+    (x, y) pairs whose products sum to it.
     """
 
     def __init__(self, p: int, xs, ys):
-        self.p = p
-        s1: dict[int, tuple] = {}
-        for wx in xs:
-            rx = _residue_of(wx)
-            for wy in ys:
-                r = rx * _residue_of(wy) % p
-                if r not in s1:
-                    s1[r] = (wx, wy)
-        self.s1 = s1
-        levels: list[dict[int, tuple | None]] = [{r: None for r in s1}]
+        if p >= 2**31 or len(xs) * len(ys) >= 2**31:
+            raise ValueError(f"cover indices are int32: need p and |X||Y| below 2^31, got p={p}")
+        self.p, self.xs, self.ys = p, list(xs), list(ys)
+        rx = np.array([_residue_of(x) % p for x in self.xs], dtype=np.int64)
+        ry = np.array([_residue_of(y) % p for y in self.ys], dtype=np.int64)
+        pair = np.full(p, -1, dtype=np.int32)
+        rows, reached = max(1, COVER_CHUNK // max(1, len(ry))), 0
+        for i in range(0, len(rx), rows):
+            products = (rx[i : i + rows, None] * ry % p).ravel()
+            fresh = np.flatnonzero(pair[products] < 0)
+            res, first = np.unique(products[fresh], return_index=True)
+            pair[res] = fresh[first] + i * len(ry)
+            reached += len(res)
+            if reached == p:
+                break
+        # unreached residues (pointer -1) sort first; the rest by first pair
+        levels, pointers = [np.argsort(pair)[p - reached :].astype(np.int32)], [pair]
         while len(levels[-1]) < p and len(levels) < 8:
-            prev = levels[-1]
-            cur: dict[int, tuple | None] = {}
-            for a in prev:
-                for t in s1:
-                    r = (a + t) % p
-                    if r not in cur:
-                        cur[r] = (a, t)
-            levels.append(cur)
-        self.levels = levels
+            step = np.full(p, -1, dtype=np.int32)
+            claimed, reached = [levels[0][:0]], 0
+            for a in levels[-1]:
+                r = np.add(levels[0], a, dtype=np.int64)
+                r %= p
+                new = step[r] < 0
+                claimed.append(r[new].astype(np.int32))
+                step[claimed[-1]] = levels[0][new]
+                reached += len(claimed[-1])
+                if reached == p:
+                    break
+            levels.append(np.concatenate(claimed))
+            pointers.append(step)
+        self.levels, self._pointers = levels, pointers
 
     @property
     def covered(self) -> bool:
@@ -110,20 +135,25 @@ class ProductSumCover:
 
     def covered_at(self, k: int) -> set[int]:
         """Residues reachable as a sum of exactly k products, 1 <= k <= 8."""
-        return set(self.levels[min(k, len(self.levels)) - 1])
+        return set(self.levels[min(k, len(self.levels)) - 1].tolist())
+
+    def _pair(self, t: int) -> tuple:
+        i, j = divmod(self._pointers[0].item(t), len(self.ys))
+        return self.xs[i], self.ys[j]
 
     def pairs_for(self, lam: int) -> list[tuple]:
-        lam %= self.p
+        p = self.p
         pad = 8 - len(self.levels)  # > 0 only when the last level is Z_p
-        t0 = next(iter(self.s1), 0)
-        r = (lam - pad * t0) % self.p
-        if r not in self.levels[-1]:
-            raise InfeasibleContextError(f"residue {lam} not covered at depth 8")
-        out = [self.s1[t0]] * pad
-        for level in reversed(self.levels[1:]):
-            r, step = level[r]
-            out.append(self.s1[step])
-        out.append(self.s1[r])
+        t0 = self.levels[0].item(0) if len(self.levels[0]) else 0
+        r = (lam - pad * t0) % p
+        if self._pointers[-1].item(r) < 0:
+            raise InfeasibleContextError(f"residue {lam % p} not covered at depth 8")
+        out = [self._pair(t0)] * pad
+        for step in reversed(self._pointers[1:]):
+            t = step.item(r)
+            r = (r - t) % p
+            out.append(self._pair(t))
+        out.append(self._pair(r))
         return out
 
 
@@ -590,9 +620,17 @@ def basis_order_scan(p: int, n_bound: int, table: TauTable) -> int | None:
     if n_bound > table.limit:
         raise ValueError(f"table covers {table.limit}, need {n_bound}")
     base = sorted({table.values[n] % p for n in range(1, n_bound + 1)})
-    reach = set(base)
+    # bit r of reach is set iff r is a sum of at most k of the values mod p;
+    # adding v rotates the p-bit mask left by v
+    full = (1 << p) - 1
+    reach = sum(1 << v for v in base)
     for k in range(1, 97):
-        if len(reach) == p:
+        if reach == full:
             return k
-        reach |= {(a + v) % p for a in reach for v in base}
+        grown = reach
+        for v in base:
+            grown |= (reach << v | reach >> (p - v)) & full
+            if grown == full:
+                break
+        reach = grown
     return None

@@ -21,6 +21,11 @@ def table_2k():
 
 
 @pytest.fixture(scope="session")
+def table_20k():
+    return build_tau_table_series(20_000)
+
+
+@pytest.fixture(scope="session")
 def table_100k():
     return build_tau_table_series(100_000)
 

@@ -1,21 +1,27 @@
 import contextlib
 import copy
+import functools
 import io
 import json
+import random
 import time
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tauwaring import cli
 from tauwaring.cli import main
 from tauwaring.modp_basis import (
     WindowPolicy,
+    build_abc_context,
     build_context,
     represent_pm32,
+    represent_sum16,
+    represent_sum96,
     verify_modp_certificate,
 )
-from tauwaring.tau_core import load_table, save_table
+from tauwaring.tau_core import build_tau_table_series, load_table, save_table
 from tauwaring.waring_int import (
     RepresentationParams,
     represent_integer,
@@ -430,3 +436,44 @@ def test_modp_huge_p_is_refused_by_the_table(check_inputs, capsys, mode):
                        "--mode", mode, "--table", check_inputs.table)
     assert code == 3, err
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("p, mode, limit", [(29, "pm32", 2000), (300007, "pm32", 300007),
+                                            (300007, "sum16", 300007)])
+def test_modp_fallback_table_reaches_p(monkeypatch, capsys, p, mode, limit):
+    # no builder needs more than p: sum16 needs limit >= p and the pm32 window
+    # stops near 26-42 sqrt(p); the old fallback 8p was refused past the series cap
+    requested = []
+
+    def builder(n):
+        requested.append(n)
+        return build_tau_table_series(100)
+
+    monkeypatch.setattr(cli, "build_tau_table_series", builder)
+    monkeypatch.delenv("TAU_TABLE_PATH", raising=False)
+    code, _, _ = run(capsys, "modp", "--p", str(p), "--lambda", "1", "--mode", mode)
+    assert requested == [limit]
+    assert code in (2, 3)  # the 100-entry stand-in cannot serve p
+
+
+def test_modp_certificates_at_a_large_prime(tmp_path, monkeypatch, capsys, table_100k):
+    p = 99991
+    table_path = tmp_path / "table.txt"
+    save_table(table_path, table_100k)
+    # parse the saved table once; every check below still decodes its JSON and
+    # verifies against the table read back from the file
+    monkeypatch.setattr(cli, "load_table", functools.lru_cache(maxsize=1)(cli.load_table))
+    ctx, abc = build_context(p, table_100k), build_abc_context(p, table_100k)
+    rng = random.Random(99991)
+    emitters = {"pm32": lambda lam: represent_pm32(lam, ctx, table_100k),
+                "sum96": lambda lam: represent_sum96(lam, ctx, table_100k),
+                "sum16": lambda lam: represent_sum16(lam, p, table_100k, ctx=abc)}
+    for kind, emit in emitters.items():
+        for lam in rng.sample(range(p), 10):
+            cert = emit(lam)
+            assert cert.kind == kind and verify_modp_certificate(cert, table_100k), (kind, lam)
+            cert_path = tmp_path / f"{kind}.json"
+            cert_path.write_text(json.dumps(cert.to_json_dict()))
+            code, out, _ = run(capsys, "check", str(cert_path), "--table", str(table_path))
+            assert code == 0, (kind, lam)
+            assert f"CHECK {kind} p={p} lambda={lam} recomputed={lam} ok=True" in out

@@ -8,7 +8,6 @@ from tauwaring.divisor_arith import (
     build_sigma_table,
     coprime_to_23_factorial,
     factor_within,
-    factorize,
     integer_nth_root,
     iter_factor_pairs,
     primes_in,
@@ -41,29 +40,12 @@ def test_spf_matches_least_divisor_brute_force():
         assert spf[n] == least
 
 
-def test_factorize_examples():
-    spf = sieve_spf(200)
-    assert factorize(12, spf).factors == ((2, 2), (3, 1))
-    assert factorize(1, spf).factors == ()
-    assert factorize(105, spf).factors == ((3, 1), (5, 1), (7, 1))
-
-
-def test_factorize_out_of_range():
+def test_iter_factor_pairs_out_of_range():
     spf = sieve_spf(10)
     with pytest.raises(ValueError):
-        factorize(11, spf)
+        list(iter_factor_pairs(11, spf))
     with pytest.raises(ValueError):
-        factorize(0, spf)
-
-
-@given(st.integers(min_value=1, max_value=5000))
-def test_factorize_reconstructs(n):
-    spf = sieve_spf(5000)
-    fm = factorize(n, spf)
-    assert fm.reconstruct() == n
-    primes = [q for q, _ in fm.factors]
-    assert primes == sorted(primes) and len(set(primes)) == len(primes)
-    assert all(e >= 1 for _, e in fm.factors)
+        list(iter_factor_pairs(0, spf))
 
 
 def test_sigma_examples():

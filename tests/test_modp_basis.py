@@ -153,6 +153,90 @@ def test_synthetic_cover_fills_at_a_middle_level():
     check_shallow_cover(cover, p, {x * y % p for x in xs for y in ys}, lambda x, y: x * y)
 
 
+class DictCover:
+    """The dict-of-tuples fill that the array fill replaced (test reference):
+    first claim wins, each level walks the previous one in claim order."""
+
+    def __init__(self, p, xs, ys):
+        self.p = p
+        self.s1 = {}
+        for wx in xs:
+            for wy in ys:
+                self.s1.setdefault(modp_basis._residue_of(wx) * modp_basis._residue_of(wy) % p,
+                                   (wx, wy))
+        self.levels = [{r: None for r in self.s1}]
+        while len(self.levels[-1]) < p and len(self.levels) < 8:
+            cur = {}
+            for a in self.levels[-1]:
+                for t in self.s1:
+                    cur.setdefault((a + t) % p, (a, t))
+            self.levels.append(cur)
+
+    def covered_at(self, k):
+        return set(self.levels[min(k, len(self.levels)) - 1])
+
+    def pairs_for(self, lam):
+        pad = 8 - len(self.levels)
+        t0 = next(iter(self.s1))
+        r = (lam - pad * t0) % self.p
+        out = [self.s1[t0]] * pad
+        for level in reversed(self.levels[1:]):
+            r, step = level[r]
+            out.append(self.s1[step])
+        return out + [self.s1[r]]
+
+
+def assert_same_cover(cover, p, xs, ys):
+    ref = DictCover(p, xs, ys)
+    assert [len(level) for level in cover.levels] == [len(level) for level in ref.levels]
+    assert [level.tolist() for level in cover.levels] == [list(level) for level in ref.levels]
+    for k in range(1, 9):
+        assert cover.covered_at(k) == ref.covered_at(k), k
+    for lam in range(p):
+        assert cover.pairs_for(lam) == ref.pairs_for(lam), lam
+
+
+@pytest.mark.parametrize("p,branch", [(29, "auto"), (101, "auto"), (499, "auto"),
+                                      (941, "auto"), (389, "pairs")])
+def test_array_cover_matches_dict_fill(table_20k, p, branch):
+    ctx = build_context(p, table_20k, WindowPolicy(branch=branch))
+    assert ctx.branch == ("pairs" if branch == "pairs" else "direct")
+    assert_same_cover(ctx.cover, p, ctx.x_set, ctx.y_set)
+    if branch == "auto":
+        abc = build_abc_context(p, table_20k)
+        assert_same_cover(abc.cover, p, abc.cover.xs, abc.cover.ys)
+
+
+def test_array_cover_matches_dict_fill_at_a_middle_level():
+    p, xs, ys = 101, [1], list(range(1, 31))
+    assert_same_cover(ProductSumCover(p, xs, ys), p, xs, ys)
+
+
+def test_array_cover_level_one_spans_chunks(monkeypatch):
+    # chunks of 64 products hold three rows of ys; rows that add nothing new
+    # and the break once level 1 equals Z_p both come up
+    monkeypatch.setattr(modp_basis, "COVER_CHUNK", 64)
+    for p, xs, ys in ((101, range(1, 40), range(3, 24)), (29, range(29), range(29))):
+        assert_same_cover(ProductSumCover(p, list(xs), list(ys)), p, list(xs), list(ys))
+
+
+def test_cover_refuses_what_int32_cannot_index():
+    with pytest.raises(ValueError, match="int32"):
+        ProductSumCover(2**31 + 11, [1], [1])
+
+
+@pytest.mark.parametrize("p,table", [(10007, "table_20k"), (99991, "table_100k")])
+def test_cover_levels_stop_filling_at_z_p(request, p, table):
+    # level 1 holds ~97% of Z_p, so level 2 is full after a few a's; the dict
+    # fill walked all of level 1 (~10 s at 10007), and so does the array fill
+    # without its in-level stop (far over 1 s at 99991)
+    table = request.getfixturevalue(table)
+    t0 = time.perf_counter()
+    ctx = build_context(p, table)
+    assert time.perf_counter() - t0 < 1
+    assert len(ctx.cover.levels[-1]) == p
+
+
 def test_cover_lemma_violation_is_reported(monkeypatch):
     # unreachable with honest inputs; force the defensive path
     monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
@@ -464,6 +548,24 @@ def test_basis_order_scan_tau_of_one(table_2k):
 def test_basis_order_scan_full_cover_is_one():
     fake = TauTable(50, [0] + list(range(1, 51)), "series")
     assert basis_order_scan(29, 29, fake) == 1
+
+
+def set_order_scan(p, n_bound, table):
+    """The set fill that the bitset fill replaced (test reference)."""
+    base = sorted({table.values[n] % p for n in range(1, n_bound + 1)})
+    reach = set(base)
+    for k in range(1, 97):
+        if len(reach) == p:
+            return k
+        reach |= {(a + v) % p for a in reach for v in base}
+    return None
+
+
+def test_basis_order_scan_matches_set_fill(table_2k):
+    for p in primes_in(24, 200):
+        for n_bound in (1, 2, p):
+            assert basis_order_scan(p, n_bound, table_2k) == set_order_scan(p, n_bound, table_2k), (
+                p, n_bound)
 
 
 def test_basis_order_scan_modest_bound(table_2k):
