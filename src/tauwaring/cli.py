@@ -1,5 +1,5 @@
 """Command-line surface: table building, verification sweeps, representation
-solvers, certificate checking, and a micro-benchmark.
+solvers and certificate checking.
 
 Exit codes are part of the contract so shell harnesses can tell failure modes
 apart: 0 success, 1 verification failure, 2 infeasible / search exhausted,
@@ -13,9 +13,7 @@ import argparse
 import hashlib
 import json
 import os
-import statistics
 import sys
-import time
 
 from . import identity_suite, modp_basis, waring_int
 from .errors import (
@@ -32,7 +30,6 @@ EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 
 TABLE_ENV = "TAU_TABLE_PATH"
-MISMATCH_HOOK_ENV = "TAUWARING_FORCE_MISMATCH"
 
 
 class CliInputError(Exception):
@@ -55,13 +52,6 @@ def _resolve_table(table_path, limit, fallback_limit) -> TauTable:
     return build_tau_table_series(limit if limit else fallback_limit)
 
 
-def _maybe_tamper(cert):
-    """Test hook: force a mismatch so the self-check path is exercisable."""
-    if os.environ.get(MISMATCH_HOOK_ENV):
-        cert.plus[0] += 1
-    return cert
-
-
 def _emit(out, cert, verified: bool, summary: str) -> int:
     """Write a self-checked certificate (to `out`, else stdout), then the summary line."""
     if not verified:
@@ -79,8 +69,7 @@ def _emit(out, cert, verified: bool, summary: str) -> int:
 
 def cmd_table(args) -> int:
     if args.limit < 1:
-        print("error: --limit must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
+        raise CliInputError("--limit must be >= 1")
     table = build_tau_table_series(args.limit)
     save_table(args.out, table)
     with open(args.out, "rb") as fh:
@@ -93,6 +82,8 @@ SUITES = ("mod691", "mod256", "deligne", "hecke", "zero-sums", "multiplicativity
 
 
 def cmd_verify(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise CliInputError("--limit must be >= 1")
     table = _resolve_table(args.table, args.limit, fallback_limit=2000)
     hi = min(args.limit or table.limit, table.limit)
     if args.suite == "zero-sums":
@@ -145,7 +136,6 @@ def cmd_represent(args) -> int:
         cert = waring_int.represent_integer(target, params, table)
     if max(cert.plus) > table.limit:
         raise ValueError(f"table covers {table.limit}, certificate needs index {max(cert.plus)}")
-    cert = _maybe_tamper(cert)
     return _emit(args.out, cert, waring_int.verify_integer_certificate(cert, table),
                  f"REPRESENT target={target} terms={cert.meta['term_count']}"
                  f" max_index={cert.meta['max_index']}")
@@ -161,7 +151,6 @@ def cmd_modp(args) -> int:
         represent = (modp_basis.represent_pm32 if args.mode == "pm32"
                      else modp_basis.represent_sum96)
         cert = represent(args.lam, modp_basis.build_context(p, table), table)
-    cert = _maybe_tamper(cert)
     return _emit(args.out, cert, modp_basis.verify_modp_certificate(cert, table),
                  f"MODP p={p} lambda={cert.lam} mode={cert.kind}"
                  f" terms={len(cert.plus)}+{len(cert.minus)} max_index={cert.meta['max_index']}")
@@ -189,39 +178,6 @@ def cmd_check(args) -> int:
     recomputed, ok = check(cert, table)
     print(f"CHECK {kind} {head} recomputed={recomputed} ok={ok}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-
-def cmd_bench(args) -> int:
-    if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
-    build_times = []
-    table = None
-    for rep in range(args.reps):
-        t0 = time.perf_counter()
-        table = build_tau_table_series(args.limit)
-        dt = time.perf_counter() - t0
-        build_times.append(dt)
-        print(f"BENCH table_build limit={args.limit} rep={rep} seconds={dt:.6f}")
-    med = statistics.median(build_times)
-    print(
-        f"BENCH table_build limit={args.limit} median_seconds={med:.6f}"
-        f" coeffs_per_sec={args.limit / med:.1f}"
-    )
-    sweep_hi = min(args.limit, 20000)
-    sweep_times = []
-    for rep in range(args.reps):
-        t0 = time.perf_counter()
-        violations = identity_suite.check_mod691(table, 1, sweep_hi)
-        dt = time.perf_counter() - t0
-        sweep_times.append(dt)
-        print(
-            f"BENCH sweep_mod691 hi={sweep_hi} rep={rep} seconds={dt:.6f}"
-            f" violations={len(violations)}"
-        )
-    med = statistics.median(sweep_times)
-    print(f"BENCH sweep_mod691 hi={sweep_hi} median_seconds={med:.6f}")
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -265,11 +221,6 @@ def build_parser() -> _Parser:
     p_check.add_argument("--limit", type=int)
     p_check.set_defaults(func=cmd_check)
 
-    p_bench = sub.add_parser("bench", help="time table build and one sweep")
-    p_bench.add_argument("--limit", type=int, default=100000)
-    p_bench.add_argument("--reps", type=int, default=1)
-    p_bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -278,10 +229,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (CapacityError, TableFormatError, ValueError) as exc:
+    except (CliInputError, CapacityError, TableFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InfeasibleError as exc:
@@ -290,10 +238,11 @@ def main(argv=None) -> int:
     except TauwaringError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -8,9 +8,9 @@ than from the first bad index. An empty report means success.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
-from .divisor_arith import is_prime, iter_factor_pairs, primes_in, sieve_spf
+from .divisor_arith import is_prime, iter_factor_pairs, primes_in, primes_upto, sieve_spf
 from .errors import InternalCheckError
 from .tau_core import TauTable, tau_prime_power
 
@@ -37,37 +37,32 @@ def _sigma_pow_mod(n: int, s: int, mod: int, spf: list[int]) -> int:
     return total
 
 
-def check_mod691(table: TauTable, lo: int = 1, hi: int | None = None,
-                 spf: list[int] | None = None) -> list[str]:
-    """tau(n) = sigma_11(n) (mod 691) for every n in (lo-1, hi]."""
+def _sigma11_sweep(name: str, mod: int, stride: int, table: TauTable, lo: int,
+                   hi: int | None, spf: list[int] | None) -> list[str]:
+    """tau(n) = sigma_11(n) (mod `mod`) for n = 1 (mod stride) in [lo, hi]."""
     hi = hi if hi is not None else table.limit
     if hi > table.limit:
         raise ValueError(f"table covers {table.limit}, sweep asks for {hi}")
     spf = spf if spf is not None else sieve_spf(max(hi, 2))
     out = []
-    for n in range(lo, hi + 1):
-        want = _sigma_pow_mod(n, 11, 691, spf)
-        got = table.values[n] % 691
+    for n in range(lo + (1 - lo) % stride, hi + 1, stride):
+        want = _sigma_pow_mod(n, 11, mod, spf)
+        got = table.values[n] % mod
         if want != got:
-            out.append(_violation("mod691", n, want, got))
+            out.append(_violation(name, n, want, got))
     return out
+
+
+def check_mod691(table: TauTable, lo: int = 1, hi: int | None = None,
+                 spf: list[int] | None = None) -> list[str]:
+    """tau(n) = sigma_11(n) (mod 691) for every n in (lo-1, hi]."""
+    return _sigma11_sweep("mod691", 691, 1, table, lo, hi, spf)
 
 
 def check_mod256_odd(table: TauTable, lo: int = 1, hi: int | None = None,
                      spf: list[int] | None = None) -> list[str]:
     """tau(n) = sigma_11(n) (mod 2^8) for every odd n in the range."""
-    hi = hi if hi is not None else table.limit
-    if hi > table.limit:
-        raise ValueError(f"table covers {table.limit}, sweep asks for {hi}")
-    spf = spf if spf is not None else sieve_spf(max(hi, 2))
-    out = []
-    start = lo if lo % 2 else lo + 1
-    for n in range(start, hi + 1, 2):
-        want = _sigma_pow_mod(n, 11, 256, spf)
-        got = table.values[n] % 256
-        if want != got:
-            out.append(_violation("mod256", n, want, got))
-    return out
+    return _sigma11_sweep("mod256", 256, 2, table, lo, hi, spf)
 
 
 def check_deligne_prime(q: int, table: TauTable) -> bool:
@@ -98,18 +93,14 @@ def check_hecke_all(table: TauTable, hi: int | None = None) -> list[str]:
     hi = hi if hi is not None else table.limit
     hi = min(hi, table.limit)
     out = []
-    for q in primes_in(1, int(hi**0.5) + 1):
-        if q * q > hi:
-            continue
+    for q in primes_upto(isqrt(hi)):
         tq = table.values[q]
-        q11 = q**11
-        prev, cur = 1, tq
-        power = q
-        while power * q <= hi:
-            power *= q
-            prev, cur = cur, cur * tq - q11 * prev
-            if table.values[power] != cur:
-                out.append(_violation("hecke", power, cur, table.values[power]))
+        power, alpha = q * q, 2
+        while power <= hi:
+            want = tau_prime_power(tq, q, alpha)
+            if table.values[power] != want:
+                out.append(_violation("hecke", power, want, table.values[power]))
+            power, alpha = power * q, alpha + 1
     return out
 
 

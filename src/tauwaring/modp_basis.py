@@ -211,11 +211,13 @@ class ModpContext:
     cover: ProductSumCover
 
 
-def _classes_by_tau(qs, p: int, table: TauTable) -> dict[int, list[int]]:
-    classes: dict[int, list[int]] = {}
+def _classes_by_tau(classes: dict[int, list[int]], qs, p: int,
+                    table: TauTable) -> dict[int, list[int]]:
+    """Add the primes qs, ascending, to `classes` (tau(q) mod p -> primes), so
+    each class stays sorted; the keys stay in first-seen order."""
     for q in qs:
         classes.setdefault(table.values[q] % p, []).append(q)
-    return {r: sorted(classes[r]) for r in sorted(classes)}
+    return classes
 
 
 def _class_witnesses(classes) -> list[WitnessedResidue]:
@@ -287,10 +289,13 @@ def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -
     cap_hi = table.limit
     hi = min(max(29, WINDOW_START * isqrt(p) + 1), cap_hi)
     primes = primes_upto(cap_hi)  # sieved once; each window is a slice
-    lo = bisect_right(primes, 23)
+    seen = bisect_right(primes, 23)
+    classes: dict[int, list[int]] = {}
     best = (0, 0)
     while True:
-        classes = _classes_by_tau(primes[lo : bisect_right(primes, hi)], p, table)
+        top = bisect_right(primes, hi)
+        _classes_by_tau(classes, primes[seen:top], p, table)
+        seen = top
         if policy.branch != "pairs" and len(classes) ** 2 > 9 * p:
             branch, trimmed, j1, j2 = "direct", {}, [], []
             xs, ys = _direct_sets(classes)
@@ -496,7 +501,7 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
     # C primes must stay below p/2 so their supports cannot collide with the
     # half-window witnesses of A and B.
     cap = min(EPS_CAP, (p - 1) // 2)
-    classes = _classes_by_tau(primes_in(p // 2, p), p, table)
+    classes = _classes_by_tau({}, primes_in(p // 2, p), p, table)
     if len(classes) < 2:
         raise DegenerateContextError(
             f"only {len(classes)} tau class(es) over primes in ({p // 2}, {p}]"
@@ -537,31 +542,17 @@ def _abc_branches(p, a_set, b_set, c_set, cap):
 
 
 def _sum_elements(a_set, c_set, p):
-    out, seen = [], set()
-    for wa in a_set:
-        for wc in c_set:
-            res = (wa.residue + wc.residue) % p
-            if res not in seen:
-                seen.add(res)
-                out.append(
-                    WitnessedResidue(res, wa.origin + wc.origin, wa.support + wc.support)
-                )
-    return out
+    return _first_by_residue(
+        [WitnessedResidue((wa.residue + wc.residue) % p, wa.origin + wc.origin,
+                          wa.support + wc.support)
+         for wa in a_set for wc in c_set], p)
 
 
 def _product_elements(a_set, c_set, p):
-    out, seen = [], set()
-    for wa in a_set:
-        for wc in c_set:
-            res = wa.residue * wc.residue % p
-            if res not in seen:
-                seen.add(res)
-                na = wa.origin[0][1]
-                nc = wc.origin[0][1]
-                out.append(
-                    WitnessedResidue(res, ((1, na * nc),), wa.support + wc.support)
-                )
-    return out
+    return _first_by_residue(
+        [WitnessedResidue(wa.residue * wc.residue % p,
+                          ((1, wa.origin[0][1] * wc.origin[0][1]),), wa.support + wc.support)
+         for wa in a_set for wc in c_set], p)
 
 
 def represent_sum16(lam: int, p: int, table: TauTable, *,

@@ -3,14 +3,18 @@ import copy
 import functools
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tauwaring import cli
+from tauwaring import cli, modp_basis, waring_int
 from tauwaring.cli import main
 from tauwaring.modp_basis import (
     WindowPolicy,
@@ -27,6 +31,9 @@ from tauwaring.waring_int import (
     represent_integer,
     verify_integer_certificate,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -66,6 +73,18 @@ def test_verify_mod691_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "mod691", "--limit", "500")
     assert code == 0
     assert "violations=0" in out
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_verify_rejects_nonpositive_limit(tmp_path, capsys, suite, limit):
+    path = tmp_path / "t.txt"
+    run(capsys, "table", "--limit", "200", "--out", str(path))
+    for flags in ((), ("--table", str(path))):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--limit", limit, *flags)
+        assert code == 3
+        assert out == ""
+        assert "--limit must be >= 1" in err
 
 
 def test_verify_unknown_suite(capsys):
@@ -255,8 +274,17 @@ def test_modp_small_p(capsys):
     assert code == 3
 
 
+def _tampered(represent):
+    def wrapper(*args, **kwargs):
+        cert = represent(*args, **kwargs)
+        cert.plus[0] += 1
+        return cert
+    return wrapper
+
+
 def test_forced_mismatch_hook(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TAUWARING_FORCE_MISMATCH", "1")
+    monkeypatch.setattr(waring_int, "represent_integer", _tampered(represent_integer))
+    monkeypatch.setattr(modp_basis, "represent_pm32", _tampered(represent_pm32))
     code, _, err = run(capsys, "represent", "--target", "5", "--out",
                        str(tmp_path / "c.json"))
     assert code == 1
@@ -266,6 +294,7 @@ def test_forced_mismatch_hook(tmp_path, capsys, monkeypatch):
         "--limit", "2000",
     )
     assert code == 1
+    assert "SELF-CHECK FAILED" in err
 
 
 def test_env_table_path(tmp_path, capsys, monkeypatch):
@@ -276,19 +305,12 @@ def test_env_table_path(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_bench_format(capsys):
-    code, out, _ = run(capsys, "bench", "--limit", "2000", "--reps", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert sum(1 for l in lines if l.startswith("BENCH table_build") and "rep=" in l) == 2
-    assert any("median_seconds=" in l for l in lines)
-    assert any(l.startswith("BENCH sweep_mod691") for l in lines)
-
-
-def test_bench_rejects_zero_reps(capsys):
-    code, _, err = run(capsys, "bench", "--limit", "100", "--reps", "0")
-    assert code == 3
-    assert "--reps" in err
+def test_module_entry_point_exits_3_on_missing_file():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tauwaring.cli", "check", "/nonexistent.json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert "unreadable certificate" in proc.stderr
 
 
 def test_bad_flag_exits_3(capsys):

@@ -95,6 +95,21 @@ def test_hecke_sweep_clean(table_2k):
     assert check_hecke_all(table_2k) == []
 
 
+def test_hecke_catches_violation(table_2k):
+    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    corrupted = (4, 8, 9, 27, 49, 343)  # q^2 and q^3 for q = 2, 3, 7
+    for n in corrupted:
+        broken.values[n] += 1
+    assert check_hecke_all(broken) == [
+        f"CHECK hecke n={n} expected={table_2k.values[n]} got={table_2k.values[n] + 1}"
+        for n in corrupted
+    ]
+    assert check_hecke_all(broken, 26) == [
+        f"CHECK hecke n={n} expected={table_2k.values[n]} got={table_2k.values[n] + 1}"
+        for n in (4, 8, 9)
+    ]
+
+
 def test_multiplicativity_sweep_clean(table_2k):
     assert check_multiplicativity(table_2k) == []
 
