@@ -44,12 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_table(table_path, limit, fallback_limit) -> TauTable:
+    if limit is not None and limit < 1:
+        raise CliInputError("--limit must be >= 1")
     if table_path:
         return load_table(table_path)
     env_path = os.environ.get(TABLE_ENV)
     if env_path:
         return load_table(env_path)
-    return build_tau_table_series(limit if limit else fallback_limit)
+    return build_tau_table_series(limit or fallback_limit)
 
 
 def _emit(out, cert, verified: bool, summary: str) -> int:
@@ -82,8 +84,6 @@ SUITES = ("mod691", "mod256", "deligne", "hecke", "zero-sums", "multiplicativity
 
 
 def cmd_verify(args) -> int:
-    if args.limit is not None and args.limit < 1:
-        raise CliInputError("--limit must be >= 1")
     table = _resolve_table(args.table, args.limit, fallback_limit=2000)
     hi = min(args.limit or table.limit, table.limit)
     if args.suite == "zero-sums":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import decimal
 import re
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .divisor_arith import SigmaTable, factor_within, iter_factor_pairs, primes_in
 from .errors import CapacityError, InternalCheckError, TableFormatError
@@ -42,11 +42,20 @@ _VALUE_RE = re.compile(r"^-?[0-9]+$")
 
 @dataclass
 class TauTable:
-    """Exact tau(1..limit); values[0] is a zero sentinel, entries are exact ints."""
+    """Exact tau(1..limit); values[0] is a zero sentinel, entries are exact ints.
+
+    `ladder` caches the integer solver's sorted greedy ladder (see
+    waring_int._greedy_descent). It takes no part in ==, repr or pickling,
+    and assumes `values` is not mutated once it is filled.
+    """
 
     limit: int
     values: list[int]
     method: str = "series"
+    ladder: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "ladder": None}
 
     def tau(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -232,7 +241,9 @@ def load_table(path) -> TauTable:
         raise TableFormatError("line 1: file is not newline-terminated")
     if text.endswith("\n\n"):
         raise TableFormatError("trailing blank line at end of file")
-    lines = text[:-1].split("\n")
+    lines = text.split("\n")
+    lines.pop()  # the empty string after the final newline
+    del text
     m = TABLE_HEADER_RE.match(lines[0])
     if not m:
         raise TableFormatError(f"line 1: bad header {lines[0]!r}")
@@ -244,14 +255,14 @@ def load_table(path) -> TauTable:
             f"line {len(lines)}: expected {limit} value lines, found {len(lines) - 1}"
         )
     values = [0]
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 2 or not _VALUE_RE.match(parts[1]):
-            raise TableFormatError(f"line {i}: malformed entry {line!r}")
-        n = i - 1
-        if parts[0] != str(n):
-            raise TableFormatError(f"line {i}: expected index {n}, found {parts[0]!r}")
-        values.append(int(parts[1]))
+    for n, line in enumerate(lines[1:], start=1):
+        # The text is ASCII, so isdigit() accepts exactly _VALUE_RE's digits.
+        index, tab, value = line.partition("\t")
+        if not tab or not (value[1:] if value[:1] == "-" else value).isdigit():
+            raise TableFormatError(f"line {n + 1}: malformed entry {line!r}")
+        if index != str(n):
+            raise TableFormatError(f"line {n + 1}: expected index {n}, found {index!r}")
+        values.append(int(value))
     return TauTable(limit=limit, values=values, method="loaded")
 
 

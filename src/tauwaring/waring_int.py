@@ -422,6 +422,51 @@ def index_budget(target: int, c_bound: int | Fraction) -> int:
     return int(c_bound * (root + 1))
 
 
+def _greedy_descent(target: int, budget: int, max_terms: int,
+                    table: TauTable) -> tuple[list[int], int]:
+    """Greedy steps until |remainder| <= DP_THRESHOLD; returns (indices, remainder).
+
+    Each step takes the tau value within the budget closest to the remainder,
+    ties to the smaller index. The ladder of indices sorted by (tau, index) is
+    kept in `table.ladder` and regrown to at least twice its size when a
+    budget passes its end; each call walks only the entries within its budget.
+    """
+    if abs(target) <= DP_THRESHOLD:
+        return [], target
+    terms: list[int] = []
+    remainder = target
+    ladder = table.ladder
+    if ladder is None or len(ladder[1]) < budget:
+        size = min(table.limit, max(budget, 2 * len(ladder[1]) if ladder else 0))
+        order = sorted(range(1, size + 1), key=table.values.__getitem__)
+        ladder = table.ladder = (np.array(order), order, [table.values[n] for n in order])
+    order_arr, order, ladder_vals = ladder
+    # Positions in the full ladder of the indices within this budget.
+    kept = np.flatnonzero(order_arr <= budget).tolist()
+    while abs(remainder) > DP_THRESHOLD:
+        if len(terms) >= max_terms:
+            raise InfeasibleError(
+                f"term budget {max_terms} exhausted at remainder {remainder};"
+                " raise c_bound or max_terms"
+            )
+        pos = bisect.bisect_left(kept, bisect.bisect_left(ladder_vals, remainder))
+        best = None
+        for cand in (pos - 1, pos, pos + 1):
+            if 0 <= cand < len(kept):
+                v, idx = ladder_vals[kept[cand]], order[kept[cand]]
+                key = (abs(remainder - v), idx)
+                if best is None or key < best[0]:
+                    best = (key, v, idx)
+        _, v, idx = best
+        if abs(remainder - v) >= abs(remainder):
+            raise InfeasibleError(
+                f"greedy descent stalled at remainder {remainder} with budget {budget}"
+            )
+        terms.append(idx)
+        remainder -= v
+    return terms, remainder
+
+
 def represent_integer(target: int, params: RepresentationParams,
                       table: TauTable) -> SumCertificate:
     """Write target as a sum of tau values at indices within the budget.
@@ -429,6 +474,7 @@ def represent_integer(target: int, params: RepresentationParams,
     Strategy: greedy descent on the remainder using the closest tau value
     within the index budget while |remainder| is large, then an exact
     minimum-term finish over tau(1..10) once it drops below DP_THRESHOLD.
+    The descent's sorted ladder is built once per table, not per target.
     Zero gets the canonical 33-block certificate so the result is never an
     empty sum.
     """
@@ -452,32 +498,7 @@ def represent_integer(target: int, params: RepresentationParams,
         }
         return SumCertificate(target=0, plus=indices, meta=meta)
 
-    terms: list[int] = []
-    remainder = target
-    if abs(remainder) > DP_THRESHOLD:
-        ladder = sorted((table.values[n], n) for n in range(1, budget + 1))
-        ladder_vals = [v for v, _ in ladder]
-        while abs(remainder) > DP_THRESHOLD:
-            if len(terms) >= params.max_terms:
-                raise InfeasibleError(
-                    f"term budget {params.max_terms} exhausted at remainder {remainder};"
-                    " raise c_bound or max_terms"
-                )
-            pos = bisect.bisect_left(ladder_vals, remainder)
-            best = None
-            for cand in (pos - 1, pos, pos + 1):
-                if 0 <= cand < len(ladder):
-                    v, idx = ladder[cand]
-                    key = (abs(remainder - v), idx)
-                    if best is None or key < best[0]:
-                        best = (key, v, idx)
-            _, v, idx = best
-            if abs(remainder - v) >= abs(remainder):
-                raise InfeasibleError(
-                    f"greedy descent stalled at remainder {remainder} with budget {budget}"
-                )
-            terms.append(idx)
-            remainder -= v
+    terms, remainder = _greedy_descent(target, budget, params.max_terms, table)
 
     coins = tuple(table.values[n] for n in range(1, 11))
     radius = DP_THRESHOLD + max(abs(c) for c in coins)

@@ -87,6 +87,26 @@ def test_verify_rejects_nonpositive_limit(tmp_path, capsys, suite, limit):
         assert "--limit must be >= 1" in err
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+@pytest.mark.parametrize("command", [
+    ("represent", "--target", "5"),
+    ("represent", "--target", "5", "--residue"),
+    ("modp", "--p", "29", "--lambda", "3", "--mode", "pm32"),
+    ("check", "{cert}"),
+])
+def test_table_commands_reject_nonpositive_limit(tmp_path, capsys, command, limit):
+    path = tmp_path / "t.txt"
+    cert = tmp_path / "c.json"
+    run(capsys, "table", "--limit", "200", "--out", str(path))
+    run(capsys, "represent", "--target", "5", "--limit", "200", "--out", str(cert))
+    argv = [a.format(cert=cert) for a in command]
+    for flags in ((), ("--table", str(path))):
+        code, out, err = run(capsys, *argv, "--limit", limit, *flags)
+        assert code == 3
+        assert out == ""
+        assert "--limit must be >= 1" in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 3

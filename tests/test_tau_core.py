@@ -1,4 +1,6 @@
 import hashlib
+import re
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tauwaring.errors import CapacityError, InternalCheckError, TableFormatError
 from tauwaring.divisor_arith import SigmaTable, build_sigma_table
 from tauwaring.tau_core import (
+    TABLE_HEADER_RE,
+    TauTable,
     _cube_terms,
     build_tau_table_series,
     load_table,
@@ -251,3 +255,86 @@ def test_load_rejects_missing_final_newline(tmp_path):
     path.write_text("TAU-TABLE v1 limit=1\n1\t1")
     with pytest.raises(TableFormatError):
         load_table(path)
+
+
+VALUE_RE = re.compile(r"^-?[0-9]+$")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1\t+5", "line 2: malformed entry '1\\t+5'"),
+    ("1\t-", "line 2: malformed entry '1\\t-'"),
+    ("1\t", "line 2: malformed entry '1\\t'"),
+    ("1\t5\t6", "line 2: malformed entry '1\\t5\\t6'"),
+    ("15", "line 2: malformed entry '15'"),
+    ("1\t5\r", "line 2: malformed entry '1\\t5\\r'"),
+    ("1\t1_0", "line 2: malformed entry '1\\t1_0'"),
+    ("1\t 5", "line 2: malformed entry '1\\t 5'"),
+    ("2\t5", "line 2: expected index 1, found '2'"),
+    ("1 \t5", "line 2: expected index 1, found '1 '"),
+    ("01\t5", "line 2: expected index 1, found '01'"),
+    ("\t5", "line 2: expected index 1, found ''"),
+])
+def test_load_rejects_malformed_line(tmp_path, line, message):
+    path = tmp_path / "t.txt"
+    path.write_text(f"TAU-TABLE v1 limit=1\n{line}\n", newline="")
+    with pytest.raises(TableFormatError) as info:
+        load_table(path)
+    assert str(info.value) == message
+    with pytest.raises(TableFormatError) as info:
+        regex_load_table(path)
+    assert str(info.value) == message
+
+
+def test_load_accepts_signs_and_leading_zeros(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("TAU-TABLE v1 limit=3\n1\t-0\n2\t007\n3\t-12\n")
+    assert load_table(path).values == [0, 0, 7, -12]
+
+
+def regex_load_table(path):
+    """load_table as it was with one regex match per line (test reference)."""
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise TableFormatError("line 1: file is not newline-terminated")
+    if text.endswith("\n\n"):
+        raise TableFormatError("trailing blank line at end of file")
+    lines = text[:-1].split("\n")
+    m = TABLE_HEADER_RE.match(lines[0])
+    if not m:
+        raise TableFormatError(f"line 1: bad header {lines[0]!r}")
+    limit = int(m.group(1))
+    if limit < 1:
+        raise TableFormatError("line 1: limit must be >= 1")
+    if len(lines) - 1 != limit:
+        raise TableFormatError(
+            f"line {len(lines)}: expected {limit} value lines, found {len(lines) - 1}"
+        )
+    values = [0]
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if len(parts) != 2 or not VALUE_RE.match(parts[1]):
+            raise TableFormatError(f"line {i}: malformed entry {line!r}")
+        n = i - 1
+        if parts[0] != str(n):
+            raise TableFormatError(f"line {i}: expected index {n}, found {parts[0]!r}")
+        values.append(int(parts[1]))
+    return TauTable(limit=limit, values=values, method="loaded")
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_peak_memory_within_regex_loader(tmp_path, table_20k):
+    path = tmp_path / "t.txt"
+    save_table(path, table_20k)
+    ref, ref_peak = traced_peak(regex_load_table, path)
+    got, peak = traced_peak(load_table, path)
+    assert got.values == ref.values == table_20k.values
+    assert peak <= ref_peak

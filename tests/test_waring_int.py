@@ -1,10 +1,17 @@
+import bisect
+import hashlib
+import json
+import math
+import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tauwaring.divisor_arith import primes_in
+from tauwaring import waring_int
+from tauwaring.divisor_arith import integer_nth_root, primes_in
 from tauwaring.errors import (
     CapacityError,
     InfeasibleError,
@@ -12,8 +19,9 @@ from tauwaring.errors import (
     RelationViolationError,
 )
 from tauwaring.identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
-from tauwaring.tau_core import TauTable
+from tauwaring.tau_core import TauTable, build_tau_table_series
 from tauwaring.waring_int import (
+    DP_THRESHOLD,
     NON_REPRESENTABLE_6X7Y,
     RESIDUE_MODULUS,
     TAU_SMALL,
@@ -384,3 +392,170 @@ def test_verify_rejects_meta_tampering(table_2k):
     cert = represent_integer(777, RepresentationParams(), table_2k)
     cert.meta["term_count"] += 1
     assert not verify_integer_certificate(cert, table_2k)
+
+
+# ---------------------------------------------------------------- greedy ladder
+
+
+def per_call_greedy(target, budget, max_terms, table):
+    """The greedy descent as it was before the ladder was kept on the table
+    (test reference): one (tau, index) tuple sort per call."""
+    terms, remainder = [], target
+    if abs(remainder) > DP_THRESHOLD:
+        ladder = sorted((table.values[n], n) for n in range(1, budget + 1))
+        ladder_vals = [v for v, _ in ladder]
+        while abs(remainder) > DP_THRESHOLD:
+            if len(terms) >= max_terms:
+                raise InfeasibleError(
+                    f"term budget {max_terms} exhausted at remainder {remainder};"
+                    " raise c_bound or max_terms"
+                )
+            pos = bisect.bisect_left(ladder_vals, remainder)
+            best = None
+            for cand in (pos - 1, pos, pos + 1):
+                if 0 <= cand < len(ladder):
+                    v, idx = ladder[cand]
+                    key = (abs(remainder - v), idx)
+                    if best is None or key < best[0]:
+                        best = (key, v, idx)
+            _, v, idx = best
+            if abs(remainder - v) >= abs(remainder):
+                raise InfeasibleError(
+                    f"greedy descent stalled at remainder {remainder} with budget {budget}"
+                )
+            terms.append(idx)
+            remainder -= v
+    return terms, remainder
+
+
+def greedy_outcome(walk, target, budget, max_terms, table):
+    try:
+        return walk(target, budget, max_terms, table)
+    except InfeasibleError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_greedy(cases, table):
+    """Both walks agree on every (target, budget, max_terms); returns the outcomes."""
+    outcomes = []
+    for target, budget, max_terms in cases:
+        ref = greedy_outcome(per_call_greedy, target, budget, max_terms, table)
+        got = greedy_outcome(waring_int._greedy_descent, target, budget, max_terms, table)
+        assert got == ref, (target, budget, max_terms)
+        outcomes.append(got)
+    return outcomes
+
+
+def fresh_copy(table):
+    return TauTable(table.limit, list(table.values), table.method)
+
+
+def budget_as_c_bound(target, budget):
+    """A Fraction c_bound whose index_budget for target is exactly budget."""
+    c_bound = Fraction(budget, integer_nth_root(target * target, 11) + 1)
+    assert index_budget(target, c_bound) == budget
+    return c_bound
+
+
+def test_greedy_matches_per_call_sort_on_integer_workload(table_20k):
+    # The targets of perfbench/workloads.integer_inputs(1, FULL), default params.
+    rng = random.Random("integer:1")
+    targets = [rng.choice((-1, 1)) * int(10 ** rng.uniform(3, 17)) for _ in range(600)]
+    cases = [(n, index_budget(n, 15), 74000) for n in targets]
+    assert sum(abs(n) > DP_THRESHOLD for n in targets) == 470
+    table = fresh_copy(table_20k)
+    outcomes = assert_same_greedy(cases, table)
+    assert all(isinstance(o[0], list) for o in outcomes)
+    assert len(table.ladder[1]) >= max(b for _, b, _ in cases)
+
+
+def test_greedy_matches_per_call_sort_on_large_targets(table_20k):
+    rng = random.Random("greedy ladder: large targets")
+    table = fresh_copy(table_20k)
+    cases = []
+    for _ in range(2000):
+        target = rng.choice((-1, 1)) * int(10 ** rng.uniform(6, 22))
+        budget = int(10 ** rng.uniform(0, math.log10(table.limit)))
+        cases.append((target, index_budget(target, budget_as_c_bound(target, budget)), 2000))
+    outcomes = assert_same_greedy(cases, table)
+    kinds = Counter(o[1].split()[1] if o[0] is InfeasibleError else "ok" for o in outcomes)
+    assert set(kinds) == {"ok", "budget", "descent"}, kinds
+
+
+@pytest.mark.parametrize("limit", [10, 11, 50, 333, 2000])
+def test_greedy_matches_per_call_sort_on_small_tables(limit):
+    rng = random.Random(f"greedy ladder: table {limit}")
+    table = build_tau_table_series(limit)
+    cases = []
+    for _ in range(300):
+        target = rng.choice((-1, 1)) * int(10 ** rng.uniform(6, 22))
+        budget = int(10 ** rng.uniform(0, math.log10(limit)))
+        cases.append((target, index_budget(target, budget_as_c_bound(target, budget)),
+                      rng.choice((198, 500, 2000))))
+    outcomes = assert_same_greedy(cases, table)
+    assert any(o[0] is InfeasibleError and "stalled" in o[1] for o in outcomes)
+    assert any(o[0] is InfeasibleError and "exhausted" in o[1] for o in outcomes)
+
+
+def test_greedy_matches_per_call_sort_on_tied_values():
+    # Real tau values do not repeat here, so ties between equal values (broken
+    # by index) only show on a fake table.
+    rng = random.Random("greedy ladder: ties")
+    steps = (-(10**7), -(10**6), -24, 1, 5, 10**6, 3 * 10**6)
+    table = TauTable(300, [0] + [rng.choice(steps) for _ in range(300)], "series")
+    cases = [(rng.choice((-1, 1)) * rng.randint(DP_THRESHOLD + 1, 10**9),
+              rng.randint(1, table.limit), 500) for _ in range(300)]
+    outcomes = assert_same_greedy(cases, table)
+    assert sum(isinstance(o[0], list) for o in outcomes) > 200
+
+
+# sha256 of the JSON of these 50 certificates, as emitted by the per-call sort.
+REPRESENT_DIGEST = "9b9fbb433a5ed6cc54bdcd81b041d61795c9cd29ac82f69689d2ddf7bbc74427"
+
+
+def test_represent_integer_certificates_pinned(table_20k):
+    rng = random.Random("represent_integer pin")
+    targets = [rng.choice((-1, 1)) * int(10 ** rng.uniform(0, 17)) for _ in range(50)]
+    table = fresh_copy(table_20k)
+    certs = [represent_integer(n, RepresentationParams(), table).to_json_dict()
+             for n in targets]
+    digest = hashlib.sha256(json.dumps(certs, sort_keys=True).encode()).hexdigest()
+    assert digest == REPRESENT_DIGEST
+
+
+def test_ladder_sorted_about_log2_times(table_20k, monkeypatch):
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(waring_int, "sorted", counting_sorted, raising=False)
+    table = fresh_copy(table_20k)
+    b0 = 13
+    for i in range(200):
+        budget = int(b0 * (table.limit / b0) ** (i / 199))
+        target = 10**7 + i
+        assert waring_int._greedy_descent(target, budget, 74000, table) == \
+            per_call_greedy(target, budget, 74000, table)
+    assert len(table.ladder[1]) == table.limit
+    assert 1 <= len(sorts) <= math.ceil(math.log2(table.limit / b0)) + 1
+
+
+def test_ladder_cache_is_per_table(table_20k):
+    table = fresh_copy(table_20k)
+    represent_integer(10**12, RepresentationParams(), table)
+    copied = fresh_copy(table)
+    assert table.ladder is not None and copied.ladder is None
+    represent_integer(10**12, RepresentationParams(), copied)
+    assert copied.ladder is not table.ladder
+
+
+def test_ladder_cache_leaves_eq_repr_pickle_alone():
+    table = build_tau_table_series(500)
+    before = (repr(table), pickle.dumps(table))
+    represent_integer(-(10**8), RepresentationParams(), table)
+    assert table.ladder is not None
+    assert (repr(table), pickle.dumps(table)) == before
+    assert table == fresh_copy(table)
+    assert pickle.loads(pickle.dumps(table)).ladder is None
