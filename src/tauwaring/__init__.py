@@ -7,14 +7,10 @@ from .divisor_arith import (
     coprime_to_23_factorial,
     primes_in,
     sieve_spf,
-    sigma,
 )
 from .identity_suite import (
     ZERO_SUM_SEVEN,
     ZERO_SUM_SIX,
-    ZeroSumCertificate,
-    check_deligne_prime,
-    check_hecke_q11,
     check_mod256_odd,
     check_mod691,
     verify_zero_sums,

@@ -97,10 +97,7 @@ def cmd_verify(args) -> int:
         "hecke": identity_suite.check_hecke_all,
         "multiplicativity": identity_suite.check_multiplicativity,
     }
-    if args.suite == "mod691" or args.suite == "mod256":
-        violations = sweeps[args.suite](table, 1, hi)
-    else:
-        violations = sweeps[args.suite](table, hi)
+    violations = sweeps[args.suite](table, hi=hi)
     for line in violations:
         print(line)
     print(f"VERIFY {args.suite} violations={len(violations)}")

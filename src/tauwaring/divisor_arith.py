@@ -47,22 +47,6 @@ def iter_factor_pairs(n: int, spf: list[int]):
         yield q, e
 
 
-def sigma(s: int, n: int) -> int:
-    """Divisor-power sum sigma_s(n) = sum of d^s over divisors d of n, exact."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if s < 0:
-        raise ValueError(f"exponent must be nonnegative, got {s}")
-    total = 1
-    for q, e in factor_within(n, n):
-        if s == 0:
-            total *= e + 1
-        else:
-            qs = q**s
-            total *= (qs ** (e + 1) - 1) // (qs - 1)
-    return total
-
-
 @dataclass(frozen=True)
 class SigmaTable:
     """Exact sigma_s values for 1..limit; values[0] is a zero sentinel."""

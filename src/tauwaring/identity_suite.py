@@ -7,10 +7,9 @@ than from the first bad index. An empty report means success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .divisor_arith import is_prime, iter_factor_pairs, primes_in, primes_upto, sieve_spf
+from .divisor_arith import iter_factor_pairs, primes_in, primes_upto, sieve_spf
 from .errors import InternalCheckError
 from .tau_core import TauTable, tau_prime_power
 
@@ -65,13 +64,6 @@ def check_mod256_odd(table: TauTable, lo: int = 1, hi: int | None = None,
     return _sigma11_sweep("mod256", 256, 2, table, lo, hi, spf)
 
 
-def check_deligne_prime(q: int, table: TauTable) -> bool:
-    """tau(q)^2 <= 4 q^11 for prime q, evaluated in exact integers (no roots)."""
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
-    return table.tau(q) ** 2 <= 4 * q**11
-
-
 def check_deligne_all(table: TauTable, hi: int | None = None) -> list[str]:
     hi = hi if hi is not None else table.limit
     out = []
@@ -81,11 +73,6 @@ def check_deligne_all(table: TauTable, hi: int | None = None) -> list[str]:
         if t2 > bound:
             out.append(_violation("deligne", q, f"<= {bound}", t2))
     return out
-
-
-def check_hecke_q11(q: int, table: TauTable) -> bool:
-    """tau(q)^2 - tau(q^2) equals q^11 exactly."""
-    return table.tau(q) ** 2 - table.tau(q * q) == q**11
 
 
 def check_hecke_all(table: TauTable, hi: int | None = None) -> list[str]:
@@ -120,31 +107,14 @@ def check_multiplicativity(table: TauTable, hi: int | None = None) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ZeroSumCertificate:
-    """A multiset of indices whose tau values sum to exactly zero."""
-
-    indices: tuple[int, ...]
-
-    def recompute(self, table: TauTable) -> int:
-        return sum(table.tau(n) for n in self.indices)
-
-
-def make_zero_sum_certificate(indices, table: TauTable) -> ZeroSumCertificate:
-    cert = ZeroSumCertificate(tuple(indices))
-    total = cert.recompute(table)
-    if total != 0:
-        raise InternalCheckError(
-            f"indices {cert.indices} sum to {total}, not zero; table is wrong or claim false"
-        )
-    return cert
-
-
-def verify_zero_sums(table: TauTable) -> tuple[ZeroSumCertificate, ZeroSumCertificate]:
-    """Certify the six-term and seven-term zero sums against the table."""
+def verify_zero_sums(table: TauTable) -> None:
+    """Check the six-term and seven-term zero sums against the table; raises
+    InternalCheckError naming the first block whose tau values do not sum to 0."""
     if table.limit < 105:
         raise ValueError(f"table covers {table.limit}, zero sums need 105")
-    return (
-        make_zero_sum_certificate(ZERO_SUM_SIX, table),
-        make_zero_sum_certificate(ZERO_SUM_SEVEN, table),
-    )
+    for indices in (ZERO_SUM_SIX, ZERO_SUM_SEVEN):
+        total = sum(table.tau(n) for n in indices)
+        if total != 0:
+            raise InternalCheckError(
+                f"indices {indices} sum to {total}, not zero; table is wrong or claim false"
+            )

@@ -197,15 +197,16 @@ class WindowPolicy:
 
 @dataclass
 class ModpContext:
-    """Witnessed construction state for one prime p."""
+    """The witnessed sets of one prime p and the cover they settle.
+
+    window is the prime window (23, hi] that first gave |X||Y| > 2p on the
+    chosen branch; x_set and y_set are that branch's witnesses, and cover
+    reaches Z_p within eight levels.
+    """
 
     p: int
     window: tuple[int, int]
     branch: str  # "direct" or "pairs"
-    classes: dict[int, list[int]]
-    trimmed: dict[int, list[int]]
-    j1: list[tuple[int, int]]
-    j2: list[tuple[int, int]]
     x_set: list[WitnessedResidue]
     y_set: list[WitnessedResidue]
     cover: ProductSumCover
@@ -233,46 +234,22 @@ def _direct_sets(classes):
     return wits[:half], wits[half:]
 
 
-def _pair_sets(classes, p, table):
-    """Trim classes to multiples of four, pair primes within each class, and
-    split the pairs round-robin into J1/J2; X and Y collect the residues
-    tau(q q') - tau(q^2) = q^11 (mod p) with their witness pairs."""
-    trimmed = {}
-    j1: list[tuple[int, int]] = []
-    j2: list[tuple[int, int]] = []
+def _pair_sets(classes, p):
+    """(X, Y) from the primes of each tau class, taken four at a time in class
+    order: (q1, q2) joins J1 and (q3, q4) joins J2, and a class's last
+    len % 4 primes are left out. Since tau(q) = tau(q') (mod p) within a
+    class, tau(q q') - tau(q^2) = q^11 (mod p); X (from J1) and Y (from J2)
+    keep the first pair of each residue q^11, witnessed as q q' minus q^2."""
+    xs: dict[int, WitnessedResidue] = {}
+    ys: dict[int, WitnessedResidue] = {}
     for r in sorted(classes):
         qs = classes[r]
-        keep = qs[: 4 * (len(qs) // 4)]
-        trimmed[r] = keep
-        side = j1
-        for i in range(0, len(keep), 2):
-            side.append((keep[i], keep[i + 1]))
-            side = j2 if side is j1 else j1
-    def build(pairs):
-        by_res: dict[int, list[tuple[int, int]]] = {}
-        order: list[int] = []
-        for q, q2 in pairs:
-            tq = table.values[q]
-            res = (tq * table.values[q2] - (tq * tq - q**11)) % p
-            if res != pow(q, 11, p):
-                raise InternalCheckError(
-                    f"pair element for q={q} is {res}, expected q^11 mod p"
-                )
-            if res not in by_res:
-                order.append(res)
-            by_res.setdefault(res, []).append((q, q2))
-        wits = []
-        for res in order:
-            q, q2 = by_res[res][0]
-            if len({w[0] % p for w in by_res[res]}) > 11:
-                raise InternalCheckError(
-                    f"residue {res} has more than 11 witness classes mod p"
-                )
-            wits.append(
-                WitnessedResidue(res, ((1, q * q2), (-1, q * q)), (q, q2))
-            )
-        return wits
-    return trimmed, j1, j2, build(j1), build(j2)
+        for i in range(0, len(qs) - 3, 4):
+            for side, q, q2 in ((xs, qs[i], qs[i + 1]), (ys, qs[i + 2], qs[i + 3])):
+                res = pow(q, 11, p)
+                if res not in side:
+                    side[res] = WitnessedResidue(res, ((1, q * q2), (-1, q * q)), (q, q2))
+    return list(xs.values()), list(ys.values())
 
 
 def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -> ModpContext:
@@ -297,49 +274,20 @@ def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -
         _classes_by_tau(classes, primes[seen:top], p, table)
         seen = top
         if policy.branch != "pairs" and len(classes) ** 2 > 9 * p:
-            branch, trimmed, j1, j2 = "direct", {}, [], []
-            xs, ys = _direct_sets(classes)
+            branch, (xs, ys) = "direct", _direct_sets(classes)
         elif policy.branch != "direct":
-            branch = "pairs"
-            trimmed, j1, j2, xs, ys = _pair_sets(classes, p, table)
+            branch, (xs, ys) = "pairs", _pair_sets(classes, p)
         else:
             xs = ys = []
         best = max(best, (len(xs), len(ys)))
         if len(xs) * len(ys) > 2 * p:
-            ctx = ModpContext(p=p, window=(23, hi), branch=branch, classes=classes,
-                              trimmed=trimmed, j1=j1, j2=j2, x_set=xs, y_set=ys,
-                              cover=product_set_cover(xs, ys, p))
-            _validate_context(ctx)
-            return ctx
+            return ModpContext(p=p, window=(23, hi), branch=branch, x_set=xs, y_set=ys,
+                               cover=product_set_cover(xs, ys, p))
         if hi >= cap_hi:
             raise InfeasibleContextError(
                 f"window exhausted at hi={hi} for p={p}; best |X|,|Y| = {best}"
             )
         hi = min(cap_hi, max(hi + 1, int(hi * WINDOW_GROWTH)))
-
-
-def _validate_context(ctx: ModpContext) -> None:
-    p = ctx.p
-    if ctx.branch == "pairs":
-        used: set[int] = set()
-        for q, q2 in ctx.j1 + ctx.j2:
-            if q == q2 or q in used or q2 in used:
-                raise InternalCheckError("pair sets do not partition their primes")
-            used.update((q, q2))
-        if set(ctx.j1) & set(ctx.j2):
-            raise InternalCheckError("J1 and J2 overlap")
-        for r, keep in ctx.trimmed.items():
-            if len(keep) % 4:
-                raise InternalCheckError(f"trimmed class {r} has size {len(keep)}")
-    for wx in ctx.x_set:
-        if ctx.branch == "pairs":
-            q = wx.support[0]
-            if wx.residue != pow(q, 11, p):
-                raise InternalCheckError("X element does not equal q^11 mod p")
-    if len(ctx.x_set) * len(ctx.y_set) <= 2 * p:
-        raise InternalCheckError("context lost the cardinality precondition")
-    if not ctx.cover.covered:
-        raise InternalCheckError("context carries an incomplete coverage table")
 
 
 @dataclass

@@ -32,8 +32,8 @@ _EXACT = decimal.Context(
     traps=[decimal.Inexact, decimal.InvalidOperation, decimal.Overflow],
 )
 
-# Largest series build accepted by default; larger builds must be asked for
-# explicitly. A 1e6 build takes about 10 s and peaks near 230 MB.
+# Largest series build accepted, read at each call. A 1e6 build takes about
+# 10 s and peaks near 230 MB.
 DEFAULT_SERIES_CAP = 2_000_000
 
 TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
@@ -104,7 +104,7 @@ def _decode_balanced(slot_values, base: int) -> list[int]:
     return out
 
 
-def build_tau_table_series(limit: int, *, max_limit: int = DEFAULT_SERIES_CAP) -> TauTable:
+def build_tau_table_series(limit: int) -> TauTable:
     """Compute tau(1..limit) from the truncated 24th-power Euler product.
 
     The sparse Jacobi cube is packed into one big number (Kronecker
@@ -119,9 +119,10 @@ def build_tau_table_series(limit: int, *, max_limit: int = DEFAULT_SERIES_CAP) -
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > max_limit:
+    if limit > DEFAULT_SERIES_CAP:
         raise CapacityError(
-            f"series build for limit={limit} refused; largest feasible limit is {max_limit}"
+            f"series build for limit={limit} refused;"
+            f" largest feasible limit is {DEFAULT_SERIES_CAP}"
         )
     width = _slot_width_digits(limit)
     slots = limit + 1  # one guard slot on top; it absorbs wraparound

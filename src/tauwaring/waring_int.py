@@ -433,6 +433,10 @@ def _greedy_descent(target: int, budget: int, max_terms: int,
     """
     if abs(target) <= DP_THRESHOLD:
         return [], target
+    if budget < 1:
+        raise InfeasibleError(
+            f"index budget {budget} leaves no tau value to descend from {target}"
+        )
     terms: list[int] = []
     remainder = target
     ladder = table.ladder

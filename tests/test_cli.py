@@ -125,6 +125,17 @@ def test_verify_reports_violations(tmp_path, capsys):
     assert "CHECK mod256 n=9" in out
 
 
+def test_verify_zero_sums_names_the_bad_block(tmp_path, capsys):
+    table = build_tau_table_series(105)
+    table.values[105] += 1
+    path = tmp_path / "t.txt"
+    save_table(path, table)
+    code, out, err = run(capsys, "verify", "--suite", "zero-sums", "--table", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("internal check failed: indices (12, 27, 55, 69, 90, 105) sum to 1,"
+                   " not zero; table is wrong or claim false\n")
+
+
 def test_represent_target_one(tmp_path, capsys):
     cert_path = tmp_path / "c.json"
     code, out, _ = run(capsys, "represent", "--target", "1", "--out", str(cert_path))

@@ -1,4 +1,4 @@
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from tauwaring.divisor_arith import (
     iter_factor_pairs,
     primes_in,
     sieve_spf,
-    sigma,
 )
 
 
@@ -48,34 +47,11 @@ def test_iter_factor_pairs_out_of_range():
         list(iter_factor_pairs(0, spf))
 
 
-def test_sigma_examples():
-    assert sigma(1, 6) == 12
-    assert sigma(11, 2) == 2049
-    assert sigma(0, 12) == 6
-    assert sigma(5, 1) == 1
-
-
-def test_sigma_prime_shape():
-    for q in (2, 3, 5, 29):
-        assert sigma(11, q) == 1 + q**11
-
-
 @pytest.mark.parametrize("s", [0, 1, 5, 11])
 def test_sigma_table_matches_divisor_enumeration(s):
     tab = build_sigma_table(s, 1000)
     for n in range(1, 1001):
         assert tab.values[n] == brute_sigma(s, n)
-
-
-@given(
-    st.integers(min_value=1, max_value=300),
-    st.integers(min_value=1, max_value=300),
-    st.sampled_from([0, 1, 5, 11]),
-)
-def test_sigma_multiplicative_on_coprime(m, n, s):
-    if gcd(m, n) != 1:
-        return
-    assert sigma(s, m * n) == sigma(s, m) * sigma(s, n)
 
 
 def test_primes_in_examples():

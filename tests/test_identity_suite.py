@@ -7,13 +7,10 @@ from tauwaring.identity_suite import (
     ZERO_SUM_SEVEN,
     ZERO_SUM_SIX,
     check_deligne_all,
-    check_deligne_prime,
     check_hecke_all,
-    check_hecke_q11,
     check_mod256_odd,
     check_mod691,
     check_multiplicativity,
-    make_zero_sum_certificate,
     verify_zero_sums,
 )
 from tauwaring.tau_core import TauTable
@@ -63,14 +60,7 @@ def test_violation_report_format(table_2k):
 
 def test_deligne_examples(table_2k):
     assert table_2k.tau(2) ** 2 == 576 and 4 * 2**11 == 8192
-    assert check_deligne_prime(2, table_2k)
-    assert check_deligne_prime(29, table_2k)
     assert table_2k.tau(29) == 128406630
-
-
-def test_deligne_rejects_composite(table_2k):
-    with pytest.raises(ValueError):
-        check_deligne_prime(12, table_2k)
 
 
 def test_deligne_sweep_clean(table_2k):
@@ -86,9 +76,6 @@ def test_deligne_catches_violation(table_2k):
 def test_hecke_q11_examples(table_2k):
     assert table_2k.tau(2) ** 2 - table_2k.tau(4) == 2**11
     assert table_2k.tau(3) ** 2 - table_2k.tau(9) == 3**11
-    assert check_hecke_q11(2, table_2k)
-    assert check_hecke_q11(3, table_2k)
-    assert check_hecke_q11(5, table_2k)
 
 
 def test_hecke_sweep_clean(table_2k):
@@ -121,16 +108,17 @@ def test_multiplicativity_catches_violation(table_2k):
 
 
 def test_zero_sums(table_2k):
-    six, seven = verify_zero_sums(table_2k)
-    assert six.indices == ZERO_SUM_SIX
-    assert seven.indices == ZERO_SUM_SEVEN
-    assert six.recompute(table_2k) == 0
-    assert seven.recompute(table_2k) == 0
+    assert sum(table_2k.tau(n) for n in ZERO_SUM_SIX) == 0
+    assert sum(table_2k.tau(n) for n in ZERO_SUM_SEVEN) == 0
+    assert verify_zero_sums(table_2k) is None
 
 
 def test_zero_sum_rejects_nonzero(table_2k):
-    with pytest.raises(InternalCheckError):
-        make_zero_sum_certificate((1,), table_2k)
+    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    broken.values[105] += 1
+    with pytest.raises(InternalCheckError,
+                       match=r"^indices \(12, 27, 55, 69, 90, 105\) sum to 1, not zero;"):
+        verify_zero_sums(broken)
 
 
 def test_zero_sums_need_coverage():

@@ -282,15 +282,13 @@ def test_build_context_pairs_forced(table_2k):
     ctx = build_context(p, table_2k, WindowPolicy(branch="pairs"))
     assert ctx.branch == "pairs"
     used = set()
-    for q, q2 in ctx.j1 + ctx.j2:
+    for w in ctx.x_set + ctx.y_set:
+        q, q2 = w.support
+        assert w.origin == ((1, q * q2), (-1, q * q))
         assert q != q2
         assert q not in used and q2 not in used
         used.update((q, q2))
-    assert not set(ctx.j1) & set(ctx.j2)
-    for keep in ctx.trimmed.values():
-        assert len(keep) % 4 == 0
-    for w in ctx.x_set + ctx.y_set:
-        q = w.support[0]
+        assert table_2k.tau(q) % p == table_2k.tau(q2) % p
         assert w.residue == pow(q, 11, p)
         assert recompute_witnessed(w, table_2k, p) == w.residue
     assert len(ctx.x_set) * len(ctx.y_set) > 2 * p
@@ -472,6 +470,21 @@ def test_modp_certificates_are_byte_identical(table_2k):
                          represent_sum16(lam, p, table_2k, ctx=abc)):
                 digest.update((json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == CERT_DIGEST_29_101
+
+
+# The auto branch is direct at 29 and 101, so the pairs branch needs its own pin.
+CERT_DIGEST_PAIRS_29_101 = "5f1e8cee90711a51f6f65681845b5b24a3841d73d64ba2d9774b4c707fd2cf32"
+
+
+def test_pairs_branch_certificates_are_byte_identical(table_2k):
+    digest = hashlib.sha256()
+    for p in (29, 101):
+        ctx = build_context(p, table_2k, WindowPolicy(branch="pairs"))
+        for lam in range(p):
+            for represent in (represent_pm32, represent_sum96):
+                cert = represent(lam, ctx, table_2k)
+                digest.update((json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == CERT_DIGEST_PAIRS_29_101
 
 
 # ---------------------------------------------------------------- verifier

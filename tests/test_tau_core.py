@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tauwaring import tau_core
 from tauwaring.errors import CapacityError, InternalCheckError, TableFormatError
 from tauwaring.divisor_arith import SigmaTable, build_sigma_table
 from tauwaring.tau_core import (
@@ -111,11 +112,12 @@ def test_values_fit_sanity_envelope(table_2k):
         assert abs(table_2k.tau(n)) <= 2 * n**6
 
 
-def test_series_rejects_bad_limits():
+def test_series_rejects_bad_limits(monkeypatch):
     with pytest.raises(ValueError):
         build_tau_table_series(0)
+    monkeypatch.setattr(tau_core, "DEFAULT_SERIES_CAP", 500)
     with pytest.raises(CapacityError, match="500"):
-        build_tau_table_series(501, max_limit=500)
+        build_tau_table_series(501)
 
 
 def test_table_tau_bounds(table_2k):

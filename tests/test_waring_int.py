@@ -364,6 +364,13 @@ def test_represent_tight_c_bound_is_infeasible(table_2k):
         represent_integer(26, RepresentationParams(c_bound=1), table_2k)
 
 
+def test_represent_zero_budget_is_infeasible():
+    # c_bound 1/100 gives 2e6 an index budget of 0, so the greedy walk has no rung
+    with pytest.raises(InfeasibleError, match="index budget 0"):
+        represent_integer(2 * 10**6, RepresentationParams(c_bound=Fraction(1, 100)),
+                          build_tau_table_series(100))
+
+
 def test_certificate_json_roundtrip(table_2k):
     cert = represent_integer(-98765, RepresentationParams(), table_2k)
     back = sum_certificate_from_json(cert.to_json_dict())
