@@ -10,6 +10,7 @@ re-verifies its output through the independent verifier before exiting 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -153,28 +154,46 @@ def cmd_modp(args) -> int:
                  f" terms={len(cert.plus)}+{len(cert.minus)} max_index={cert.meta['max_index']}")
 
 
-def cmd_check(args) -> int:
+def _check_file(path, table_of) -> int:
+    """Check one certificate file against table_of(), print its CHECK or
+    error line, and return the exit code of a one-file check."""
     try:
-        with open(args.certificate, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii") as fh:
             obj = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: unreadable certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "integer_sum":
-        cert = waring_int.sum_certificate_from_json(obj)
-        check, head = waring_int.check_integer_certificate, f"target={cert.target}"
-    elif isinstance(kind, str) and kind in modp_basis.MODP_CAPS:
-        cert = modp_basis.modp_certificate_from_json(obj)
-        check, head = modp_basis.check_modp_certificate, f"p={cert.p} lambda={cert.lam}"
-    else:
-        print(f"error: unknown certificate kind {kind!r:.40}", file=sys.stderr)
+    try:
+        if kind == "integer_sum":
+            cert = waring_int.sum_certificate_from_json(obj)
+            check, head = waring_int.check_integer_certificate, f"target={cert.target}"
+        elif isinstance(kind, str) and kind in modp_basis.MODP_CAPS:
+            cert = modp_basis.modp_certificate_from_json(obj)
+            check, head = modp_basis.check_modp_certificate, f"p={cert.p} lambda={cert.lam}"
+        else:
+            print(f"error: unknown certificate kind {kind!r:.40}", file=sys.stderr)
+            return EXIT_INVALID
+    except ValueError as exc:  # a missing or wrongly typed field
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    # Never sized from the certificate, so its claims cannot set the work.
-    table = _resolve_table(args.table, args.limit, fallback_limit=2000)
-    recomputed, ok = check(cert, table)
+    recomputed, ok = check(cert, table_of())
     print(f"CHECK {kind} {head} recomputed={recomputed} ok={ok}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
+
+
+def cmd_check(args) -> int:
+    # Loaded at the first certificate that decodes, then shared, with its tau
+    # memo, by the rest. Never sized from a certificate, so its claims cannot
+    # set the work.
+    table_of = functools.cache(
+        lambda: _resolve_table(args.table, args.limit, fallback_limit=2000))
+    codes = [_check_file(path, table_of) for path in args.certificate]
+    if len(codes) > 1:
+        print(f"CHECKED files={len(codes)} ok={codes.count(EXIT_OK)}"
+              f" failed={codes.count(EXIT_VERIFY_FAIL)} invalid={codes.count(EXIT_INVALID)}")
+    # invalid (3) outranks a false verdict (1), which outranks success (0)
+    return max(codes)
 
 
 def build_parser() -> _Parser:
@@ -212,8 +231,8 @@ def build_parser() -> _Parser:
     p_modp.add_argument("--limit", type=int)
     p_modp.set_defaults(func=cmd_modp)
 
-    p_check = sub.add_parser("check", help="verify a certificate file")
-    p_check.add_argument("certificate")
+    p_check = sub.add_parser("check", help="verify certificate files")
+    p_check.add_argument("certificate", nargs="+")
     p_check.add_argument("--table")
     p_check.add_argument("--limit", type=int)
     p_check.set_defaults(func=cmd_check)

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
-# Primes up to 23; an integer is coprime to 23! iff none of these divides it.
-SMALL_PRIMES_23 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+# The product of the primes up to 23: n is coprime to 23! iff it is coprime to this.
+PRIMORIAL_23 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
 
 
 def sieve_spf(limit: int) -> list[int]:
@@ -125,7 +125,7 @@ def coprime_to_23_factorial(n: int) -> bool:
     """True iff n has no prime factor <= 23 (i.e. gcd(n, 23!) = 1)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return all(n % q for q in SMALL_PRIMES_23)
+    return gcd(n, PRIMORIAL_23) == 1
 
 
 def integer_nth_root(x: int, k: int) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import takewhile
 from math import gcd, isqrt
 
 import numpy as np
@@ -55,8 +54,10 @@ COVER_CHUNK = 1 << 16
 def _table_prime(p: int, table: TauTable) -> bool:
     """True iff p is a prime in (23, table.limit^2], settled by the table's
     primes up to sqrt(p), so the work is bounded by the table."""
-    small = takewhile(lambda q: q * q <= p, primes_upto(table.limit))
-    return 23 < p <= table.limit**2 and all(p % q for q in small)
+    if not 23 < p <= table.limit**2:
+        return False
+    primes = primes_upto(table.limit)
+    return 0 not in map(p.__mod__, primes[:bisect_right(primes, isqrt(p))])
 
 
 @dataclass(frozen=True)

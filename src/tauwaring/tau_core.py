@@ -36,6 +36,9 @@ _EXACT = decimal.Context(
 # 10 s and peaks near 230 MB.
 DEFAULT_SERIES_CAP = 2_000_000
 
+# Entries the verifiers' tau memo holds before tau_factored clears it.
+TAU_MEMO_CAP = 1 << 18
+
 TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
 _VALUE_RE = re.compile(r"^-?[0-9]+$")
 
@@ -44,18 +47,22 @@ _VALUE_RE = re.compile(r"^-?[0-9]+$")
 class TauTable:
     """Exact tau(1..limit); values[0] is a zero sentinel, entries are exact ints.
 
-    `ladder` caches the integer solver's sorted greedy ladder (see
-    waring_int._greedy_descent). It takes no part in ==, repr or pickling,
-    and assumes `values` is not mutated once it is filled.
+    Two caches ride on the table. `ladder` holds the integer solver's sorted
+    greedy ladder (see waring_int._greedy_descent). `tau_memo` maps an index
+    to the tau value that tau_factored rebuilt for it from the prime
+    entries; only tau_factored fills or reads it. Neither takes part in ==,
+    repr or pickling, and both assume `values` is not mutated once they are
+    filled: a changed table needs a new TauTable, whose caches start empty.
     """
 
     limit: int
     values: list[int]
     method: str = "series"
     ladder: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    tau_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "ladder": None}
+        return {**self.__dict__, "ladder": None, "tau_memo": None}
 
     def tau(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -216,9 +223,25 @@ def tau_multiplicative(n: int, prime_tau: dict[int, int], spf: list[int]) -> int
 
 
 def tau_factored(n: int, table: TauTable) -> int | None:
-    """tau(n) from the table's prime entries, for both verifiers; None past the table or n < 1."""
-    pairs = factor_within(n, table.limit)
-    return None if pairs is None else tau_from_factors(pairs, table.values)
+    """tau(n) from the table's prime entries, for both verifiers; None past the table or n < 1.
+
+    Each index is factored once per table: a value rebuilt here is kept in
+    table.tau_memo, which holds nothing else and is cleared once it reaches
+    TAU_MEMO_CAP entries, so it never holds more, whatever the certificates
+    claim. An index that factor_within refuses is never stored.
+    """
+    memo = table.tau_memo
+    if memo is None:
+        memo = table.tau_memo = {}
+    tau = memo.get(n)
+    if tau is None:
+        pairs = factor_within(n, table.limit)
+        if pairs is None:
+            return None
+        if len(memo) >= TAU_MEMO_CAP:
+            memo.clear()
+        tau = memo[n] = tau_from_factors(pairs, table.values)
+    return tau
 
 
 def build_prime_tau_map(table: TauTable) -> dict[int, int]:

@@ -377,24 +377,28 @@ def _finisher_distances(coins: tuple[int, ...], radius: int):
 
     dist[v + radius] = least number of coins (tau values at indices 1..10)
     summing to v, for every v in [-radius, radius]. The mixed signs make the
-    whole window reachable; layers are expanded vectorized.
+    whole window reachable. Each layer is one boolean mask: shifting the
+    frontier by a coin c marks v + c for every frontier v.
     """
-    coin_arr = np.array(coins, dtype=np.int64)
     size = 2 * radius + 1
     dist = np.full(size, -1, dtype=np.int16)
     dist[radius] = 0
-    frontier = np.array([0], dtype=np.int64)
+    frontier = np.zeros(size, dtype=bool)
+    frontier[radius] = True
     depth = 0
-    while frontier.size:
+    while True:
         depth += 1
-        nxt = (frontier[:, None] + coin_arr[None, :]).ravel()
-        nxt = nxt[(nxt >= -radius) & (nxt <= radius)]
-        idx = nxt + radius
-        idx = np.unique(idx[dist[idx] == -1])
-        if idx.size == 0:
+        nxt = np.zeros(size, dtype=bool)
+        for c in coins:
+            if 0 <= c < size:
+                nxt[c:] |= frontier[:size - c]
+            elif -size < c < 0:
+                nxt[:c] |= frontier[-c:]
+        nxt &= dist < 0
+        if not nxt.any():
             break
-        dist[idx] = depth
-        frontier = idx - radius
+        dist[nxt] = depth
+        frontier = nxt
     if (dist < 0).any():
         raise InternalCheckError("finisher table has unreachable remainders")
     return dist

@@ -11,8 +11,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from tauwaring import tau_core
 from tauwaring.cli import main as cli_main
-from tauwaring.divisor_arith import build_sigma_table, primes_in
+from tauwaring.divisor_arith import build_sigma_table, factor_within, primes_in
 from tauwaring.identity_suite import (
     ZERO_SUM_SEVEN,
     ZERO_SUM_SIX,
@@ -24,6 +25,8 @@ from tauwaring.identity_suite import (
 from tauwaring.modp_basis import (
     build_abc_context,
     build_context,
+    check_modp_certificate,
+    modp_certificate_from_json,
     product_set_cover,
     represent_pm32,
     represent_sum16,
@@ -31,6 +34,7 @@ from tauwaring.modp_basis import (
     verify_modp_certificate,
 )
 from tauwaring.tau_core import (
+    TauTable,
     build_prime_tau_map,
     build_tau_table_series,
     load_table,
@@ -42,11 +46,13 @@ from tauwaring.tau_core import (
 from tauwaring.waring_int import (
     RESIDUE_MODULUS,
     RepresentationParams,
+    check_integer_certificate,
     digits_mod_370944,
     index_budget,
     represent_integer,
     represent_residue_198,
     solve_prime_power_sum,
+    sum_certificate_from_json,
     verify_integer_certificate,
 )
 
@@ -226,6 +232,30 @@ def test_criterion_10_integer_representation(integer_certs, table_2k):
     report(10, "200 sampled targets representable within 74000 terms and 15(|N|^(2/11)+1)")
 
 
+def criterion_11_certificates(modp_sweeps, sum16_sweeps, integer_certs):
+    """Criterion 11's certificates as (JSON object, expected exit code):
+    137 good ones, then 4 with a single index tampered."""
+    rng = random.Random(5)
+    out = [(represent_residue_198(r).to_json_dict(), 0)
+           for r in rng.sample(range(RESIDUE_MODULUS), 40)]
+    out += [(cert.to_json_dict(), 0) for _, cert in rng.sample(integer_certs, 25)]
+    for p in PM32_PRIMES:
+        for kind in ("pm32", "sum96"):
+            out += [(cert.to_json_dict(), 0) for cert in rng.sample(modp_sweeps[kind][p], 6)]
+    for p in SUM16_PRIMES:
+        out += [(cert.to_json_dict(), 0) for cert in rng.sample(sum16_sweeps[p], 6)]
+
+    res = represent_residue_198(1234).to_json_dict()
+    res["plus"][0] = 4 if res["plus"][0] != 4 else 9
+    intc = integer_certs[0][1].to_json_dict()
+    intc["plus"][0] += 1
+    pm = modp_sweeps["pm32"][29][5].to_json_dict()
+    pm["plus"][0] = int(pm["plus"][0]) * 29
+    s16 = sum16_sweeps[29][3].to_json_dict()
+    s16["plus"][0] = int(s16["plus"][0]) + 1
+    return out + [(res, 1), (intc, 1), (pm, 1), (s16, 1)]
+
+
 def test_criterion_11_persistence_and_check(tmp_path, table_2k, modp_sweeps,
                                             sum16_sweeps, integer_certs, capsys):
     table = build_tau_table_series(10**4)
@@ -238,41 +268,63 @@ def test_criterion_11_persistence_and_check(tmp_path, table_2k, modp_sweeps,
     table_path = tmp_path / "check_table.txt"
     save_table(table_path, table_2k)
     checked = 0
-
-    def check_file(obj, expect=0):
-        nonlocal checked
+    for obj, expect in criterion_11_certificates(modp_sweeps, sum16_sweeps, integer_certs):
         cert_path = tmp_path / f"cert_{checked}.json"
         cert_path.write_text(json.dumps(obj))
         code = cli_main(["check", str(cert_path), "--table", str(table_path)])
         capsys.readouterr()
         assert code == expect, (obj.get("kind"), expect, code)
         checked += 1
-
-    rng = random.Random(5)
-    for r in rng.sample(range(RESIDUE_MODULUS), 40):
-        check_file(represent_residue_198(r).to_json_dict())
-    for n, cert in rng.sample(integer_certs, 25):
-        check_file(cert.to_json_dict())
-    for p in PM32_PRIMES:
-        for kind in ("pm32", "sum96"):
-            for cert in rng.sample(modp_sweeps[kind][p], 6):
-                check_file(cert.to_json_dict())
-    for p in SUM16_PRIMES:
-        for cert in rng.sample(sum16_sweeps[p], 6):
-            check_file(cert.to_json_dict())
-
-    # single-index tamperings must be rejected with exit 1
-    res = represent_residue_198(1234).to_json_dict()
-    res["plus"][0] = 4 if res["plus"][0] != 4 else 9
-    check_file(res, expect=1)
-    intc = integer_certs[0][1].to_json_dict()
-    intc["plus"][0] += 1
-    check_file(intc, expect=1)
-    pm = modp_sweeps["pm32"][29][5].to_json_dict()
-    pm["plus"][0] = int(pm["plus"][0]) * 29
-    check_file(pm, expect=1)
-    s16 = sum16_sweeps[29][3].to_json_dict()
-    s16["plus"][0] = int(s16["plus"][0]) + 1
-    check_file(s16, expect=1)
     report(11, f"bit-exact round trip at 1e4; cmd_check accepted {checked - 4} certificates"
                " and rejected 4 tampered ones")
+
+
+def check_certificate(cert, table):
+    checker = check_integer_certificate if cert.kind == "integer_sum" else check_modp_certificate
+    return checker(cert, table)
+
+
+def test_tau_memo_gives_the_verdicts_of_an_empty_one(table_2k, table_100k, modp_sweeps,
+                                                    sum16_sweeps, integer_certs, monkeypatch):
+    # Full-lambda pm32, sum96 and sum16 sweeps, then criterion 11's certificates.
+    cases = [(cert, table_100k) for p in (29, 101, 499)
+             for cert in modp_sweeps["pm32"][p] + modp_sweeps["sum96"][p] + sum16_sweeps[p]]
+    expected = [True] * len(cases)
+    for obj, code in criterion_11_certificates(modp_sweeps, sum16_sweeps, integer_certs):
+        decode = (sum_certificate_from_json if obj["kind"] == "integer_sum"
+                  else modp_certificate_from_json)
+        cases.append((decode(obj), table_2k))
+        expected.append(code == 0)
+
+    def copy(table):
+        return TauTable(table.limit, list(table.values))
+
+    cold = {t.limit: copy(t) for t in (table_2k, table_100k)}
+
+    def cold_check(cert, table):
+        fresh = cold[table.limit]
+        fresh.tau_memo = None
+        return check_certificate(cert, fresh)
+
+    reference = [cold_check(cert, table) for cert, table in cases]
+    assert [ok for _, ok in reference] == expected
+    for _ in range(2):  # the second pass finds every index in the memo
+        assert [check_certificate(cert, table) for cert, table in cases] == reference
+    assert 0 < len(table_100k.tau_memo) <= tau_core.TAU_MEMO_CAP
+
+    monkeypatch.setattr(tau_core, "TAU_MEMO_CAP", 8)
+    small = {t.limit: copy(t) for t in (table_2k, table_100k)}
+    for (cert, table), want in zip(cases, reference):
+        assert check_certificate(cert, small[table.limit]) == want
+        assert len(small[table.limit].tau_memo) <= 8
+
+
+def test_tau_memo_is_not_shared_by_copies(table_100k, modp_sweeps):
+    cert = modp_sweeps["pm32"][101][7]
+    assert check_modp_certificate(cert, table_100k)[1]
+    bent = TauTable(table_100k.limit, list(table_100k.values))
+    q = factor_within(cert.plus[0], table_100k.limit)[0][0]
+    bent.values[q] += 1
+    assert table_100k.tau_memo and bent.tau_memo is None
+    assert not check_modp_certificate(cert, bent)[1]
+    assert check_modp_certificate(cert, table_100k)[1]

@@ -371,13 +371,13 @@ def check_inputs(tmp_path_factory, table_2k):
     )
 
 
-def run_check(path, *flags):
-    """`tauwaring check` in process; returns (exit code, stderr, seconds)."""
+def run_check(*argv):
+    """`tauwaring check` in process; returns (exit code, stdout, stderr, seconds)."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path), *flags])
-    return code, err.getvalue(), time.perf_counter() - t0
+        code = main(["check", *map(str, argv)])
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
 
 
 def edited(obj, path, value):
@@ -400,7 +400,7 @@ def edited(obj, path, value):
 def test_check_wrongly_typed_field(check_inputs, kind, path, value, field):
     cert_path = check_inputs.dir / "typed.json"
     cert_path.write_text(json.dumps(edited(check_inputs.certs[kind], path, value)))
-    code, err, _ = run_check(cert_path, "--limit", "2000")
+    code, _, err, _ = run_check(cert_path, "--limit", "2000")
     assert code in (1, 3)
     if code == 3:
         assert repr(field) in err
@@ -425,7 +425,7 @@ def test_check_work_is_bounded_by_the_table(check_inputs, monkeypatch, kind, pat
         obj["lambda"] += 1  # any wrong claim
     cert_path = check_inputs.dir / "bounded.json"
     cert_path.write_text(json.dumps(obj))
-    code, _, seconds = run_check(cert_path, *flags)
+    code, _, _, seconds = run_check(cert_path, *flags)
     assert code in (1, 3)
     assert seconds < 1.0
 
@@ -458,10 +458,7 @@ def containers(obj):
     return out
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_check_survives_mutated_certificates(check_inputs, data):
-    obj = copy.deepcopy(check_inputs.certs[data.draw(st.sampled_from(["pm32", "integer"]))])
+def mutate(obj, data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         box = data.draw(st.sampled_from(containers(obj)))
         if isinstance(box, dict):
@@ -474,12 +471,47 @@ def test_check_survives_mutated_certificates(check_inputs, data):
         else:
             i = data.draw(st.integers(min_value=0, max_value=len(box)))
             box[i:i + 1] = [data.draw(JSON_VALUES)]
-    cert_path = check_inputs.dir / "fuzz.json"
-    cert_path.write_text(json.dumps(obj))
-    code, err, seconds = run_check(cert_path, "--table", check_inputs.table)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_check_survives_mutated_certificates(check_inputs, data):
+    # One to four files; the first is always mutated, each later one may be.
+    paths = []
+    for i in range(data.draw(st.integers(min_value=1, max_value=4))):
+        obj = copy.deepcopy(check_inputs.certs[data.draw(st.sampled_from(["pm32", "integer"]))])
+        if i == 0 or data.draw(st.booleans()):
+            mutate(obj, data)
+        paths.append(check_inputs.dir / f"fuzz{i}.json")
+        paths[-1].write_text(json.dumps(obj))
+    code, out, err, seconds = run_check(*paths, "--table", check_inputs.table)
     assert code in (0, 1, 3)
     assert "Traceback" not in err
-    assert seconds < 2.0
+    assert seconds < 2.0 * len(paths)
+    if len(paths) > 1:
+        singles = [run_check(path, "--table", check_inputs.table)[0] for path in paths]
+        assert code == (3 if 3 in singles else 1 if 1 in singles else 0)
+        lines = out.splitlines()
+        assert lines[-1] == (f"CHECKED files={len(paths)} ok={singles.count(0)}"
+                             f" failed={singles.count(1)} invalid={singles.count(3)}")
+        assert len(lines) - 1 == singles.count(0) + singles.count(1)
+        assert err.count("error: ") == singles.count(3)
+
+
+def test_module_entry_point_checks_several_files(tmp_path, check_inputs):
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text(json.dumps(check_inputs.certs["pm32"]))
+    bad.write_text(json.dumps(edited(check_inputs.certs["pm32"], ("lambda",), 4)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tauwaring.cli", "check", str(good), str(bad),
+                           "--table", check_inputs.table],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.splitlines() == [
+        "CHECK pm32 p=29 lambda=3 recomputed=3 ok=True",
+        "CHECK pm32 p=29 lambda=4 recomputed=3 ok=False",
+        "CHECKED files=2 ok=1 failed=1 invalid=0",
+    ]
 
 
 @pytest.mark.parametrize("mode", ["pm32", "sum16"])

@@ -71,6 +71,9 @@ def test_coprime_to_23_factorial():
     assert coprime_to_23_factorial(1)
     assert not coprime_to_23_factorial(23)
     assert coprime_to_23_factorial(29**3)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for n in [*range(1, 5000), 2**64 + 1, 29**40, 23 * 10**30 + 23]:
+        assert coprime_to_23_factorial(n) == all(n % q for q in small), n
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=11))

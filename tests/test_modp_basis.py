@@ -1,19 +1,20 @@
 import hashlib
 import json
 import time
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import gcd, isqrt
 
 import pytest
 
-from tauwaring.divisor_arith import coprime_to_23_factorial, primes_in
+from tauwaring.divisor_arith import coprime_to_23_factorial, factor_within, primes_in
 from tauwaring.errors import (
     DegenerateContextError,
     InfeasibleContextError,
     InternalCheckError,
     LemmaViolationError,
 )
-from tauwaring import modp_basis
+from tauwaring import modp_basis, tau_core
 from tauwaring.modp_basis import (
     ModpCertificate,
     ProductSumCover,
@@ -265,6 +266,15 @@ def test_context_builders_settle_p_with_table_primes(table_2k):
         assert time.perf_counter() - t0 < 0.1
 
 
+@pytest.mark.parametrize("limit", [5, 6, 23, 200])
+def test_table_prime_matches_trial_division(table_2k, limit):
+    table = TauTable(limit, table_2k.values[: limit + 1])
+    primes = primes_in(1, limit)
+    for p in range(-3, limit * limit + 50):
+        want = 23 < p <= limit * limit and all(p % q for q in primes if q * q <= p)
+        assert modp_basis._table_prime(p, table) == want, p
+
+
 def test_build_context_direct(table_2k):
     ctx = build_context(29, table_2k)
     assert ctx.branch == "direct"
@@ -488,6 +498,25 @@ def test_pairs_branch_certificates_are_byte_identical(table_2k):
 
 
 # ---------------------------------------------------------------- verifier
+
+
+@pytest.mark.parametrize("p,branch", [(389, "pairs"), (499, "auto")])
+def test_verifier_factors_each_index_once_per_table(table_20k, monkeypatch, p, branch):
+    table = TauTable(table_20k.limit, list(table_20k.values))
+    ctx = build_context(p, table, WindowPolicy(branch=branch))
+    certs = [represent(lam, ctx, table) for lam in range(p)
+             for represent in (represent_pm32, represent_sum96)]
+    factored = Counter()
+
+    def counting_factor_within(n, limit):
+        factored[n] += 1
+        return factor_within(n, limit)
+
+    monkeypatch.setattr(tau_core, "factor_within", counting_factor_within)
+    assert all(verify_modp_certificate(cert, table) for cert in certs)
+    distinct = {n for cert in certs for n in cert.plus + cert.minus}
+    assert factored.keys() == distinct
+    assert set(factored.values()) == {1}
 
 
 def test_verifier_rejects_wrong_kind(table_2k):

@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -561,8 +562,49 @@ def test_ladder_cache_is_per_table(table_20k):
 def test_ladder_cache_leaves_eq_repr_pickle_alone():
     table = build_tau_table_series(500)
     before = (repr(table), pickle.dumps(table))
-    represent_integer(-(10**8), RepresentationParams(), table)
-    assert table.ladder is not None
+    cert = represent_integer(-(10**8), RepresentationParams(), table)
+    assert check_integer_certificate(cert, table) == (-(10**8), True)  # fills the tau memo
+    assert table.ladder is not None and table.tau_memo
     assert (repr(table), pickle.dumps(table)) == before
     assert table == fresh_copy(table)
-    assert pickle.loads(pickle.dumps(table)).ladder is None
+    restored = pickle.loads(pickle.dumps(table))
+    assert restored.ladder is None and restored.tau_memo is None
+
+
+def frontier_bfs(coins, radius):
+    """The finisher's distance table as a frontier BFS with np.unique per
+    layer: the reference for the mask-shift version."""
+    coin_arr = np.array(coins, dtype=np.int64)
+    dist = np.full(2 * radius + 1, -1, dtype=np.int16)
+    dist[radius] = 0
+    frontier = np.array([0], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        nxt = (frontier[:, None] + coin_arr[None, :]).ravel()
+        nxt = nxt[(nxt >= -radius) & (nxt <= radius)]
+        idx = nxt + radius
+        idx = np.unique(idx[dist[idx] == -1])
+        if idx.size == 0:
+            break
+        dist[idx] = depth
+        frontier = idx - radius
+    if (dist < 0).any():
+        raise InternalCheckError("finisher table has unreachable remainders")
+    return dist
+
+
+def test_finisher_distances_match_frontier_bfs(table_2k):
+    coins = tuple(table_2k.values[n] for n in range(1, 11))
+    radius = DP_THRESHOLD + max(abs(c) for c in coins)
+    assert np.array_equal(waring_int._finisher_distances(coins, radius),
+                          frontier_bfs(coins, radius))
+    # The second set has coins beyond the radius and beyond the window.
+    synthetic = [((7, -5, 3, 0, 7), 400),
+                 ((1, -24, 252, -1472, 4830, -7000, 9000, 20000, -30000), 5000)]
+    for coins, radius in synthetic:
+        assert np.array_equal(waring_int._finisher_distances.__wrapped__(coins, radius),
+                              frontier_bfs(coins, radius))
+    for bfs in (waring_int._finisher_distances.__wrapped__, frontier_bfs):
+        with pytest.raises(InternalCheckError, match="unreachable"):
+            bfs((2, -4), 50)
