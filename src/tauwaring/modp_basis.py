@@ -12,11 +12,11 @@ and emits three certificate kinds:
   sum16  -- a pure sum of at most 16 indices from the half-window sets
 
 Each context (ModpContext for pm32 and sum96, AbcContext for sum16) settles
-its covering branch once and keeps the cover; an emitter only walks that
-cover and finishes through one cap check against MODP_CAPS. Every residue
-ever placed in a set carries its originating integers, so certificates are
-assembled from witnesses only and can be re-verified from prime tau values
-alone.
+its covering branch once and keeps the cover, whose xs and ys are the chosen
+witnesses; an emitter only walks that cover and finishes through one cap
+check against MODP_CAPS. A witness is a residue with its origin, the signed
+integers whose tau values give it, so certificates are assembled from
+witnesses only and can be re-verified from prime tau values alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .divisor_arith import coprime_to_23_factorial, primes_in, primes_upto
+from .divisor_arith import coprime_to_23_factorial, factor_within, primes_in, primes_upto
 from .errors import (
     DegenerateContextError,
     InfeasibleContextError,
@@ -52,26 +52,18 @@ COVER_CHUNK = 1 << 16
 
 
 def _table_prime(p: int, table: TauTable) -> bool:
-    """True iff p is a prime in (23, table.limit^2], settled by the table's
-    primes up to sqrt(p), so the work is bounded by the table."""
-    if not 23 < p <= table.limit**2:
-        return False
-    primes = primes_upto(table.limit)
-    return 0 not in map(p.__mod__, primes[:bisect_right(primes, isqrt(p))])
+    """True iff p is a prime in (23, table.limit^2], settled by trial division
+    by the primes up to sqrt(p) <= table.limit, so the table bounds the work."""
+    return 23 < p <= table.limit**2 and factor_within(p, p) == [(p, 1)]
 
 
 @dataclass(frozen=True)
 class WitnessedResidue:
-    """A residue with the signed integers whose tau values produce it.
-
-    origin is a tuple of (sign, n) pairs with sum(sign * tau(n)) = residue
-    (mod p); support records the prime support of the n's so product
-    expansions can assert pairwise coprimality.
-    """
+    """A residue with the signed integers whose tau values produce it: origin
+    is a tuple of (sign, n) pairs with sum(sign * tau(n)) = residue (mod p)."""
 
     residue: int
     origin: tuple[tuple[int, int], ...]
-    support: tuple[int, ...]
 
 
 def _residue_of(x) -> int:
@@ -224,9 +216,7 @@ def _classes_by_tau(classes: dict[int, list[int]], qs, p: int,
 
 def _class_witnesses(classes) -> list[WitnessedResidue]:
     """One witness per tau class, its least prime, in residue order."""
-    return [
-        WitnessedResidue(r, ((1, classes[r][0]),), (classes[r][0],)) for r in sorted(classes)
-    ]
+    return [WitnessedResidue(r, ((1, classes[r][0]),)) for r in sorted(classes)]
 
 
 def _direct_sets(classes):
@@ -249,7 +239,7 @@ def _pair_sets(classes, p):
             for side, q, q2 in ((xs, qs[i], qs[i + 1]), (ys, qs[i + 2], qs[i + 3])):
                 res = pow(q, 11, p)
                 if res not in side:
-                    side[res] = WitnessedResidue(res, ((1, q * q2), (-1, q * q)), (q, q2))
+                    side[res] = WitnessedResidue(res, ((1, q * q2), (-1, q * q)))
     return list(xs.values()), list(ys.values())
 
 
@@ -409,23 +399,12 @@ def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertific
 
 @dataclass
 class AbcContext:
-    """Half-window sets and the settled covering branch of the pure 16-term
-    construction.
-
-    a0 is the most frequent tau class over primes in (p/2, p]; A holds one
-    witness per remaining class, B the squares tau(q^2) = a0^2 - q^11 from
-    the a0 class, and C tau values of small primes and their squares. The
-    witness supports are pairwise coprime across the three sets. branch names
-    the first pair of sets whose cover reaches Z_p, with its index bound;
-    glibichuk records whether |X||Y| > 2p guaranteed that cover.
-    """
+    """The settled covering branch of the pure 16-term construction: the first
+    pair of build_abc_context's sets whose cover reaches Z_p (cover.xs and
+    cover.ys are its witnesses), its index bound, whether |X||Y| > 2p
+    (glibichuk) guaranteed that cover, and the cap on the C primes."""
 
     p: int
-    a0: int
-    a0_primes: list[int]
-    a_set: list[WitnessedResidue]
-    b_set: list[WitnessedResidue]
-    c_set: list[WitnessedResidue]
     cap: int
     branch: str
     bound_formula: str
@@ -437,6 +416,10 @@ class AbcContext:
 def build_abc_context(p: int, table: TauTable) -> AbcContext:
     """Build the A, B, C sets for p and settle the covering branch once.
 
+    A holds one prime per tau class over (p/2, p] but the most frequent, a0; B
+    the squares tau(q^2) = a0^2 - q^11 of its primes q, and C the tau values
+    of the primes up to cap and of their squares; the indices are coprime
+    across the three sets.
     Branches are tried in order: split of A against itself, B against C, and
     B against the larger of A+C and A*C (built only if the first two fail).
     The cardinality bound |X||Y| > 2p guarantees coverage when it holds, but
@@ -447,8 +430,8 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
         raise ValueError(f"p must be a prime in (23, {table.limit}^2], got {p}")
     if table.limit < p:
         raise ValueError(f"table covers {table.limit}, need {p}")
-    # C primes must stay below p/2 so their supports cannot collide with the
-    # half-window witnesses of A and B.
+    # C indices are powers of primes below p/2, so they share no prime with
+    # the half-window witnesses of A and B.
     cap = min(EPS_CAP, (p - 1) // 2)
     classes = _classes_by_tau({}, primes_in(p // 2, p), p, table)
     if len(classes) < 2:
@@ -458,10 +441,10 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
     a0 = max(classes, key=lambda r: (len(classes[r]), -r))
     a_set = _class_witnesses({r: qs for r, qs in classes.items() if r != a0})
     b_set = _first_by_residue(
-        [WitnessedResidue((a0 * a0 - pow(q, 11, p)) % p, ((1, q * q),), (q,))
+        [WitnessedResidue((a0 * a0 - pow(q, 11, p)) % p, ((1, q * q),))
          for q in classes[a0]], p)
     c_set = _first_by_residue(
-        [WitnessedResidue(res, ((1, r**e),), (r,))
+        [WitnessedResidue(res, ((1, r**e),))
          for r in primes_in(1, cap)
          for e, res in ((1, table.values[r] % p), (2, (table.values[r] ** 2 - r**11) % p))], p)
     sizes = []
@@ -469,8 +452,7 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
         sizes.append((branch, len(xs), len(ys)))
         cover = ProductSumCover(p, xs, ys)
         if cover.covered:
-            return AbcContext(p, a0, list(classes[a0]), a_set, b_set, c_set, cap, branch,
-                              formula, bound, len(xs) * len(ys) > 2 * p, cover)
+            return AbcContext(p, cap, branch, formula, bound, len(xs) * len(ys) > 2 * p, cover)
     raise InfeasibleContextError(f"no branch covered Z_{p}; branch sizes were {sizes}")
 
 
@@ -492,15 +474,13 @@ def _abc_branches(p, a_set, b_set, c_set, cap):
 
 def _sum_elements(a_set, c_set, p):
     return _first_by_residue(
-        [WitnessedResidue((wa.residue + wc.residue) % p, wa.origin + wc.origin,
-                          wa.support + wc.support)
+        [WitnessedResidue((wa.residue + wc.residue) % p, wa.origin + wc.origin)
          for wa in a_set for wc in c_set], p)
 
 
 def _product_elements(a_set, c_set, p):
     return _first_by_residue(
-        [WitnessedResidue(wa.residue * wc.residue % p,
-                          ((1, wa.origin[0][1] * wc.origin[0][1]),), wa.support + wc.support)
+        [WitnessedResidue(wa.residue * wc.residue % p, ((1, wa.origin[0][1] * wc.origin[0][1]),))
          for wa in a_set for wc in c_set], p)
 
 

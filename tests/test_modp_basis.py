@@ -293,7 +293,8 @@ def test_build_context_pairs_forced(table_2k):
     assert ctx.branch == "pairs"
     used = set()
     for w in ctx.x_set + ctx.y_set:
-        q, q2 = w.support
+        q = isqrt(w.origin[1][1])
+        q2 = w.origin[0][1] // q
         assert w.origin == ((1, q * q2), (-1, q * q))
         assert q != q2
         assert q not in used and q2 not in used
@@ -380,17 +381,41 @@ def test_sum96_unsupported_modulus(table_2k):
 
 
 def test_abc_context_p29(table_2k):
-    ctx = build_abc_context(29, table_2k)
-    assert ctx.a_set and ctx.b_set and ctx.c_set
-    for w in ctx.b_set:
-        q = w.support[0]
-        assert w.residue == (ctx.a0 * ctx.a0 - pow(q, 11, 29)) % 29
-        assert recompute_witnessed(w, table_2k, 29) == w.residue
-    a_wits = {w.support[0] for w in ctx.a_set}
-    assert not a_wits & set(ctx.a0_primes)
-    for w in ctx.c_set:
-        assert w.support[0] <= ctx.cap < 29 / 2
-        assert recompute_witnessed(w, table_2k, 29) == w.residue
+    p = 29
+    ctx = build_abc_context(p, table_2k)
+    assert ctx.branch == "BxC" and ctx.cover.xs and ctx.cover.ys
+    # X = B: squares of primes q in (p/2, p] that share one tau class a0
+    qs = [isqrt(w.origin[0][1]) for w in ctx.cover.xs]
+    a0s = {table_2k.tau(q) % p for q in qs}
+    assert len(a0s) == 1
+    a0 = a0s.pop()
+    for w, q in zip(ctx.cover.xs, qs):
+        assert w.origin == ((1, q * q),) and q in primes_in(p // 2, p)
+        assert w.residue == (a0 * a0 - pow(q, 11, p)) % p
+        assert recompute_witnessed(w, table_2k, p) == w.residue
+    # Y = C: small primes r <= cap < p/2 and their squares
+    assert ctx.cap < p / 2
+    small = primes_in(1, ctx.cap)
+    for w in ctx.cover.ys:
+        assert any(w.origin == ((1, r**e),) for r in small for e in (1, 2))
+        assert recompute_witnessed(w, table_2k, p) == w.residue
+
+
+def test_abc_context_a_split_p101(table_2k):
+    p = 101
+    ctx = build_abc_context(p, table_2k)
+    assert ctx.branch == "A-split"
+    window = primes_in(p // 2, p)
+    classes = Counter(table_2k.tau(q) % p for q in window)
+    a0 = max(classes, key=lambda r: (classes[r], -r))
+    residues = []
+    for w in ctx.cover.xs + ctx.cover.ys:
+        ((sign, q),) = w.origin
+        assert sign == 1 and q in window
+        assert recompute_witnessed(w, table_2k, p) == w.residue
+        residues.append(w.residue)
+    # one witness per tau class of the window, except the most frequent class
+    assert sorted(residues) == sorted(set(classes) - {a0})
 
 
 def test_abc_degenerate_context():
@@ -447,6 +472,29 @@ def test_abc_context_builds_sum_sets_only_after_both_branches_fail(table_2k, mon
     for p in (29, 101):
         assert build_abc_context(p, table_2k).branch in ("A-split", "BxC")
     assert calls == []
+
+
+# sha256 over the sorted-key JSON lines of sum16 at every lambda of p = 29 and
+# then 499 on the 2000-entry table, with build_abc_context held to its BxT
+# branches (recorded before the witness supports were deleted).
+CERT_DIGEST_BXT_29_499 = "3a61e3bdf39444bf4b0d49b058e83eae6a12c3b544d0c4b5e004eaee19d2f04b"
+
+
+def test_abc_context_bxt_branches_end_to_end(table_2k, monkeypatch):
+    branches = modp_basis._abc_branches
+    monkeypatch.setattr(modp_basis, "_abc_branches",
+                        lambda *a: (b for b in branches(*a) if b[0].startswith("BxT")))
+    digest = hashlib.sha256()
+    for p, branch in ((29, "BxT-sum"), (499, "BxT-product")):
+        ctx = build_abc_context(p, table_2k)
+        assert ctx.branch == branch
+        for w in ctx.cover.xs + ctx.cover.ys:
+            assert recompute_witnessed(w, table_2k, p) == w.residue
+        for lam in range(p):
+            cert = represent_sum16(lam, p, table_2k, ctx=ctx)
+            assert verify_modp_certificate(cert, table_2k), (p, lam)
+            digest.update((json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == CERT_DIGEST_BXT_29_499
 
 
 def test_abc_context_reports_uncovered_branches(table_2k, monkeypatch):
