@@ -36,8 +36,11 @@ _EXACT = decimal.Context(
 # 10 s and peaks near 230 MB.
 DEFAULT_SERIES_CAP = 2_000_000
 
-# Entries the verifiers' tau memo holds before tau_factored clears it.
+# Entries, and bits of index plus value, that the verifiers' tau memo holds
+# before tau_factored clears it. Legitimate entries take about 350 bits, so
+# the entry cap binds first; the bit cap bounds indices of any size.
 TAU_MEMO_CAP = 1 << 18
+TAU_MEMO_BITS = 1 << 27
 
 TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
 _VALUE_RE = re.compile(r"^-?[0-9]+$")
@@ -50,8 +53,9 @@ class TauTable:
     Two caches ride on the table. `ladder` holds the integer solver's sorted
     greedy ladder (see waring_int._greedy_descent). `tau_memo` maps an index
     to the tau value that tau_factored rebuilt for it from the prime
-    entries; only tau_factored fills or reads it. Neither takes part in ==,
-    repr or pickling, and both assume `values` is not mutated once they are
+    entries, and `tau_memo_bits` is the bit length of its keys plus values;
+    only tau_factored fills or reads them. None of these takes part in ==,
+    repr or pickling, and the caches assume `values` is not mutated once they are
     filled: a changed table needs a new TauTable, whose caches start empty.
     """
 
@@ -60,9 +64,10 @@ class TauTable:
     method: str = "series"
     ladder: tuple | None = field(default=None, init=False, repr=False, compare=False)
     tau_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
+    tau_memo_bits: int = field(default=0, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "ladder": None, "tau_memo": None}
+        return {**self.__dict__, "ladder": None, "tau_memo": None, "tau_memo_bits": 0}
 
     def tau(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -226,21 +231,29 @@ def tau_factored(n: int, table: TauTable) -> int | None:
     """tau(n) from the table's prime entries, for both verifiers; None past the table or n < 1.
 
     Each index is factored once per table: a value rebuilt here is kept in
-    table.tau_memo, which holds nothing else and is cleared once it reaches
-    TAU_MEMO_CAP entries, so it never holds more, whatever the certificates
-    claim. An index that factor_within refuses is never stored.
+    table.tau_memo, which holds nothing else and is cleared before it would
+    pass TAU_MEMO_CAP entries or TAU_MEMO_BITS bits of indices and values
+    (counted in table.tau_memo_bits), so it never holds more, whatever the
+    certificates claim. An index that factor_within refuses, or whose entry
+    alone passes the bit cap, is never stored.
     """
     memo = table.tau_memo
     if memo is None:
         memo = table.tau_memo = {}
+        table.tau_memo_bits = 0
     tau = memo.get(n)
     if tau is None:
         pairs = factor_within(n, table.limit)
         if pairs is None:
             return None
-        if len(memo) >= TAU_MEMO_CAP:
+        tau = tau_from_factors(pairs, table.values)
+        bits = n.bit_length() + tau.bit_length()
+        if len(memo) >= TAU_MEMO_CAP or table.tau_memo_bits + bits > TAU_MEMO_BITS:
             memo.clear()
-        tau = memo[n] = tau_from_factors(pairs, table.values)
+            table.tau_memo_bits = 0
+        if bits <= TAU_MEMO_BITS:
+            memo[n] = tau
+            table.tau_memo_bits += bits
     return tau
 
 

@@ -372,30 +372,46 @@ def _finisher_distances(coins: tuple[int, ...], radius: int):
 
     dist[v + radius] = least number of coins (tau values at indices 1..10)
     summing to v, for every v in [-radius, radius]. The mixed signs make the
-    whole window reachable. Each layer is one boolean mask: shifting the
-    frontier by a coin c marks v + c for every frontier v.
+    whole window reachable.
+
+    Each layer works on Python ints used as bitsets, bit v + radius standing
+    for remainder v: shifting the frontier by a coin c marks v + c for every
+    frontier v, and the bits still unseen after a layer are those at least
+    one layer deeper. So dist[v] is the number of layers v stays unseen, and
+    each layer adds `unseen` into bit-sliced counters (plane i holds bit i
+    of every distance) with a ripple carry. Every int stays non-negative:
+    `a & ~b` on an int this long costs some 20 times a plain `&`. The planes
+    are unpacked once at the end into a uint8 table (int16 past depth 255),
+    which is read-only because every caller shares this cached array.
     """
     size = 2 * radius + 1
-    dist = np.full(size, -1, dtype=np.int16)
-    dist[radius] = 0
-    frontier = np.zeros(size, dtype=bool)
-    frontier[radius] = True
-    depth = 0
-    while True:
-        depth += 1
-        nxt = np.zeros(size, dtype=bool)
+    frontier = 1 << radius
+    unseen = ((1 << size) - 1) ^ frontier
+    planes: list[int] = []
+    while unseen:
+        carry = unseen
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+        nxt = 0
         for c in coins:
-            if 0 <= c < size:
-                nxt[c:] |= frontier[:size - c]
-            elif -size < c < 0:
-                nxt[:c] |= frontier[-c:]
-        nxt &= dist < 0
-        if not nxt.any():
-            break
-        dist[nxt] = depth
-        frontier = nxt
-    if (dist < 0).any():
-        raise InternalCheckError("finisher table has unreachable remainders")
+            nxt |= frontier << c if c >= 0 else frontier >> -c
+        frontier = nxt & unseen
+        if not frontier:
+            raise InternalCheckError("finisher table has unreachable remainders")
+        unseen ^= frontier
+    dtype = np.uint8 if len(planes) <= 8 else np.int16
+    dist = np.zeros(size, dtype=dtype)
+    nbytes = (size + 7) // 8
+    for i, plane in enumerate(planes):
+        bits = np.unpackbits(np.frombuffer(plane.to_bytes(nbytes, "little"), np.uint8),
+                             count=size, bitorder="little")
+        dist |= bits.astype(dtype, copy=False) << i
+    dist.flags.writeable = False
     return dist
 
 

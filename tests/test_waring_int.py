@@ -573,7 +573,7 @@ def test_ladder_cache_leaves_eq_repr_pickle_alone():
 
 def frontier_bfs(coins, radius):
     """The finisher's distance table as a frontier BFS with np.unique per
-    layer: the reference for the mask-shift version."""
+    layer: the reference for the bitset version."""
     coin_arr = np.array(coins, dtype=np.int64)
     dist = np.full(2 * radius + 1, -1, dtype=np.int16)
     dist[radius] = 0
@@ -597,14 +597,28 @@ def frontier_bfs(coins, radius):
 def test_finisher_distances_match_frontier_bfs(table_2k):
     coins = tuple(table_2k.values[n] for n in range(1, 11))
     radius = DP_THRESHOLD + max(abs(c) for c in coins)
-    assert np.array_equal(waring_int._finisher_distances(coins, radius),
-                          frontier_bfs(coins, radius))
-    # The second set has coins beyond the radius and beyond the window.
+    dist = waring_int._finisher_distances(coins, radius)
+    assert dist.dtype == np.uint8
+    assert np.array_equal(dist, frontier_bfs(coins, radius))
+    # The second set has coins beyond the radius and beyond the window; the
+    # third needs 300 layers to reach +300, past what uint8 holds.
     synthetic = [((7, -5, 3, 0, 7), 400),
-                 ((1, -24, 252, -1472, 4830, -7000, 9000, 20000, -30000), 5000)]
+                 ((1, -24, 252, -1472, 4830, -7000, 9000, 20000, -30000), 5000),
+                 ((1, -2), 300)]
     for coins, radius in synthetic:
         assert np.array_equal(waring_int._finisher_distances.__wrapped__(coins, radius),
                               frontier_bfs(coins, radius))
+    deep = waring_int._finisher_distances.__wrapped__((1, -2), 300)
+    assert deep.dtype == np.int16 and deep.max() == 300
     for bfs in (waring_int._finisher_distances.__wrapped__, frontier_bfs):
         with pytest.raises(InternalCheckError, match="unreachable"):
             bfs((2, -4), 50)
+
+
+def test_finisher_distances_is_read_only(table_2k):
+    coins = tuple(table_2k.values[n] for n in range(1, 11))
+    radius = DP_THRESHOLD + max(abs(c) for c in coins)
+    dist = waring_int._finisher_distances(coins, radius)
+    with pytest.raises(ValueError, match="read-only"):
+        dist[radius + 1] = 0
+    assert waring_int._finisher_distances(coins, radius) is dist
