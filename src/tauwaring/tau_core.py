@@ -13,6 +13,7 @@ O(n) per value and serve as independent oracles at small n.
 from __future__ import annotations
 
 import decimal
+import json
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -44,6 +45,10 @@ TAU_MEMO_BITS = 1 << 27
 
 TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
 _VALUE_RE = re.compile(r"^-?[0-9]+$")
+
+# Bytes of value lines that load_table parses at once; whole-file parsing
+# would hold every field's copy at the same time.
+_LOAD_BLOCK = 1 << 16
 
 
 @dataclass
@@ -271,28 +276,58 @@ def save_table(path, table: TauTable) -> None:
 
 
 def load_table(path) -> TauTable:
-    """Parse a saved table; raises TableFormatError with a line number on damage."""
+    """Parse a saved table; raises TableFormatError with a line number on damage.
+
+    Value lines are parsed a block of about _LOAD_BLOCK bytes at a time: one
+    translate() proves the block is digits and '-' with one tab and one
+    newline per line, and one json.loads turns every field into an int. A
+    block that fails either step, or whose indices are not the next ones,
+    goes through _load_lines, which accepts a superset of what JSON does
+    (leading zeros, say) with equal values, and names the first bad line.
+    """
+    # A text read, so a non-ASCII byte raises the text decoder's error; a
+    # bytes read would report its position differently.
     with open(path, "r", encoding="ascii", newline="") as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
+        data = fh.read().encode("ascii")
+    if not data.endswith(b"\n"):
         raise TableFormatError("line 1: file is not newline-terminated")
-    if text.endswith("\n\n"):
+    if data.endswith(b"\n\n"):
         raise TableFormatError("trailing blank line at end of file")
-    lines = text.split("\n")
-    lines.pop()  # the empty string after the final newline
-    del text
-    m = TABLE_HEADER_RE.match(lines[0])
+    start = data.index(b"\n") + 1
+    header = data[: start - 1].decode("ascii")
+    m = TABLE_HEADER_RE.match(header)
     if not m:
-        raise TableFormatError(f"line 1: bad header {lines[0]!r}")
+        raise TableFormatError(f"line 1: bad header {header!r}")
     limit = int(m.group(1))
     if limit < 1:
         raise TableFormatError("line 1: limit must be >= 1")
-    if len(lines) - 1 != limit:
+    n_lines = data.count(b"\n")
+    if n_lines - 1 != limit:
         raise TableFormatError(
-            f"line {len(lines)}: expected {limit} value lines, found {len(lines) - 1}"
+            f"line {n_lines}: expected {limit} value lines, found {n_lines - 1}"
         )
     values = [0]
-    for n, line in enumerate(lines[1:], start=1):
+    n = 1  # index of the block's first line
+    while start < len(data):
+        end = data.find(b"\n", start + _LOAD_BLOCK) + 1 or len(data)
+        block = data[start:end]
+        k = block.count(b"\n")
+        nums = None
+        if block.translate(None, b"0123456789-") == b"\t\n" * k:
+            with suppress(ValueError):  # not JSON integers, or past int()'s digit limit
+                nums = json.loads(b"[" + block[:-1].replace(b"\t", b",").replace(b"\n", b",")
+                                  + b"]")
+        if nums is not None and nums[0::2] == list(range(n, n + k)):
+            values.extend(nums[1::2])
+        else:
+            _load_lines(block.decode("ascii").split("\n")[:-1], n, values)
+        start, n = end, n + k
+    return TauTable(limit=limit, values=values, method="loaded")
+
+
+def _load_lines(lines, n, values) -> None:
+    """Append the values of `lines`, which hold indices n, n+1, ..., to `values`."""
+    for n, line in enumerate(lines, start=n):
         # The text is ASCII, so isdigit() accepts exactly _VALUE_RE's digits.
         index, tab, value = line.partition("\t")
         if not tab or not (value[1:] if value[:1] == "-" else value).isdigit():
@@ -300,7 +335,6 @@ def load_table(path) -> TauTable:
         if index != str(n):
             raise TableFormatError(f"line {n + 1}: expected index {n}, found {index!r}")
         values.append(int(value))
-    return TauTable(limit=limit, values=values, method="loaded")
 
 
 # Certificate field decoding for both codecs: a wrongly typed field raises a

@@ -562,3 +562,49 @@ def test_modp_certificates_at_a_large_prime(tmp_path, monkeypatch, capsys, table
             code, out, _ = run(capsys, "check", str(cert_path), "--table", str(table_path))
             assert code == 0, (kind, lam)
             assert f"CHECK {kind} p={p} lambda={lam} recomputed={lam} ok=True" in out
+
+
+# ----------------------------------------- tables damaged past the first block
+
+
+@pytest.fixture(scope="module")
+def damaged_tables(tmp_path_factory, table_20k, check_inputs):
+    """A pm32 certificate, and saved 2e4 tables whose last line is damaged,
+    each with the error line that every command prints for it."""
+    workdir = tmp_path_factory.mktemp("damaged")
+    cert = workdir / "cert.json"
+    cert.write_text(json.dumps(check_inputs.certs["pm32"]))
+    table = workdir / "table.txt"
+    save_table(table, table_20k)
+    head, last = table.read_bytes()[:-1].rsplit(b"\n", 1)
+    bad = last.replace(b"\t", b"\t+")
+    table.write_bytes(head + b"\n" + bad + b"\n")
+    huge = workdir / "huge.txt"
+    huge.write_bytes(head + b"\n20000\t" + b"9" * 5000 + b"\n")
+    with pytest.raises(ValueError) as limit:
+        int("9" * 5000)
+    return SimpleNamespace(
+        cert=str(cert),
+        table=str(table),
+        error=f"error: line 20001: malformed entry {bad.decode()!r}\n",
+        huge=str(huge),
+        huge_error=f"error: {limit.value}\n",
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{cert}", "--table", "{table}"),
+    ("represent", "--target", "5", "--table", "{table}"),
+    ("modp", "--p", "29", "--lambda", "3", "--mode", "pm32", "--table", "{table}"),
+    ("verify", "--suite", "hecke", "--table", "{table}"),
+    ("check", "{cert}"),
+], ids=["check", "represent", "modp", "verify", "check-env"])
+def test_commands_name_a_damaged_last_table_line(damaged_tables, capsys, monkeypatch, argv):
+    monkeypatch.setenv("TAU_TABLE_PATH", damaged_tables.table)
+    args = [a.format(cert=damaged_tables.cert, table=damaged_tables.table) for a in argv]
+    assert run(capsys, *args) == (3, "", damaged_tables.error)
+
+
+def test_check_refuses_a_table_value_past_the_int_digit_limit(damaged_tables, capsys):
+    code, out, err = run(capsys, "check", damaged_tables.cert, "--table", damaged_tables.huge)
+    assert (code, out, err) == (3, "", damaged_tables.huge_error)

@@ -340,3 +340,142 @@ def test_load_peak_memory_within_regex_loader(tmp_path, table_20k):
     got, peak = traced_peak(load_table, path)
     assert got.values == ref.values == table_20k.values
     assert peak <= ref_peak
+
+
+# ------------------------------------- blocked parse against the line loader
+
+
+@pytest.fixture(scope="module")
+def saved_200(tmp_path_factory):
+    """The bytes of a saved 200-line table, and a file for edited copies."""
+    path = tmp_path_factory.mktemp("load") / "t.txt"
+    save_table(path, build_tau_table_series(200))
+    return path.read_bytes(), path.with_name("edited.txt")
+
+
+def load_outcome(loader, path):
+    """(values, None) from loader(path), or (None, (exception type, text))."""
+    try:
+        return loader(path).values, None
+    except (TableFormatError, ValueError) as exc:  # ValueError: non-ASCII, int()'s digit limit
+        return None, (type(exc), str(exc))
+
+
+def block_starts(data, block):
+    """Index of the first value line of each block that load_table cuts `data` into."""
+    starts, start, n = [], data.index(b"\n") + 1, 1
+    while start < len(data):
+        end = data.find(b"\n", start + block) + 1 or len(data)
+        starts.append(n)
+        start, n = end, n + data.count(b"\n", start, end)
+    return starts
+
+
+@pytest.fixture
+def fallback_blocks(monkeypatch):
+    """(first, last) index of each block that load_table hands to its line loop."""
+    calls = []
+    real = tau_core._load_lines
+
+    def spy(lines, n, values):
+        calls.append((n, n + len(lines) - 1))
+        return real(lines, n, values)
+
+    monkeypatch.setattr(tau_core, "_load_lines", spy)
+    return calls
+
+
+FUZZ_BYTES = b"0123456789-\t\n +_\r0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                             st.integers(min_value=0), st.sampled_from(FUZZ_BYTES)),
+                   min_size=1, max_size=4),
+    block=st.integers(min_value=1, max_value=48),
+)
+def test_blocked_load_matches_regex_loader(saved_200, edits, block):
+    data, path = saved_200
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        if op == "insert":
+            buf.insert(pos % (len(buf) + 1), byte)
+        elif op == "replace":
+            buf[pos % len(buf)] = byte
+        else:
+            del buf[pos % len(buf)]
+    path.write_bytes(buf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tau_core, "_LOAD_BLOCK", block)
+        got = load_outcome(load_table, path)
+    assert got == load_outcome(regex_load_table, path)
+
+
+def test_load_takes_leading_zeros_in_a_later_block(saved_200, monkeypatch, fallback_blocks):
+    data, path = saved_200
+    lines = data.split(b"\n")
+    lines[150], lines[151] = b"150\t-0", b"151\t007"
+    path.write_bytes(b"\n".join(lines))
+    monkeypatch.setattr(tau_core, "_LOAD_BLOCK", 40)
+    expected = build_tau_table_series(200).values
+    expected[150], expected[151] = 0, 7
+    assert load_table(path).values == expected == regex_load_table(path).values
+    # 007 is not a JSON number, so its block, not the first, went through the line loop.
+    assert [lo for lo, hi in fallback_blocks if lo <= 151 <= hi] == [lo for lo, _ in fallback_blocks]
+    assert all(lo > 1 for lo, _ in fallback_blocks)
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_load_names_a_bad_line_at_a_block_edge(saved_200, monkeypatch, fallback_blocks, edge):
+    data, path = saved_200
+    starts = block_starts(data, 40)
+    n = starts[5] if edge == "first" else starts[6] - 1
+    lines = data.split(b"\n")  # lines[n] holds index n, on line n + 1 of the file
+    # Same-length edits, so the block edges do not move.
+    if edge == "first":
+        lines[n] = b"x" + lines[n][1:]
+        message = f"line {n + 1}: expected index {n}, found {'x' + str(n)[1:]!r}"
+    else:
+        tab = lines[n].index(b"\t")
+        lines[n] = lines[n][: tab + 1] + b"+" + lines[n][tab + 2:]
+        message = f"line {n + 1}: malformed entry {lines[n].decode()!r}"
+    path.write_bytes(b"\n".join(lines))
+    monkeypatch.setattr(tau_core, "_LOAD_BLOCK", 40)
+    assert load_outcome(load_table, path) == (None, (TableFormatError, message))
+    assert load_outcome(regex_load_table, path) == (None, (TableFormatError, message))
+    first, last = fallback_blocks[0]
+    assert (first if edge == "first" else last) == n
+
+
+def test_load_block_edges_at_the_end_of_the_file(saved_200, monkeypatch):
+    data, path = saved_200
+    path.write_bytes(data)
+    body = len(data) - data.index(b"\n") - 1
+    multiples = [d for d in range(2, len(data) + 1) if len(data) % d == 0 or body % d == 0]
+    expected = regex_load_table(path).values
+    for block in [*range(1, 100), *multiples, body - 1, body + 1]:
+        monkeypatch.setattr(tau_core, "_LOAD_BLOCK", block)
+        assert load_table(path).values == expected, block
+
+
+def test_load_reports_a_late_non_ascii_byte_as_before(tmp_path, table_20k):
+    path = tmp_path / "t.txt"
+    save_table(path, table_20k)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xE9  # far past the first 8 KiB that a text read decodes
+    path.write_bytes(data)
+    got = load_outcome(load_table, path)
+    assert got[1][0] is UnicodeDecodeError
+    assert got == load_outcome(regex_load_table, path)
+
+
+def test_load_refuses_a_value_past_the_int_digit_limit(saved_200):
+    data, path = saved_200
+    lines = data.split(b"\n")
+    lines[199] = b"199\t" + b"9" * 5000
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as limit:
+        int("9" * 5000)
+    assert load_outcome(load_table, path) == (None, (ValueError, str(limit.value)))
+    assert load_outcome(regex_load_table, path) == (None, (ValueError, str(limit.value)))
