@@ -79,7 +79,8 @@ def primes_in(lo: int, hi: int) -> list[int]:
     for p in range(2, isqrt(hi) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return [int(q) for q in np.nonzero(mask)[0] if q > lo]
+    start = max(lo, 1) + 1  # a negative lo must not wrap the slice
+    return (np.flatnonzero(mask[start:]) + start).tolist()
 
 
 @lru_cache(maxsize=32)

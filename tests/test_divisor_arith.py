@@ -65,6 +65,35 @@ def test_primes_in_excludes_lower_endpoint():
     assert primes_in(28, 29) == [29]
 
 
+def sieve_primes_in(lo, hi):
+    """Primes in (lo, hi] from a plain list sieve: the reference for primes_in."""
+    if hi < 2:
+        return []
+    is_p = [False, False] + [True] * (hi - 1)
+    for p in range(2, isqrt(hi) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = [False] * len(range(p * p, hi + 1, p))
+    return [q for q in range(max(lo + 1, 2), hi + 1) if is_p[q]]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-10, -3), (-5, 1), (-5, 2), (-100_000, 30), (-1, 100_000), (0, 0), (0, 1), (1, 2), (2, 2),
+    (3, 3), (7, 7), (6, 7), (13, 20), (0, 1000), (997, 1000), (1000, 1009), (99_990, 100_000),
+    (50_000, 100_000), (1, 100_000), (100_000, 100_000),
+])
+def test_primes_in_matches_list_sieve(lo, hi):
+    got = primes_in(lo, hi)
+    assert got == sieve_primes_in(lo, hi)
+    assert all(type(q) is int for q in got)
+    assert got == sorted(got)
+
+
+def test_primes_in_refuses_an_empty_range():
+    for lo, hi in [(5, 4), (2, 1), (0, -1), (100_000, 99_999)]:
+        with pytest.raises(ValueError, match=f"need hi >= lo, got \\({lo}, {hi}\\)"):
+            primes_in(lo, hi)
+
+
 def test_coprime_to_23_factorial():
     assert coprime_to_23_factorial(29 * 31)
     assert not coprime_to_23_factorial(12)

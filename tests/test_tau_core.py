@@ -159,6 +159,103 @@ def test_sigma_formula_flags_corrupt_tables():
         tau_sigma_formula(7, s5, bad)
 
 
+def loop_niebur(n, sigma1):
+    """Niebur's identity as one Python loop over k = 1..n-1: the reference
+    for the library's half-range evaluation."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if sigma1.limit < n:
+        raise ValueError(f"sigma table covers {sigma1.limit}, need {n}")
+    s = sigma1.values
+    acc = 0
+    for k in range(1, n):
+        acc += (35 * k**4 - 52 * k**3 * n + 18 * k**2 * n * n) * s[k] * s[n - k]
+    return n**4 * s[n] - 24 * acc
+
+
+def loop_sigma_formula(n, sigma5, sigma11):
+    """The sigma_5 / sigma_11 identity as one Python loop over k = 1..n-1:
+    the reference for the library's half-range evaluation."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if sigma5.limit < n or sigma11.limit < n:
+        raise ValueError("sigma tables do not cover n")
+    s5 = sigma5.values
+    conv = 0
+    for k in range(1, n):
+        conv += s5[k] * s5[n - k]
+    t = 65 * sigma11.values[n] + 691 * s5[n] - 174132 * conv
+    if t % 756:
+        raise InternalCheckError(f"756 does not divide scaled identity at n={n}: {t}")
+    return t // 756
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def test_oracles_match_loop_references_to_2000(sigma1_2k, sigma5_2k, sigma11_2k):
+    for n in range(1, 2001):
+        assert tau_niebur(n, sigma1_2k) == loop_niebur(n, sigma1_2k), n
+        assert (tau_sigma_formula(n, sigma5_2k, sigma11_2k)
+                == loop_sigma_formula(n, sigma5_2k, sigma11_2k)), n
+
+
+sigma_values = st.lists(
+    st.one_of(st.integers(-1000, 1000), st.integers(-(2**80), 2**80)), min_size=1, max_size=60
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma_values, st.data())
+def test_niebur_matches_loop_on_any_values(values, data):
+    n = data.draw(st.integers(1, len(values)), label="n")  # n = len(values) is past the table
+    sigma1 = SigmaTable(1, len(values) - 1, values)
+    assert outcome(tau_niebur, n, sigma1) == outcome(loop_niebur, n, sigma1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma_values, sigma_values, st.booleans(), st.data())
+def test_sigma_formula_matches_loop_on_any_values(v5, v11, divisible, data):
+    n = data.draw(st.integers(1, max(len(v5), len(v11))), label="n")
+    if divisible and n < min(len(v5), len(v11)):
+        # Shift sigma_11(n) so that 756 divides the scaled identity (65 is a unit mod 756).
+        t = 65 * v11[n] + 691 * v5[n] - 174132 * sum(v5[k] * v5[n - k] for k in range(1, n))
+        v11 = v11[:n] + [v11[n] - t * pow(65, -1, 756) % 756] + v11[n + 1 :]
+    sigma5, sigma11 = SigmaTable(5, len(v5) - 1, v5), SigmaTable(11, len(v11) - 1, v11)
+    assert (outcome(tau_sigma_formula, n, sigma5, sigma11)
+            == outcome(loop_sigma_formula, n, sigma5, sigma11))
+
+
+def test_niebur_refuses_a_table_of_the_wrong_order(sigma5_2k):
+    with pytest.raises(ValueError, match=r"^need a sigma_1 table, got sigma_5$"):
+        tau_niebur(7, build_sigma_table(5, 50))
+    with pytest.raises(ValueError, match=r"^need a sigma_1 table, got sigma_5$"):
+        tau_niebur(7, sigma5_2k)
+
+
+def test_sigma_formula_refuses_tables_of_the_wrong_order(sigma1_2k, sigma5_2k, sigma11_2k):
+    with pytest.raises(ValueError, match=r"^need a sigma_5 table, got sigma_11$"):
+        tau_sigma_formula(7, sigma11_2k, sigma5_2k)
+    with pytest.raises(ValueError, match=r"^need a sigma_11 table, got sigma_1$"):
+        tau_sigma_formula(7, sigma5_2k, sigma1_2k)
+
+
+def test_oracles_keep_their_range_messages(sigma1_2k, sigma5_2k, sigma11_2k):
+    with pytest.raises(ValueError, match=r"^n must be positive, got 0$"):
+        tau_niebur(0, sigma1_2k)
+    with pytest.raises(ValueError, match=r"^n must be positive, got -3$"):
+        tau_sigma_formula(-3, sigma5_2k, sigma11_2k)
+    with pytest.raises(ValueError, match=r"^sigma table covers 2000, need 2001$"):
+        tau_niebur(2001, sigma1_2k)
+    with pytest.raises(ValueError, match=r"^sigma tables do not cover n$"):
+        tau_sigma_formula(2001, sigma5_2k, sigma11_2k)
+
+
 def test_tau_prime_power_recurrence(table_2k):
     assert tau_prime_power(-24, 2, 2) == -1472 == table_2k.tau(4)
     assert tau_prime_power(252, 3, 2) == -113643 == table_2k.tau(9)
