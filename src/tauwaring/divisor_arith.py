@@ -55,6 +55,13 @@ class SigmaTable:
     limit: int
     values: list[int]
 
+    def __post_init__(self):
+        if len(self.values) != self.limit + 1:
+            raise ValueError(
+                f"sigma table of limit {self.limit} needs {self.limit + 1} values,"
+                f" got {len(self.values)}"
+            )
+
 
 def build_sigma_table(s: int, limit: int) -> SigmaTable:
     """Tabulate sigma_s(1..limit) by direct divisor accumulation."""

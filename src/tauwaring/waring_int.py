@@ -66,6 +66,10 @@ NON_REPRESENTABLE_6X7Y = frozenset(
 # the greedy descent.
 DP_THRESHOLD = 10**6
 
+# Ladder positions a greedy step looks at on each side of its bisection point
+# for an index within the budget, before the call lists every such position.
+LADDER_PROBES = 8
+
 
 @dataclass(frozen=True)
 class DigitVector:
@@ -185,10 +189,12 @@ def represent_residue_198(r: int) -> SumCertificate:
     )
     x, y = pad_count_6x7y(RESIDUE_TERM_COUNT - len(indices))
     indices += list(ZERO_SUM_SIX) * x + list(ZERO_SUM_SEVEN) * y
+    # x >= 15 since the digits take at most 75 terms, so the six-term block is
+    # always there, and its index 105 is the largest and has the largest |tau|.
     meta = {
         "term_count": len(indices),
-        "max_index": max(indices),
-        "max_abs_tau": max(abs(TAU_SMALL[i]) for i in set(indices)),
+        "max_index": MAX_RESIDUE_INDEX,
+        "max_abs_tau": abs(TAU_SMALL[MAX_RESIDUE_INDEX]),
         "index_bound": MAX_RESIDUE_INDEX,
         "exact_terms": RESIDUE_TERM_COUNT,
     }
@@ -203,10 +209,13 @@ def check_integer_certificate(cert: SumCertificate, table: TauTable) -> tuple[in
     certificate cannot hide behind the path that produced it. Indices outside
     [1, table.limit] are left out of the sum and fail the verdict.
     """
-    counts = Counter(n for n in cert.plus if 1 <= n <= table.limit)
+    counts = Counter(cert.plus)
+    outside = [n for n in counts if not 1 <= n <= table.limit]
+    for n in outside:
+        del counts[n]
     tau_of = {n: tau_factored(n, table) for n in counts}
     total = sum(c * tau_of[n] for n, c in counts.items())
-    if cert.kind != "integer_sum" or not cert.plus or len(counts) < len(set(cert.plus)):
+    if cert.kind != "integer_sum" or not cert.plus or outside:
         return total, False
     n_terms = len(cert.plus)
     top = max(counts)
@@ -415,14 +424,32 @@ def _finisher_distances(coins: tuple[int, ...], radius: int):
     return dist
 
 
-def _finish_exact(r: int, coins: list[tuple[int, int]], dist, radius: int) -> list[int]:
-    """Walk the distance table back from remainder r to zero, emitting indices."""
+@lru_cache(maxsize=2)
+def _finisher(coins: tuple[int, ...]):
+    """(coin order, distance table, radius) for the exact finisher over coins.
+
+    The coins are tried by (-|tau|, index), and the distance table of
+    _finisher_distances is handed out as a zero-copy memoryview, which reads
+    Python ints straight from either layout.
+    """
+    radius = DP_THRESHOLD + max(abs(c) for c in coins)
+    order = sorted(zip(coins, range(1, len(coins) + 1)), key=lambda t: (-abs(t[0]), t[1]))
+    return tuple(order), memoryview(_finisher_distances(coins, radius)), radius
+
+
+def _finish_exact(r: int, coins: tuple[tuple[int, int], ...], dist, radius: int) -> list[int]:
+    """Walk the distance table back from remainder r to zero, emitting indices.
+
+    Each step takes the first coin, in the given order, that leads one step
+    closer to zero. dist is indexed by remainder + radius and read one entry
+    at a time, so a memoryview (as _finisher gives) costs no numpy scalar.
+    """
     out = []
     while r != 0:
-        d = int(dist[r + radius])
+        d = dist[r + radius] - 1
         for value, idx in coins:
             rr = r - value
-            if -radius <= rr <= radius and dist[rr + radius] == d - 1:
+            if -radius <= rr <= radius and dist[rr + radius] == d:
                 out.append(idx)
                 r = rr
                 break
@@ -437,6 +464,28 @@ def index_budget(target: int, c_bound: int | Fraction) -> int:
     return int(c_bound * (root + 1))
 
 
+def _neighbours_within(order: list[int], at: int, budget: int):
+    """Ladder positions (lo, hi) of the nearest indices within budget around at.
+
+    lo is the last position before at and hi the first from at on whose
+    index is at most budget; either is None where the ladder ends first. The
+    result is None when LADDER_PROBES positions on one side hold no such
+    index and the ladder goes on.
+    """
+    lo = None
+    for j in range(at - 1, max(at - 1 - LADDER_PROBES, -1), -1):
+        if order[j] <= budget:
+            lo = j
+            break
+    else:
+        if at > LADDER_PROBES:
+            return None
+    for j in range(at, min(at + LADDER_PROBES, len(order))):
+        if order[j] <= budget:
+            return lo, j
+    return (lo, None) if at + LADDER_PROBES >= len(order) else None
+
+
 def _greedy_descent(target: int, budget: int, max_terms: int,
                     table: TauTable) -> tuple[list[int], int]:
     """Greedy steps until |remainder| <= DP_THRESHOLD; returns (indices, remainder).
@@ -444,7 +493,14 @@ def _greedy_descent(target: int, budget: int, max_terms: int,
     Each step takes the tau value within the budget closest to the remainder,
     ties to the smaller index. The ladder of indices sorted by (tau, index) is
     kept in `table.ladder` and regrown to at least twice its size when a
-    budget passes its end; each call walks only the entries within its budget.
+    budget passes its end. A step bisects the whole ladder for the remainder
+    and takes the nearest index within the budget on each side: the one just
+    below and the one at or above (an equal value further up has a larger
+    index, so it never wins). Those are looked up among LADDER_PROBES
+    positions per side; only when the probes fail does the call list every
+    ladder position within its budget, once, and bisect that list for the
+    rest of its steps. The probes fail where the budget is small against the
+    ladder, whose far ends then hold only indices past the budget.
     """
     if abs(target) <= DP_THRESHOLD:
         return [], target
@@ -460,23 +516,26 @@ def _greedy_descent(target: int, budget: int, max_terms: int,
         order = sorted(range(1, size + 1), key=table.values.__getitem__)
         ladder = table.ladder = (np.array(order), order, [table.values[n] for n in order])
     order_arr, order, ladder_vals = ladder
-    # Positions in the full ladder of the indices within this budget.
-    kept = np.flatnonzero(order_arr <= budget).tolist()
+    kept = None  # positions in the full ladder of the indices within this budget
     while abs(remainder) > DP_THRESHOLD:
         if len(terms) >= max_terms:
             raise InfeasibleError(
                 f"term budget {max_terms} exhausted at remainder {remainder};"
                 " raise c_bound or max_terms"
             )
-        pos = bisect.bisect_left(kept, bisect.bisect_left(ladder_vals, remainder))
-        best = None
-        for cand in (pos - 1, pos, pos + 1):
-            if 0 <= cand < len(kept):
-                v, idx = ladder_vals[kept[cand]], order[kept[cand]]
-                key = (abs(remainder - v), idx)
-                if best is None or key < best[0]:
-                    best = (key, v, idx)
-        _, v, idx = best
+        at = bisect.bisect_left(ladder_vals, remainder)
+        near = None if kept else _neighbours_within(order, at, budget)
+        if near is None:  # the probes failed, in this step or an earlier one
+            if kept is None:
+                kept = np.flatnonzero(order_arr <= budget).tolist()
+            pos = bisect.bisect_left(kept, at)
+            near = kept[pos - 1] if pos else None, kept[pos] if pos < len(kept) else None
+        lo, pick = near
+        if pick is None or lo is not None and (
+                (remainder - ladder_vals[lo], order[lo])
+                < (ladder_vals[pick] - remainder, order[pick])):
+            pick = lo  # the nearer value, ties to the smaller index
+        idx, v = order[pick], ladder_vals[pick]
         if abs(remainder - v) >= abs(remainder):
             raise InfeasibleError(
                 f"greedy descent stalled at remainder {remainder} with budget {budget}"
@@ -519,11 +578,7 @@ def represent_integer(target: int, params: RepresentationParams,
 
     terms, remainder = _greedy_descent(target, budget, params.max_terms, table)
 
-    coins = tuple(table.values[n] for n in range(1, 11))
-    radius = DP_THRESHOLD + max(abs(c) for c in coins)
-    dist = _finisher_distances(coins, radius)
-    coin_pairs = sorted(zip(coins, range(1, 11)), key=lambda t: (-abs(t[0]), t[1]))
-    terms.extend(_finish_exact(remainder, coin_pairs, dist, radius))
+    terms.extend(_finish_exact(remainder, *_finisher(tuple(table.values[1:11]))))
 
     if len(terms) > params.max_terms:
         raise InfeasibleError(

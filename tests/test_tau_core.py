@@ -256,6 +256,21 @@ def test_oracles_keep_their_range_messages(sigma1_2k, sigma5_2k, sigma11_2k):
         tau_sigma_formula(2001, sigma5_2k, sigma11_2k)
 
 
+# A SigmaTable whose values do not match its limit used to reach the oracles,
+# which then raised a bare IndexError.
+def test_niebur_cannot_get_a_table_shorter_than_its_limit():
+    with pytest.raises(ValueError, match=r"^sigma table of limit 10 needs 11 values, got 3$"):
+        tau_niebur(5, SigmaTable(1, 10, [0, 1, 3]))
+
+
+def test_sigma_formula_cannot_get_tables_unlike_their_limits():
+    s11 = build_sigma_table(11, 10)
+    with pytest.raises(ValueError, match=r"^sigma table of limit 10 needs 11 values, got 3$"):
+        tau_sigma_formula(5, SigmaTable(5, 10, [0, 1, 33]), s11)
+    with pytest.raises(ValueError, match=r"^sigma table of limit 2 needs 3 values, got 4$"):
+        tau_sigma_formula(2, build_sigma_table(5, 2), SigmaTable(11, 2, s11.values[:4]))
+
+
 def test_tau_prime_power_recurrence(table_2k):
     assert tau_prime_power(-24, 2, 2) == -1472 == table_2k.tau(4)
     assert tau_prime_power(252, 3, 2) == -113643 == table_2k.tau(9)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tauwaring import waring_int
 from tauwaring.divisor_arith import integer_nth_root, primes_in
@@ -20,7 +20,7 @@ from tauwaring.errors import (
     RelationViolationError,
 )
 from tauwaring.identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
-from tauwaring.tau_core import TauTable, build_tau_table_series
+from tauwaring.tau_core import TauTable, build_tau_table_series, tau_factored
 from tauwaring.waring_int import (
     DP_THRESHOLD,
     NON_REPRESENTABLE_6X7Y,
@@ -131,11 +131,15 @@ def test_residue_370943(table_2k):
 
 @settings(max_examples=80)
 @given(st.integers(min_value=0, max_value=RESIDUE_MODULUS - 1))
+@example(0)
+@example(RESIDUE_MODULUS - 1)
 def test_residue_certificates_sum_correctly(r):
     cert = represent_residue_198(r)
     assert len(cert.plus) == 198
     assert max(cert.plus) <= 105
     assert sum(TAU_SMALL[n] for n in cert.plus) == r
+    assert cert.meta["max_index"] == max(cert.plus)
+    assert cert.meta["max_abs_tau"] == max(abs(TAU_SMALL[n]) for n in set(cert.plus))
 
 
 def test_residue_certificate_tamper_detected(table_2k):
@@ -402,6 +406,79 @@ def test_verify_rejects_meta_tampering(table_2k):
     assert not verify_integer_certificate(cert, table_2k)
 
 
+def filtered_count_check(cert, table):
+    """The integer verifier counting a filtered generator of in-table indices
+    (test reference for the library's one Counter over every index)."""
+    counts = Counter(n for n in cert.plus if 1 <= n <= table.limit)
+    tau_of = {n: tau_factored(n, table) for n in counts}
+    total = sum(c * tau_of[n] for n, c in counts.items())
+    if cert.kind != "integer_sum" or not cert.plus or len(counts) < len(set(cert.plus)):
+        return total, False
+    n_terms = len(cert.plus)
+    top = max(counts)
+    max_abs = max(abs(t) for t in tau_of.values())
+    meta = cert.meta
+    ok = (
+        total == cert.target
+        and meta.get("term_count") == n_terms
+        and meta.get("max_index") == top
+        and meta.get("max_abs_tau", max_abs) == max_abs
+        and top <= meta.get("index_bound", top)
+        and meta.get("exact_terms", n_terms) == n_terms
+        and n_terms <= meta.get("max_terms", n_terms)
+    )
+    return total, ok
+
+
+META_FIELDS = ("term_count", "max_index", "max_abs_tau", "index_bound", "exact_terms",
+               "max_terms")
+position = st.integers(0, 10**6)
+certificate_mutation = st.one_of(
+    st.tuples(st.just("duplicate"), position, position),
+    st.tuples(st.just("insert"), st.sampled_from([0, -5, 2001, 10**400]), position),
+    st.tuples(st.just("empty")),
+    st.tuples(st.just("kind"), st.sampled_from(["", "modp_pm32", "Integer_sum"])),
+    st.tuples(st.just("meta"), st.sampled_from(META_FIELDS),
+              st.one_of(st.none(), st.integers(-3, 3), st.just(10**400))),
+    st.tuples(st.just("target"), st.integers(-3, 3)),
+)
+
+
+def mutate(cert, mutation):
+    kind, *args = mutation
+    plus = cert.plus
+    if kind == "duplicate" and plus:
+        plus.insert(args[1] % (len(plus) + 1), plus[args[0] % len(plus)])
+    elif kind == "insert":
+        plus.insert(args[1] % (len(plus) + 1), args[0])
+    elif kind == "empty":
+        plus.clear()
+    elif kind == "kind":
+        cert.kind = args[0]
+    elif kind == "meta" and args[1] is None:
+        cert.meta.pop(args[0], None)
+    elif kind == "meta":
+        old = cert.meta.get(args[0], 0)
+        cert.meta[args[0]] = args[1] if args[1] == 10**400 else old + args[1]
+    elif kind == "target":
+        cert.target += args[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-(10**11), 10**11).map(lambda n: ("integer", n)),
+                 st.integers(0, RESIDUE_MODULUS - 1).map(lambda r: ("residue", r))),
+       st.lists(certificate_mutation, max_size=4))
+def test_check_matches_filtered_count_on_mutated_certificates(table_2k, source, mutations):
+    kind, n = source
+    if kind == "integer":
+        cert = represent_integer(n, RepresentationParams(), table_2k)
+    else:
+        cert = represent_residue_198(n)
+    for mutation in mutations:
+        mutate(cert, mutation)
+    assert check_integer_certificate(cert, table_2k) == filtered_count_check(cert, table_2k)
+
+
 # ---------------------------------------------------------------- greedy ladder
 
 
@@ -517,6 +594,50 @@ def test_greedy_matches_per_call_sort_on_tied_values():
     assert sum(isinstance(o[0], list) for o in outcomes) > 200
 
 
+def count_flatnonzero(monkeypatch):
+    """Calls of np.flatnonzero from here on: one for each greedy call that
+    lists every ladder position within its budget."""
+    calls = []
+    real = np.flatnonzero
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "flatnonzero", counting)
+    return calls
+
+
+def test_greedy_probes_suffice_on_integer_workload(table_20k, monkeypatch):
+    rng = random.Random("integer:1")
+    targets = [rng.choice((-1, 1)) * int(10 ** rng.uniform(3, 17)) for _ in range(600)]
+    table = fresh_copy(table_20k)
+    calls = count_flatnonzero(monkeypatch)
+    for n in targets:
+        waring_int._greedy_descent(n, index_budget(n, 15), 74000, table)
+    assert calls == []
+
+
+def test_greedy_lists_the_budget_once_when_probes_fail(table_20k, monkeypatch):
+    # The first 40 cases with a budget below 10 among the large targets above.
+    rng = random.Random("greedy ladder: large targets")
+    table = fresh_copy(table_20k)
+    cases = []
+    for _ in range(2000):
+        target = rng.choice((-1, 1)) * int(10 ** rng.uniform(6, 22))
+        budget = int(10 ** rng.uniform(0, math.log10(table.limit)))
+        if budget < 10:
+            cases.append((target, index_budget(target, budget_as_c_bound(target, budget)), 2000))
+    # A fresh ladder only covers the budgets seen so far, and probes reach
+    # across a short one; grow it to the whole table first.
+    waring_int._greedy_descent(10**7, table.limit, 74000, table)
+    calls = count_flatnonzero(monkeypatch)
+    for case in cases[:40]:
+        before = len(calls)
+        assert_same_greedy([case], table)
+        assert len(calls) == before + 1, case
+
+
 # sha256 of the JSON of these 50 certificates, as emitted by the per-call sort.
 REPRESENT_DIGEST = "9b9fbb433a5ed6cc54bdcd81b041d61795c9cd29ac82f69689d2ddf7bbc74427"
 
@@ -622,3 +743,44 @@ def test_finisher_distances_is_read_only(table_2k):
     with pytest.raises(ValueError, match="read-only"):
         dist[radius + 1] = 0
     assert waring_int._finisher_distances(coins, radius) is dist
+
+
+def numpy_scalar_finish(r, coins, dist, radius):
+    """The finisher's walk reading the numpy distance table one scalar at a
+    time (test reference for the library's memoryview walk)."""
+    out = []
+    while r != 0:
+        d = int(dist[r + radius])
+        for value, idx in coins:
+            rr = r - value
+            if -radius <= rr <= radius and dist[rr + radius] == d - 1:
+                out.append(idx)
+                r = rr
+                break
+        else:
+            raise InternalCheckError(f"finisher table inconsistent at remainder {r}")
+    return out
+
+
+def by_size_then_index(coins):
+    return tuple(sorted(zip(coins, range(1, len(coins) + 1)), key=lambda t: (-abs(t[0]), t[1])))
+
+
+def test_finish_exact_matches_numpy_scalar_walk(table_2k):
+    coins = tuple(table_2k.values[1:11])
+    order, view, radius = waring_int._finisher(coins)
+    assert order == by_size_then_index(coins)
+    assert radius == DP_THRESHOLD + max(abs(c) for c in coins)
+    dist = waring_int._finisher_distances(coins, radius)
+    assert view.obj is dist and view.readonly
+    remainders = [*range(-DP_THRESHOLD, DP_THRESHOLD + 1, 499), DP_THRESHOLD, -1, 1]
+    for r in remainders:
+        got = waring_int._finish_exact(r, order, view, radius)
+        assert got == numpy_scalar_finish(r, order, dist, radius), r
+        assert sum(table_2k.values[n] for n in got) == r
+    # The int16 layout, past depth 255.
+    deep = waring_int._finisher_distances.__wrapped__((1, -2), 300)
+    order = by_size_then_index((1, -2))
+    for r in range(-300, 301):
+        assert (waring_int._finish_exact(r, order, memoryview(deep), 300)
+                == numpy_scalar_finish(r, order, deep, 300)), r
