@@ -51,7 +51,6 @@ from .waring_int import (
     grow_admissible,
     is_admissible,
     pad_count_6x7y,
-    q11_from_relation,
     represent_integer,
     represent_residue_198,
     solve_prime_power_sum,

@@ -25,10 +25,6 @@ class DegenerateContextError(TauwaringError):
     """A constructed residue context is too small to be usable."""
 
 
-class RelationViolationError(TauwaringError):
-    """A claimed tau-sum relation does not hold for the supplied values."""
-
-
 class InternalCheckError(TauwaringError):
     """An internal consistency assertion failed; indicates a bug upstream."""
 

@@ -181,10 +181,10 @@ def product_set_cover(xs, ys, p: int) -> ProductSumCover:
 class WindowPolicy:
     """Branch policy for the prime window (23, hi] used by build_context."""
 
-    branch: str = "auto"  # auto | direct | pairs
+    branch: str = "auto"  # auto (direct once it qualifies, else pairs) | pairs
 
     def __post_init__(self):
-        if self.branch not in ("auto", "direct", "pairs"):
+        if self.branch not in ("auto", "pairs"):
             raise ValueError(f"unknown branch policy {self.branch!r}")
 
 
@@ -266,10 +266,8 @@ def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -
         seen = top
         if policy.branch != "pairs" and len(classes) ** 2 > 9 * p:
             branch, (xs, ys) = "direct", _direct_sets(classes)
-        elif policy.branch != "direct":
-            branch, (xs, ys) = "pairs", _pair_sets(classes, p)
         else:
-            xs = ys = []
+            branch, (xs, ys) = "pairs", _pair_sets(classes, p)
         best = max(best, (len(xs), len(ys)))
         if len(xs) * len(ys) > 2 * p:
             return ModpContext(p=p, window=(23, hi), branch=branch, x_set=xs, y_set=ys,
@@ -420,11 +418,12 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
     the squares tau(q^2) = a0^2 - q^11 of its primes q, and C the tau values
     of the primes up to cap and of their squares; the indices are coprime
     across the three sets.
-    Branches are tried in order: split of A against itself, B against C, and
-    B against the larger of A+C and A*C (built only if the first two fail).
-    The cardinality bound |X||Y| > 2p guarantees coverage when it holds, but
-    at desk scale the small windows rarely reach it, so the first branch
-    whose coverage table reaches Z_p within eight levels is kept.
+    Two branches are tried in order: A split against itself (when A has two
+    witnesses), then B against C. The cardinality bound |X||Y| > 2p
+    guarantees coverage when it holds, but at desk scale the small windows
+    rarely reach it, so the first branch whose coverage table reaches Z_p
+    within eight levels is kept. On a 2000 table A-split covers every prime
+    in (23, 2000] but 29, where BxC does.
     """
     if not _table_prime(p, table):
         raise ValueError(f"p must be a prime in (23, {table.limit}^2], got {p}")
@@ -447,41 +446,18 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
         [WitnessedResidue(res, ((1, r**e),))
          for r in primes_in(1, cap)
          for e, res in ((1, table.values[r] % p), (2, (table.values[r] ** 2 - r**11) % p))], p)
+    half = (len(a_set) + 1) // 2
     sizes = []
-    for branch, xs, ys, formula, bound in _abc_branches(p, a_set, b_set, c_set, cap):
+    for branch, xs, ys, formula, bound in (
+            ("A-split", a_set[:half], a_set[half:], "p^2", p * p),
+            ("BxC", b_set, c_set, "p^(2+eps)", p * p * cap * cap)):
+        if not (xs and ys):  # A-split needs two A witnesses, BxC both sets
+            continue
         sizes.append((branch, len(xs), len(ys)))
         cover = ProductSumCover(p, xs, ys)
         if cover.covered:
             return AbcContext(p, cap, branch, formula, bound, len(xs) * len(ys) > 2 * p, cover)
     raise InfeasibleContextError(f"no branch covered Z_{p}; branch sizes were {sizes}")
-
-
-def _abc_branches(p, a_set, b_set, c_set, cap):
-    """(branch, X, Y, bound formula, index bound) in the order they are tried."""
-    if len(a_set) >= 2:
-        half = (len(a_set) + 1) // 2
-        yield "A-split", a_set[:half], a_set[half:], "p^2", p * p
-    if b_set and c_set:
-        yield "BxC", b_set, c_set, "p^(2+eps)", p * p * cap * cap
-    if b_set and a_set and c_set:
-        t_sum = _sum_elements(a_set, c_set, p)
-        t_prod = _product_elements(a_set, c_set, p)
-        if len(t_prod) > len(t_sum):
-            yield "BxT-product", b_set, t_prod, "p^(3+eps)", p**3 * cap * cap
-        else:
-            yield "BxT-sum", b_set, t_sum, "p^3", max(p**3, p * p * cap * cap)
-
-
-def _sum_elements(a_set, c_set, p):
-    return _first_by_residue(
-        [WitnessedResidue((wa.residue + wc.residue) % p, wa.origin + wc.origin)
-         for wa in a_set for wc in c_set], p)
-
-
-def _product_elements(a_set, c_set, p):
-    return _first_by_residue(
-        [WitnessedResidue(wa.residue * wc.residue % p, ((1, wa.origin[0][1] * wc.origin[0][1]),))
-         for wa in a_set for wc in c_set], p)
 
 
 def represent_sum16(lam: int, p: int, table: TauTable, *,

@@ -2,10 +2,9 @@
 
 Covers: the digit decomposition of residues mod 370944 over the tau values at
 {8, 5, 3, 2, 1}, exact-count padding with zero-sum blocks, admissible-set
-search, the q^11 identity from forced tau-sum relations, a meet-in-the-middle
-solver for small sums of prime 11th powers, and a desk-scale solver that
-writes any integer as a bounded sum of tau values with a verifiable
-certificate.
+search, a meet-in-the-middle solver for small sums of prime 11th powers, and
+a desk-scale solver that writes any integer as a bounded sum of tau values
+with a verifiable certificate.
 """
 
 from __future__ import annotations
@@ -20,12 +19,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .divisor_arith import integer_nth_root, is_prime, primes_in
-from .errors import (
-    CapacityError,
-    InfeasibleError,
-    InternalCheckError,
-    RelationViolationError,
-)
+from .errors import CapacityError, InfeasibleError, InternalCheckError
 from .identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
 from .tau_core import TauTable, json_int, json_ints, json_meta, tau_factored
 
@@ -83,9 +77,6 @@ class DigitVector:
 
     def total(self) -> int:
         return self.r5 + self.r4 + self.r3 + self.r2 + self.r1
-
-    def value(self) -> int:
-        return 84480 * self.r5 + 4830 * self.r4 + 252 * self.r3 - 24 * self.r2 + self.r1
 
 
 @dataclass
@@ -305,35 +296,6 @@ def find_dyadic_tau_primes(bound: int, table: TauTable) -> dict[int, int]:
             if len(found) == 12:
                 break
     return dict(sorted(found.items()))
-
-
-def q11_from_relation(q: int, tilde, provider) -> int:
-    """Evaluate q^11 from a forced 6-vs-5 tau-sum relation.
-
-    Given 11 distinct primes with sum(tau(t_i), i<6) = sum(tau(t_i), i>=6)
-    + tau(q) under `provider`, the alternating sum of tau(t_i * q) minus
-    tau(q^2) collapses to tau(q)^2 - tau(q^2) = q^11. The provider is any
-    callable n -> tau(n) honoring the Hecke square rule; it is consulted at
-    the primes, at q, and at q^2, with multiplicativity applied here.
-    """
-    tilde = list(tilde)
-    if len(tilde) != 11 or len(set(tilde)) != 11:
-        raise ValueError("need 11 distinct companion primes")
-    if q in tilde:
-        raise ValueError("q must not appear among the companions")
-    t_vals = [provider(t) for t in tilde]
-    tau_q = provider(q)
-    if sum(t_vals[:6]) != sum(t_vals[6:]) + tau_q:
-        raise RelationViolationError(
-            f"companion relation does not hold for q={q} under this provider"
-        )
-    rhs = sum(v * tau_q for v in t_vals[:6]) - sum(v * tau_q for v in t_vals[6:])
-    rhs -= provider(q * q)
-    if rhs != q**11:
-        raise InternalCheckError(
-            f"provider violates the Hecke square rule at q={q}: got {rhs}"
-        )
-    return rhs
 
 
 def solve_prime_power_sum(target: int, s: int, pool) -> list[int] | None:

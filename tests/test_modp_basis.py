@@ -305,6 +305,12 @@ def test_build_context_pairs_forced(table_2k):
     assert len(ctx.x_set) * len(ctx.y_set) > 2 * p
 
 
+@pytest.mark.parametrize("branch", ["direct", "Pairs", ""])
+def test_window_policy_takes_auto_or_pairs(branch):
+    with pytest.raises(ValueError, match="unknown branch policy"):
+        WindowPolicy(branch=branch)
+
+
 def test_build_context_window_exhaustion():
     with pytest.raises(InfeasibleContextError):
         build_context(29, build_tau_table_series(60), WindowPolicy(branch="pairs"))
@@ -431,8 +437,8 @@ def test_sum16_sweep_p29(table_2k):
         assert verify_modp_certificate(cert, table_2k), lam
         assert cert.minus == [] and len(cert.plus) <= 16
         assert max(cert.plus) <= cert.meta["index_bound"]
-        assert cert.meta["branch"] in ("A-split", "BxC", "BxT-sum", "BxT-product")
-        assert cert.meta["bound_formula"] in ("p^2", "p^(2+eps)", "p^3", "p^(3+eps)")
+        assert cert.meta["branch"] in ("A-split", "BxC")
+        assert cert.meta["bound_formula"] in ("p^2", "p^(2+eps)")
 
 
 def test_sum16_records_guarantee_flag(table_2k):
@@ -466,41 +472,30 @@ def test_sum16_walks_the_context_cover(table_2k, monkeypatch):
     assert built == []
 
 
-def test_abc_context_builds_sum_sets_only_after_both_branches_fail(table_2k, monkeypatch):
-    calls = []
-    monkeypatch.setattr(modp_basis, "_sum_elements", lambda *a: calls.append(a) or [])
-    for p in (29, 101):
-        assert build_abc_context(p, table_2k).branch in ("A-split", "BxC")
-    assert calls == []
-
-
-# sha256 over the sorted-key JSON lines of sum16 at every lambda of p = 29 and
-# then 499 on the 2000-entry table, with build_abc_context held to its BxT
-# branches (recorded before the witness supports were deleted).
-CERT_DIGEST_BXT_29_499 = "3a61e3bdf39444bf4b0d49b058e83eae6a12c3b544d0c4b5e004eaee19d2f04b"
-
-
-def test_abc_context_bxt_branches_end_to_end(table_2k, monkeypatch):
-    branches = modp_basis._abc_branches
-    monkeypatch.setattr(modp_basis, "_abc_branches",
-                        lambda *a: (b for b in branches(*a) if b[0].startswith("BxT")))
-    digest = hashlib.sha256()
-    for p, branch in ((29, "BxT-sum"), (499, "BxT-product")):
-        ctx = build_abc_context(p, table_2k)
-        assert ctx.branch == branch
-        for w in ctx.cover.xs + ctx.cover.ys:
-            assert recompute_witnessed(w, table_2k, p) == w.residue
-        for lam in range(p):
-            cert = represent_sum16(lam, p, table_2k, ctx=ctx)
-            assert verify_modp_certificate(cert, table_2k), (p, lam)
-            digest.update((json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode())
-    assert digest.hexdigest() == CERT_DIGEST_BXT_29_499
+def test_abc_context_branch_at_every_prime_below_2000(table_2k):
+    # A-split at every prime in (23, 2000] but 29, where BxC covers; a prime
+    # that ever needed a third branch would fail here first.
+    branches = {p: build_abc_context(p, table_2k).branch for p in primes_in(24, 2000)}
+    assert len(branches) == 294
+    assert {p: b for p, b in branches.items() if b != "A-split"} == {29: "BxC"}
 
 
 def test_abc_context_reports_uncovered_branches(table_2k, monkeypatch):
     monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
     with pytest.raises(InfeasibleContextError, match="no branch covered Z_29; branch sizes"):
         build_abc_context(29, table_2k)
+
+
+def test_abc_context_skips_a_split_with_one_a_witness(monkeypatch):
+    # tau classes over the primes in (14, 29] are {1: [17, 19, 23], 2: [29]},
+    # so A keeps the one witness 29 and only BxC is tried.
+    values = [0] + [1] * 200
+    values[29] = 2
+    fake = TauTable(200, values, "series")
+    assert build_abc_context(29, fake).branch == "BxC"
+    monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
+    with pytest.raises(InfeasibleContextError, match=r"sizes were \[\('BxC', 3, 7\)\]$"):
+        build_abc_context(29, fake)
 
 
 def test_certificate_finisher_holds_every_cap():

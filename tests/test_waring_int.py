@@ -13,12 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tauwaring import waring_int
 from tauwaring.divisor_arith import integer_nth_root, primes_in
-from tauwaring.errors import (
-    CapacityError,
-    InfeasibleError,
-    InternalCheckError,
-    RelationViolationError,
-)
+from tauwaring.errors import CapacityError, InfeasibleError, InternalCheckError
 from tauwaring.identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
 from tauwaring.tau_core import TauTable, build_tau_table_series, tau_factored
 from tauwaring.waring_int import (
@@ -35,7 +30,6 @@ from tauwaring.waring_int import (
     index_budget,
     is_admissible,
     pad_count_6x7y,
-    q11_from_relation,
     represent_integer,
     represent_residue_198,
     solve_prime_power_sum,
@@ -71,7 +65,7 @@ def test_digit_range_errors():
 @given(st.integers(min_value=0, max_value=RESIDUE_MODULUS - 1))
 def test_digit_cascade_roundtrip(r):
     v = digits_mod_370944(r)
-    assert v.value() == r
+    assert 84480 * v.r5 + 4830 * v.r4 + 252 * v.r3 - 24 * v.r2 + v.r1 == r
     assert v.r5 <= 4 and v.r4 <= 17 and v.r3 <= 20 and v.r2 <= 11 and v.r1 <= 23
     assert v.total() <= 75
 
@@ -225,66 +219,6 @@ def test_find_dyadic_small_bound(table_2k):
     found = find_dyadic_tau_primes(30, table_2k)
     assert isinstance(found, dict)
     assert all(q <= 30 for q in found.values())
-
-
-# ---------------------------------------------------------------- q^11 relation
-
-
-def synthetic_provider(q, tau_q, tilde, spread):
-    """tau-value source honoring the Hecke square rule and the forced
-    relation sum(first six) = sum(last five) + tau(q)."""
-    vals = {}
-    first = [spread * (i + 1) for i in range(6)]
-    last = [spread * (i + 2) for i in range(5)]
-    # adjust the final entry of the first block to force the relation
-    first[5] = sum(last) + tau_q - sum(first[:5])
-    for t, v in zip(tilde, first + last):
-        vals[t] = v
-    vals[q] = tau_q
-    vals[q * q] = tau_q * tau_q - q**11
-
-    def provider(n):
-        return vals[n]
-
-    return provider
-
-
-def test_q11_from_relation_synthetic(table_2k):
-    tilde = primes_in(31, 200)[:11]  # starts at 37, avoiding both q values
-    for q, spread in ((29, 17), (2, 5)):
-        tau_q = table_2k.tau(q)
-        provider = synthetic_provider(q, tau_q, tilde, spread)
-        assert q11_from_relation(q, tilde, provider) == q**11
-
-
-def test_q11_reduction_matches_hecke(table_2k):
-    # the collapsed identity is tau(q)^2 - tau(q^2) = q^11; cross-check q=2
-    tilde = primes_in(31, 200)[:11]
-    provider = synthetic_provider(2, table_2k.tau(2), tilde, 3)
-    assert q11_from_relation(2, tilde, provider) == \
-        table_2k.tau(2) ** 2 - table_2k.tau(4)
-
-
-def test_q11_relation_violated(table_2k):
-    tilde = primes_in(31, 200)[:11]
-    with pytest.raises(RelationViolationError):
-        q11_from_relation(29, tilde, lambda n: table_2k.tau(n))
-
-
-def test_q11_bad_inputs(table_2k):
-    provider = lambda n: table_2k.tau(n)
-    with pytest.raises(ValueError):
-        q11_from_relation(29, [29] + primes_in(31, 120)[:10], provider)
-    with pytest.raises(ValueError):
-        q11_from_relation(29, primes_in(31, 100)[:10], provider)
-
-
-def test_q11_broken_hecke_provider(table_2k):
-    tilde = primes_in(31, 200)[:11]
-    good = synthetic_provider(29, table_2k.tau(29), tilde, 11)
-    bad = lambda n: good(n) + (1 if n == 29 * 29 else 0)
-    with pytest.raises(InternalCheckError):
-        q11_from_relation(29, tilde, bad)
 
 
 # ---------------------------------------------------------------- prime-power sums
