@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -53,8 +54,14 @@ COVER_CHUNK = 1 << 16
 
 def _table_prime(p: int, table: TauTable) -> bool:
     """True iff p is a prime in (23, table.limit^2], settled by trial division
-    by the primes up to sqrt(p) <= table.limit, so the table bounds the work."""
-    return 23 < p <= table.limit**2 and factor_within(p, p) == [(p, 1)]
+    by the primes up to sqrt(p) <= table.limit, so the table bounds the work;
+    the verdict is cached per (p, table.limit)."""
+    return _prime_within(p, table.limit)
+
+
+@lru_cache(maxsize=256)
+def _prime_within(p: int, limit: int) -> bool:
+    return 23 < p <= limit**2 and factor_within(p, p) == [(p, 1)]
 
 
 @dataclass(frozen=True)
@@ -83,9 +90,10 @@ class ProductSumCover:
     last product t, so that a = r - t. A level stops filling as soon as it
     holds all p residues, and the levels stop at the first one equal to Z_p
     (at most 8): from there on every level is Z_p, since r = (r - t0) + t0
-    for the fixed product t0 = levels[0][0]. Walking the pointers and padding
-    with copies of t0 recovers, for any covered residue, exactly eight
-    (x, y) pairs whose products sum to it.
+    for the fixed product t0 = levels[0][0], so S_8 = Z_p. A residue's walk
+    starts at the least level k that holds it and recovers exactly k (x, y)
+    pairs whose products sum to it, with no padding: on a 2e4 table the pm32
+    cover at p = 499 needs one pair for 490 residues and two for the other 9.
     """
 
     def __init__(self, p: int, xs, ys):
@@ -135,14 +143,15 @@ class ProductSumCover:
         return self.xs[i], self.ys[j]
 
     def pairs_for(self, lam: int) -> list[tuple]:
-        p = self.p
-        pad = 8 - len(self.levels)  # > 0 only when the last level is Z_p
-        t0 = self.levels[0].item(0) if len(self.levels[0]) else 0
-        r = (lam - pad * t0) % p
-        if self._pointers[-1].item(r) < 0:
-            raise InfeasibleContextError(f"residue {lam % p} not covered at depth 8")
-        out = [self._pair(t0)] * pad
-        for step in reversed(self._pointers[1:]):
+        """The k (x, y) pairs whose products sum to lam, for the least level k
+        that holds lam mod p: the products t named by levels k down to 2,
+        then the level-1 pair of what is left."""
+        p, r = self.p, lam % self.p
+        k = next((k for k, step in enumerate(self._pointers, 1) if step.item(r) >= 0), 0)
+        if not k:
+            raise InfeasibleContextError(f"residue {r} not covered at depth 8")
+        out = []
+        for step in reversed(self._pointers[1:k]):
             t = step.item(r)
             r = (r - t) % p
             out.append(self._pair(t))
@@ -328,7 +337,7 @@ def modp_certificate_from_json(obj: dict) -> ModpCertificate:
 
 
 def _expand(cover: ProductSumCover, lam: int) -> tuple[list[int], list[int]]:
-    """Signed tau indices (plus, minus) for lambda from the cover's eight pairs.
+    """Signed tau indices (plus, minus) for lambda from the pairs its cover walk gives.
 
     (sum_i s_i tau(n_i)) * (sum_j t_j tau(m_j)) = sum_ij s_i t_j tau(n_i m_j)
     requires gcd(n_i, m_j) = 1 throughout; the context constructions
@@ -362,7 +371,7 @@ def _certificate(kind: str, p: int, lam: int, plus: list[int], minus: list[int],
 
 
 def represent_pm32(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
-    """Mixed-sign certificate for lambda mod p from eight coverage pairs."""
+    """Mixed-sign certificate for lambda mod p from at most eight coverage pairs."""
     lam %= ctx.p
     plus, minus = _expand(ctx.cover, lam)
     hi = ctx.window[1]

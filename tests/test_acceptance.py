@@ -174,7 +174,7 @@ def test_criterion_6_pm32_and_sum96(modp_sweeps, table_100k):
 
 
 def test_criterion_7_sum16(sum16_sweeps, table_100k):
-    formulas = ("p^2", "p^(2+eps)", "p^3", "p^(3+eps)")
+    formulas = ("p^2", "p^(2+eps)")
     for p in SUM16_PRIMES:
         for lam, cert in enumerate(sum16_sweeps[p]):
             assert cert.lam == lam

@@ -73,12 +73,18 @@ def test_cover_matches_bruteforce_p7():
         assert cover.covered_at(k) == exact
 
 
+def least_level(lam, exact):
+    """Least k with lam in exact[k-1], the brute-force sums of exactly k products."""
+    return next(k for k, level in enumerate(exact, 1) if lam in level)
+
+
 def test_cover_witnesses_sum_correctly():
-    p = 7
-    cover = product_set_cover([1, 2, 3, 4], [1, 2, 3, 5], p)
+    p, xs, ys = 7, [1, 2, 3, 4], [1, 2, 3, 5]
+    cover = product_set_cover(xs, ys, p)
+    exact = exact_sumsets({x * y % p for x in xs for y in ys}, p)
     for lam in range(p):
         pairs = cover.pairs_for(lam)
-        assert len(pairs) == 8
+        assert len(pairs) == least_level(lam, exact)
         assert sum(x * y for x, y in pairs) % p == lam
 
 
@@ -126,7 +132,8 @@ def exact_sumsets(products, p):
 
 
 def check_shallow_cover(cover, p, products, product_of):
-    """Levels stop at the first full one, and the padded walk is exact."""
+    """Levels stop at the first full one, and each walk is exact and starts at
+    the least level that holds its residue."""
     assert cover.covered
     assert all(len(level) < p for level in cover.levels[:-1])
     exact = exact_sumsets(products, p)
@@ -134,7 +141,7 @@ def check_shallow_cover(cover, p, products, product_of):
         assert cover.covered_at(k) == exact[k - 1], k
     for lam in range(p):
         pairs = cover.pairs_for(lam)
-        assert len(pairs) == 8
+        assert len(pairs) == least_level(lam, exact)
         assert sum(product_of(x, y) for x, y in pairs) % p == lam
 
 
@@ -177,11 +184,10 @@ class DictCover:
         return set(self.levels[min(k, len(self.levels)) - 1])
 
     def pairs_for(self, lam):
-        pad = 8 - len(self.levels)
-        t0 = next(iter(self.s1))
-        r = (lam - pad * t0) % self.p
-        out = [self.s1[t0]] * pad
-        for level in reversed(self.levels[1:]):
+        r = lam % self.p
+        k = next(k for k, level in enumerate(self.levels, 1) if r in level)
+        out = []
+        for level in reversed(self.levels[1:k]):
             r, step = level[r]
             out.append(self.s1[step])
         return out + [self.s1[r]]
@@ -219,6 +225,27 @@ def test_array_cover_level_one_spans_chunks(monkeypatch):
     monkeypatch.setattr(modp_basis, "COVER_CHUNK", 64)
     for p, xs, ys in ((101, range(1, 40), range(3, 24)), (29, range(29), range(29))):
         assert_same_cover(ProductSumCover(p, list(xs), list(ys)), p, list(xs), list(ys))
+
+
+def test_walk_starts_at_the_least_level_of_a_partial_cover():
+    # exact-k sums of {1, 2} are {k..2k}: eight levels that miss Z_101
+    p = 101
+    cover = ProductSumCover(p, [1], [1, 2])
+    assert len(cover.levels) == 8 and not cover.covered
+    assert cover.pairs_for(3) == [(1, 2), (1, 1)]  # level 2 claims 3 from a = 1 with t = 2
+    assert cover.pairs_for(16) == [(1, 2)] * 8
+    exact = exact_sumsets({1, 2}, p)
+    missed = {lam for lam in range(p) if not any(lam in level for level in exact)}
+    assert {17, 50} <= missed
+    for lam in range(p):
+        if lam in missed:
+            with pytest.raises(InfeasibleContextError,
+                               match=f"^residue {lam} not covered at depth 8$"):
+                cover.pairs_for(lam)
+        else:
+            pairs = cover.pairs_for(lam)
+            assert len(pairs) == least_level(lam, exact)
+            assert sum(x * y for x, y in pairs) % p == lam
 
 
 def test_cover_refuses_what_int32_cannot_index():
@@ -339,9 +366,13 @@ def test_pm32_direct_branch_is_pure(table_2k):
 
 
 def test_pm32_pairs_branch_expansion(table_2k):
-    ctx = build_context(29, table_2k, WindowPolicy(branch="pairs"))
+    p = 29
+    ctx = build_context(p, table_2k, WindowPolicy(branch="pairs"))
+    products = {wx.residue * wy.residue % p for wx in ctx.x_set for wy in ctx.y_set}
+    k = least_level(11, exact_sumsets(products, p))
     cert = represent_pm32(11, ctx, table_2k)
-    assert len(cert.plus) == 16 and len(cert.minus) == 16
+    # each pair of (q q' - q^2) witnesses expands to two plus and two minus terms
+    assert len(cert.plus) == len(cert.minus) == 2 * k
     assert verify_modp_certificate(cert, table_2k)
     assert max(cert.plus + cert.minus) <= ctx.window[1] ** 4
 
@@ -508,36 +539,73 @@ def test_certificate_finisher_holds_every_cap():
         assert cert.meta["counts"] == {"plus": cap_plus, "minus": cap_minus}
 
 
-# Certificate bytes pinned before the sum16 branch moved into its context:
-# sha256 over the sorted-key JSON lines of pm32, sum96 and sum16, for every
-# lambda at p = 29 and 101 on the 2000-entry table.
-CERT_DIGEST_29_101 = "82a70353ae099a6349032d53c027e16a0aa23434430f87d21a6726c89cccc7c5"
+def certificates_29_101(table, branch):
+    """pm32, sum96 and (on the auto branch) sum16 for every lambda at p = 29 and
+    101, in a fixed order."""
+    for p in (29, 101):
+        ctx = build_context(p, table, WindowPolicy(branch=branch))
+        abc = build_abc_context(p, table) if branch == "auto" else None
+        for lam in range(p):
+            yield represent_pm32(lam, ctx, table)
+            yield represent_sum96(lam, ctx, table)
+            if abc:
+                yield represent_sum16(lam, p, table, ctx=abc)
+
+
+def certificate_digest(certs):
+    """sha256 over the sorted-key JSON lines of the certificates."""
+    digest = hashlib.sha256()
+    for cert in certs:
+        digest.update((json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode())
+    return digest.hexdigest()
+
+
+# Certificate bytes of every lambda at p = 29 and 101 on the 2000-entry table,
+# each walked from the least cover level that holds it. The auto branch is
+# direct at 29 and 101, so the pairs branch needs its own pin.
+CERT_DIGEST_29_101 = "899f9eab9b658fbb65a1a76d33791ad93d3b1b64562b035fff42bebdaf52cab3"
+CERT_DIGEST_PAIRS_29_101 = "c3f810ca95b4191704795e324c84f47701d55b0c12d3190e7bf527768181b6a9"
+# The same certificates as the walk emitted them when it padded every residue
+# to eight pairs with copies of t0 = levels[0][0] (see padded_pairs).
+PADDED_DIGEST_29_101 = "82a70353ae099a6349032d53c027e16a0aa23434430f87d21a6726c89cccc7c5"
+PADDED_DIGEST_PAIRS_29_101 = "5f1e8cee90711a51f6f65681845b5b24a3841d73d64ba2d9774b4c707fd2cf32"
 
 
 def test_modp_certificates_are_byte_identical(table_2k):
-    digest = hashlib.sha256()
-    for p in (29, 101):
-        ctx, abc = build_context(p, table_2k), build_abc_context(p, table_2k)
-        for lam in range(p):
-            for cert in (represent_pm32(lam, ctx, table_2k), represent_sum96(lam, ctx, table_2k),
-                         represent_sum16(lam, p, table_2k, ctx=abc)):
-                digest.update((json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode())
-    assert digest.hexdigest() == CERT_DIGEST_29_101
-
-
-# The auto branch is direct at 29 and 101, so the pairs branch needs its own pin.
-CERT_DIGEST_PAIRS_29_101 = "5f1e8cee90711a51f6f65681845b5b24a3841d73d64ba2d9774b4c707fd2cf32"
+    assert certificate_digest(certificates_29_101(table_2k, "auto")) == CERT_DIGEST_29_101
 
 
 def test_pairs_branch_certificates_are_byte_identical(table_2k):
-    digest = hashlib.sha256()
-    for p in (29, 101):
-        ctx = build_context(p, table_2k, WindowPolicy(branch="pairs"))
-        for lam in range(p):
-            for represent in (represent_pm32, represent_sum96):
-                cert = represent(lam, ctx, table_2k)
-                digest.update((json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode())
-    assert digest.hexdigest() == CERT_DIGEST_PAIRS_29_101
+    assert certificate_digest(certificates_29_101(table_2k, "pairs")) == CERT_DIGEST_PAIRS_29_101
+
+
+def padded_pairs(cover, lam):
+    """The eight-pair walk (test reference): copies of the pair of t0 =
+    levels[0][0], then the walk from the last level down."""
+    p, pad = cover.p, 8 - len(cover.levels)
+    t0 = cover.levels[0].item(0)
+    r = (lam - pad * t0) % p
+    out = [cover._pair(t0)] * pad
+    for step in reversed(cover._pointers[1:]):
+        t = step.item(r)
+        r = (r - t) % p
+        out.append(cover._pair(t))
+    return out + [cover._pair(r)]
+
+
+@pytest.mark.parametrize("branch,digest", [("auto", PADDED_DIGEST_29_101),
+                                           ("pairs", PADDED_DIGEST_PAIRS_29_101)])
+def test_padded_walk_certificates_still_verify(table_2k, monkeypatch, branch, digest):
+    certs = list(certificates_29_101(table_2k, branch))
+    monkeypatch.setattr(ProductSumCover, "pairs_for", padded_pairs)
+    padded = list(certificates_29_101(table_2k, branch))
+    # the reference reproduces the padded walk's bytes exactly
+    assert certificate_digest(padded) == digest
+    for cert, twin in zip(certs, padded, strict=True):
+        assert (cert.kind, cert.p, cert.lam) == (twin.kind, twin.p, twin.lam)
+        assert verify_modp_certificate(twin, table_2k), (twin.kind, twin.p, twin.lam)
+        assert verify_modp_certificate(cert, table_2k), (cert.kind, cert.p, cert.lam)
+        assert len(cert.plus) + len(cert.minus) <= len(twin.plus) + len(twin.minus)
 
 
 # ---------------------------------------------------------------- verifier

@@ -416,12 +416,29 @@ def test_check_matches_filtered_count_on_mutated_certificates(table_2k, source, 
 # ---------------------------------------------------------------- greedy ladder
 
 
+# id(table) -> (table, its (tau, index) tuples sorted, their indices as an
+# array); holding the table keeps its id from being reused while the entry lives.
+_TAU_ORDER: dict[int, tuple] = {}
+
+
+def within_budget(table, budget):
+    """The table's (tau(n), n) with n <= budget in sorted order: the tuples are
+    sorted once per table object and filtered per call (test reference,
+    independent of waring_int's ladder)."""
+    if id(table) not in _TAU_ORDER:
+        pairs = sorted((table.values[n], n) for n in range(1, table.limit + 1))
+        _TAU_ORDER[id(table)] = (table, pairs, np.array([n for _, n in pairs]))
+    _, pairs, index = _TAU_ORDER[id(table)]
+    return [pairs[i] for i in np.nonzero(index <= budget)[0].tolist()]
+
+
 def per_call_greedy(target, budget, max_terms, table):
     """The greedy descent as it was before the ladder was kept on the table
-    (test reference): one (tau, index) tuple sort per call."""
+    (test reference): the sorted (tau, index) tuples with index <= budget,
+    the same list in the same order as a sort of those tuples per call."""
     terms, remainder = [], target
     if abs(remainder) > DP_THRESHOLD:
-        ladder = sorted((table.values[n], n) for n in range(1, budget + 1))
+        ladder = within_budget(table, budget)
         ladder_vals = [v for v, _ in ladder]
         while abs(remainder) > DP_THRESHOLD:
             if len(terms) >= max_terms:
