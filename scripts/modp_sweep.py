@@ -3,8 +3,9 @@
 
 For each prime the script builds the witnessed context, emits and verifies a
 certificate for every residue class in every requested mode, and prints the
-branch taken, the window, term-count ranges, the largest index used, and the
-empirical additive basis order of {tau(n) mod p : n <= p} for comparison.
+branch taken, the window (for sum16, the index bound), term-count ranges, the
+largest index used, and the empirical additive basis order of
+{tau(n) mod p : n <= p} for comparison.
 
 Usage: python3 scripts/modp_sweep.py --primes 29 31 101 499 [--modes pm32 sum96 sum16]
 """
@@ -13,6 +14,7 @@ import argparse
 import time
 
 from tauwaring.modp_basis import (
+    MODP_CAPS,
     basis_order_scan,
     build_abc_context,
     build_context,
@@ -29,7 +31,7 @@ def sweep(p, mode, table):
     if mode == "sum16":
         ctx = build_abc_context(p, table)
         certs = [represent_sum16(lam, p, table, ctx=ctx) for lam in range(p)]
-        detail = f"branch={certs[0].meta['branch']} cap={ctx.cap}"
+        detail = f"branch={ctx.branch} index_bound={ctx.index_bound}"
     else:
         ctx = build_context(p, table)
         emit = represent_pm32 if mode == "pm32" else represent_sum96
@@ -48,8 +50,7 @@ def sweep(p, mode, table):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--primes", type=int, nargs="+", default=[29, 31, 101, 499])
-    ap.add_argument("--modes", nargs="+", default=["pm32", "sum96", "sum16"],
-                    choices=["pm32", "sum96", "sum16"])
+    ap.add_argument("--modes", nargs="+", default=list(MODP_CAPS), choices=list(MODP_CAPS))
     ap.add_argument("--limit", type=int, default=20_000)
     args = ap.parse_args()
 

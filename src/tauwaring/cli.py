@@ -109,18 +109,11 @@ def cmd_represent(args) -> int:
     target = int(args.target)
     if args.residue:
         if not 0 <= target < waring_int.RESIDUE_MODULUS:
-            print(
-                f"error: residue targets live in [0, {waring_int.RESIDUE_MODULUS})",
-                file=sys.stderr,
-            )
-            return EXIT_INVALID
+            raise CliInputError(f"residue targets live in [0, {waring_int.RESIDUE_MODULUS})")
         if args.max_terms < waring_int.RESIDUE_TERM_COUNT:
-            print(
-                f"error: residue mode emits exactly {waring_int.RESIDUE_TERM_COUNT} terms,"
-                f" which exceeds --max-terms {args.max_terms}",
-                file=sys.stderr,
-            )
-            return EXIT_INVALID
+            raise CliInputError(
+                f"residue mode emits exactly {waring_int.RESIDUE_TERM_COUNT} terms,"
+                f" which exceeds --max-terms {args.max_terms}")
         cert = waring_int.represent_residue_198(target)
         table = _resolve_table(args.table, args.limit, fallback_limit=105)
     else:
@@ -225,7 +218,7 @@ def build_parser() -> _Parser:
     p_modp = sub.add_parser("modp", help="represent a residue class mod p")
     p_modp.add_argument("--p", type=int, required=True)
     p_modp.add_argument("--lambda", type=int, required=True, dest="lam")
-    p_modp.add_argument("--mode", required=True, choices=("pm32", "sum96", "sum16"))
+    p_modp.add_argument("--mode", required=True, choices=list(modp_basis.MODP_CAPS))
     p_modp.add_argument("--out")
     p_modp.add_argument("--table")
     p_modp.add_argument("--limit", type=int)

@@ -292,7 +292,7 @@ def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -
 class ModpCertificate:
     """Claimed congruence sum(tau(plus)) - sum(tau(minus)) = lambda (mod p)."""
 
-    kind: str  # pm32 | sum96 | sum16
+    kind: str  # a key of MODP_CAPS
     p: int
     lam: int
     plus: list[int]
@@ -316,7 +316,7 @@ class ModpCertificate:
 
 def modp_certificate_from_json(obj: dict) -> ModpCertificate:
     kind = obj.get("kind")
-    if kind not in ("pm32", "sum96", "sum16"):
+    if not (isinstance(kind, str) and kind in MODP_CAPS):
         raise ValueError(f"not a mod-p certificate: {kind!r}")
     for field in ("p", "lambda", "plus", "minus"):
         if field not in obj:
@@ -324,8 +324,6 @@ def modp_certificate_from_json(obj: dict) -> ModpCertificate:
     meta = json_meta(obj, ("max_index", "index_bound"))
     if not isinstance(meta.get("counts", {}), dict):
         raise ValueError("certificate field 'meta.counts' must be an object")
-    if "window" in meta:
-        meta["window"] = json_ints(meta["window"], "meta.window")
     return ModpCertificate(
         kind=kind,
         p=json_int(obj["p"], "p"),
@@ -356,9 +354,10 @@ def _expand(cover: ProductSumCover, lam: int) -> tuple[list[int], list[int]]:
 
 
 def _certificate(kind: str, p: int, lam: int, plus: list[int], minus: list[int],
-                 **meta) -> ModpCertificate:
+                 index_bound: int) -> ModpCertificate:
     """Finish a certificate of any kind: hold its term counts to MODP_CAPS[kind],
-    the caps the verifier reads, and record max_index and counts in the meta."""
+    the caps the verifier reads, and record in the meta exactly the fields the
+    verifier checks: max_index, counts and index_bound."""
     cap_plus, cap_minus = MODP_CAPS[kind]
     if len(plus) > cap_plus or len(minus) > cap_minus:
         raise InternalCheckError(
@@ -366,7 +365,7 @@ def _certificate(kind: str, p: int, lam: int, plus: list[int], minus: list[int],
             f" over the {cap_plus}+{cap_minus} cap"
         )
     meta = {"max_index": max(plus + minus),
-            "counts": {"plus": len(plus), "minus": len(minus)}, **meta}
+            "counts": {"plus": len(plus), "minus": len(minus)}, "index_bound": index_bound}
     return ModpCertificate(kind, p, lam, plus, minus, meta)
 
 
@@ -375,10 +374,8 @@ def represent_pm32(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertifica
     lam %= ctx.p
     plus, minus = _expand(ctx.cover, lam)
     hi = ctx.window[1]
-    return _certificate("pm32", ctx.p, lam, plus, minus, branch=ctx.branch,
-                        window=list(ctx.window),
-                        index_bound=hi**4 if ctx.branch == "pairs" else hi * hi,
-                        glibichuk=True)
+    return _certificate("pm32", ctx.p, lam, plus, minus,
+                        hi**4 if ctx.branch == "pairs" else hi * hi)
 
 
 def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
@@ -393,30 +390,23 @@ def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertific
     p = ctx.p
     lam %= p
     tau12 = table.values[12] % p
-    lam_star = lam * pow(tau12, -1, p) % p
-    base = represent_pm32(lam_star, ctx, table)
+    base = represent_pm32(lam * pow(tau12, -1, p) % p, ctx, table)
     plus = [12 * n for n in base.plus]
     for m in base.minus:
         plus.extend(k * m for k in ZERO_SUM_SIX[1:])
-    return _certificate("sum96", p, lam, plus, [], branch=ctx.branch,
-                        window=list(ctx.window),
-                        index_bound=105 * base.meta["index_bound"],
-                        lambda_star=lam_star, glibichuk=True)
+    return _certificate("sum96", p, lam, plus, [], 105 * base.meta["index_bound"])
 
 
 @dataclass
 class AbcContext:
     """The settled covering branch of the pure 16-term construction: the first
     pair of build_abc_context's sets whose cover reaches Z_p (cover.xs and
-    cover.ys are its witnesses), its index bound, whether |X||Y| > 2p
-    (glibichuk) guaranteed that cover, and the cap on the C primes."""
+    cover.ys are its witnesses) and its index bound, p^2 for A-split and
+    p^2 cap^2 for BxC."""
 
     p: int
-    cap: int
     branch: str
-    bound_formula: str
     index_bound: int
-    glibichuk: bool
     cover: ProductSumCover
 
 
@@ -457,15 +447,14 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
          for e, res in ((1, table.values[r] % p), (2, (table.values[r] ** 2 - r**11) % p))], p)
     half = (len(a_set) + 1) // 2
     sizes = []
-    for branch, xs, ys, formula, bound in (
-            ("A-split", a_set[:half], a_set[half:], "p^2", p * p),
-            ("BxC", b_set, c_set, "p^(2+eps)", p * p * cap * cap)):
+    for branch, xs, ys, bound in (("A-split", a_set[:half], a_set[half:], p * p),
+                                  ("BxC", b_set, c_set, p * p * cap * cap)):
         if not (xs and ys):  # A-split needs two A witnesses, BxC both sets
             continue
         sizes.append((branch, len(xs), len(ys)))
         cover = ProductSumCover(p, xs, ys)
         if cover.covered:
-            return AbcContext(p, cap, branch, formula, bound, len(xs) * len(ys) > 2 * p, cover)
+            return AbcContext(p, branch, bound, cover)
     raise InfeasibleContextError(f"no branch covered Z_{p}; branch sizes were {sizes}")
 
 
@@ -478,9 +467,7 @@ def represent_sum16(lam: int, p: int, table: TauTable, *,
     elif ctx.p != p:
         raise ValueError(f"context is for p={ctx.p}, not {p}")
     plus, minus = _expand(ctx.cover, lam)
-    return _certificate("sum16", p, lam % p, plus, minus, branch=ctx.branch,
-                        bound_formula=ctx.bound_formula, index_bound=ctx.index_bound,
-                        eps_cap=ctx.cap, glibichuk=ctx.glibichuk)
+    return _certificate("sum16", p, lam % p, plus, minus, ctx.index_bound)
 
 
 def check_modp_certificate(cert: ModpCertificate, table: TauTable) -> tuple[int | None, bool]:

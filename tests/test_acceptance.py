@@ -23,6 +23,7 @@ from tauwaring.identity_suite import (
     verify_zero_sums,
 )
 from tauwaring.modp_basis import (
+    EPS_CAP,
     ModpCertificate,
     build_abc_context,
     build_context,
@@ -174,12 +175,14 @@ def test_criterion_6_pm32_and_sum96(modp_sweeps, table_100k):
 
 
 def test_criterion_7_sum16(sum16_sweeps, table_100k):
-    formulas = ("p^2", "p^(2+eps)")
     for p in SUM16_PRIMES:
+        cap = min(EPS_CAP, (p - 1) // 2)
+        branch = build_abc_context(p, table_100k).branch
+        bound = {"A-split": p * p, "BxC": p * p * cap * cap}[branch]
         for lam, cert in enumerate(sum16_sweeps[p]):
             assert cert.lam == lam
             assert cert.minus == [] and len(cert.plus) <= 16
-            assert cert.meta["bound_formula"] in formulas
+            assert cert.meta["index_bound"] == bound
             assert max(cert.plus) <= cert.meta["index_bound"]
             assert verify_modp_certificate(cert, table_100k), (p, lam)
     report(7, "sum16 sweeps verified with recorded branch bounds for p in {29, 31, 101, 499}")

@@ -165,14 +165,13 @@ def test_represent_residue_default_max_terms(tmp_path, capsys):
 
 
 def test_represent_residue_cap_too_small(capsys):
-    code, _, _ = run(capsys, "represent", "--target", "5", "--residue",
-                     "--max-terms", "100")
-    assert code == 3
+    assert run(capsys, "represent", "--target", "5", "--residue", "--max-terms", "100") == (
+        3, "", "error: residue mode emits exactly 198 terms, which exceeds --max-terms 100\n")
 
 
 def test_represent_residue_out_of_range(capsys):
-    code, _, err = run(capsys, "represent", "--target", "370944", "--residue")
-    assert code == 3
+    assert run(capsys, "represent", "--target", "370944", "--residue") == (
+        3, "", "error: residue targets live in [0, 370944)\n")
 
 
 def test_represent_huge_target_exits_3(capsys):
@@ -391,7 +390,7 @@ def edited(obj, path, value):
 
 @pytest.mark.parametrize("kind, path, value, field", [
     ("integer", ("plus",), [[1]], "plus[0]"),
-    ("pm32", ("meta", "window"), "x", "meta.window"),
+    ("pm32", ("meta", "max_index"), "x", "meta.max_index"),
     ("pm32", ("meta", "index_bound"), "abc", "meta.index_bound"),
     ("integer", ("meta", "index_bound"), "abc", "meta.index_bound"),
     ("pm32", ("meta", "counts"), [1], "meta.counts"),
@@ -428,6 +427,20 @@ def test_check_work_is_bounded_by_the_table(check_inputs, monkeypatch, kind, pat
     code, _, _, seconds = run_check(cert_path, *flags)
     assert code in (1, 3)
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("key", ["window", "unread"])
+def test_check_verdict_ignores_unread_meta(check_inputs, key):
+    # meta other than max_index, counts and index_bound is passed through
+    # and never read: the verdict comes from the congruence alone
+    for moved, expect in ((0, 0), (1, 1)):
+        obj = edited(check_inputs.certs["pm32"], ("meta", key), "x")
+        obj["lambda"] += moved
+        cert_path = check_inputs.dir / "unread.json"
+        cert_path.write_text(json.dumps(obj))
+        code, out, err, _ = run_check(cert_path, "--limit", "2000")
+        assert (code, err) == (expect, "")
+        assert out == f"CHECK pm32 p=29 lambda={3 + moved} recomputed=3 ok={not moved}\n"
 
 
 JSON_SCALARS = st.one_of(

@@ -14,8 +14,9 @@ from tauwaring.errors import (
     InternalCheckError,
     LemmaViolationError,
 )
-from tauwaring import modp_basis, tau_core
+from tauwaring import cli, modp_basis, tau_core
 from tauwaring.modp_basis import (
+    EPS_CAP,
     ModpCertificate,
     ProductSumCover,
     WindowPolicy,
@@ -23,6 +24,7 @@ from tauwaring.modp_basis import (
     basis_order_scan,
     build_abc_context,
     build_context,
+    check_modp_certificate,
     modp_certificate_from_json,
     product_set_cover,
     represent_pm32,
@@ -30,7 +32,7 @@ from tauwaring.modp_basis import (
     represent_sum96,
     verify_modp_certificate,
 )
-from tauwaring.tau_core import TauTable, build_tau_table_series, tau_prime_power
+from tauwaring.tau_core import TauTable, build_tau_table_series, save_table, tau_prime_power
 
 
 def recompute_witnessed(w, table, p):
@@ -431,8 +433,10 @@ def test_abc_context_p29(table_2k):
         assert w.residue == (a0 * a0 - pow(q, 11, p)) % p
         assert recompute_witnessed(w, table_2k, p) == w.residue
     # Y = C: small primes r <= cap < p/2 and their squares
-    assert ctx.cap < p / 2
-    small = primes_in(1, ctx.cap)
+    cap = min(EPS_CAP, (p - 1) // 2)
+    assert cap < p / 2
+    assert ctx.index_bound == p * p * cap * cap
+    small = primes_in(1, cap)
     for w in ctx.cover.ys:
         assert any(w.origin == ((1, r**e),) for r in small for e in (1, 2))
         assert recompute_witnessed(w, table_2k, p) == w.residue
@@ -463,18 +467,13 @@ def test_abc_degenerate_context():
 
 def test_sum16_sweep_p29(table_2k):
     ctx = build_abc_context(29, table_2k)
+    assert ctx.branch in ("A-split", "BxC")
     for lam in range(29):
         cert = represent_sum16(lam, 29, table_2k, ctx=ctx)
         assert verify_modp_certificate(cert, table_2k), lam
         assert cert.minus == [] and len(cert.plus) <= 16
-        assert max(cert.plus) <= cert.meta["index_bound"]
-        assert cert.meta["branch"] in ("A-split", "BxC")
-        assert cert.meta["bound_formula"] in ("p^2", "p^(2+eps)")
-
-
-def test_sum16_records_guarantee_flag(table_2k):
-    cert = represent_sum16(5, 29, table_2k)
-    assert isinstance(cert.meta["glibichuk"], bool)
+        assert max(cert.plus) <= cert.meta["index_bound"] == ctx.index_bound
+        assert set(cert.meta) == {"max_index", "counts", "index_bound"}
 
 
 def test_sum16_bad_p(table_2k):
@@ -498,8 +497,7 @@ def test_sum16_walks_the_context_cover(table_2k, monkeypatch):
 
     monkeypatch.setattr(modp_basis, "ProductSumCover", CountingCover)
     for lam in range(101):
-        cert = represent_sum16(lam, 101, table_2k, ctx=ctx)
-        assert cert.meta["branch"] == ctx.branch and cert.lam == lam
+        assert represent_sum16(lam, 101, table_2k, ctx=ctx).lam == lam
     assert built == []
 
 
@@ -532,24 +530,48 @@ def test_abc_context_skips_a_split_with_one_a_witness(monkeypatch):
 def test_certificate_finisher_holds_every_cap():
     for kind, (cap_plus, cap_minus) in modp_basis.MODP_CAPS.items():
         with pytest.raises(InternalCheckError):
-            modp_basis._certificate(kind, 29, 0, [31] * (cap_plus + 1), [])
+            modp_basis._certificate(kind, 29, 0, [31] * (cap_plus + 1), [], 10**6)
         with pytest.raises(InternalCheckError):
-            modp_basis._certificate(kind, 29, 0, [31], [37] * (cap_minus + 1))
-        cert = modp_basis._certificate(kind, 29, 0, [31] * cap_plus, [37] * cap_minus)
-        assert cert.meta["counts"] == {"plus": cap_plus, "minus": cap_minus}
+            modp_basis._certificate(kind, 29, 0, [31], [37] * (cap_minus + 1), 10**6)
+        cert = modp_basis._certificate(kind, 29, 0, [31] * cap_plus, [37] * cap_minus, 10**6)
+        assert cert.meta == {"max_index": 37 if cap_minus else 31,
+                             "counts": {"plus": cap_plus, "minus": cap_minus},
+                             "index_bound": 10**6}
 
 
-def certificates_29_101(table, branch):
+def certificates_29_101(table, branch, finish=lambda cert, ctx: cert):
     """pm32, sum96 and (on the auto branch) sum16 for every lambda at p = 29 and
-    101, in a fixed order."""
+    101, in a fixed order, each passed with its context through finish."""
     for p in (29, 101):
         ctx = build_context(p, table, WindowPolicy(branch=branch))
         abc = build_abc_context(p, table) if branch == "auto" else None
         for lam in range(p):
-            yield represent_pm32(lam, ctx, table)
-            yield represent_sum96(lam, ctx, table)
+            yield finish(represent_pm32(lam, ctx, table), ctx)
+            yield finish(represent_sum96(lam, ctx, table), ctx)
             if abc:
-                yield represent_sum16(lam, p, table, ctx=abc)
+                yield finish(represent_sum16(lam, p, table, ctx=abc), abc)
+
+
+TAU_12 = -370944  # tau(12) = -2^8 3^2 7 23
+
+
+def with_old_meta(cert, ctx):
+    """The certificate with the meta fields that no verifier reads written back
+    as the emitters once wrote them (test reference): pm32 and sum96 carried
+    the branch, the window and glibichuk=True, sum96 also lambda_star =
+    lambda * tau(12)^-1 mod p; sum16 carried the branch, its bound formula,
+    eps_cap and whether |X||Y| > 2p guaranteed its cover."""
+    old = {"branch": ctx.branch}
+    if cert.kind == "sum16":
+        p, xs, ys = ctx.p, ctx.cover.xs, ctx.cover.ys
+        old.update(bound_formula="p^2" if ctx.branch == "A-split" else "p^(2+eps)",
+                   eps_cap=min(EPS_CAP, (p - 1) // 2), glibichuk=len(xs) * len(ys) > 2 * p)
+    else:
+        old.update(window=list(ctx.window), glibichuk=True)
+    if cert.kind == "sum96":
+        old["lambda_star"] = cert.lam * pow(TAU_12, -1, cert.p) % cert.p
+    return ModpCertificate(cert.kind, cert.p, cert.lam, cert.plus, cert.minus,
+                           {**cert.meta, **old})
 
 
 def certificate_digest(certs):
@@ -561,14 +583,22 @@ def certificate_digest(certs):
 
 
 # Certificate bytes of every lambda at p = 29 and 101 on the 2000-entry table,
-# each walked from the least cover level that holds it. The auto branch is
-# direct at 29 and 101, so the pairs branch needs its own pin.
-CERT_DIGEST_29_101 = "899f9eab9b658fbb65a1a76d33791ad93d3b1b64562b035fff42bebdaf52cab3"
-CERT_DIGEST_PAIRS_29_101 = "c3f810ca95b4191704795e324c84f47701d55b0c12d3190e7bf527768181b6a9"
+# each walked from the least cover level that holds it, with the meta holding
+# max_index, counts and index_bound only. The auto branch is direct at 29 and
+# 101, so the pairs branch needs its own pin.
+CERT_DIGEST_29_101 = "6a1e06557d67e7f4a4571fb64cdd0fa93e8041fe483fa6dc6ab1fa6485366f19"
+CERT_DIGEST_PAIRS_29_101 = "16d2ca585edc5f378de5b0d00d9d986b62967af4f8e56663d8cefdc420dfdc5e"
 # The same certificates as the walk emitted them when it padded every residue
 # to eight pairs with copies of t0 = levels[0][0] (see padded_pairs).
-PADDED_DIGEST_29_101 = "82a70353ae099a6349032d53c027e16a0aa23434430f87d21a6726c89cccc7c5"
-PADDED_DIGEST_PAIRS_29_101 = "5f1e8cee90711a51f6f65681845b5b24a3841d73d64ba2d9774b4c707fd2cf32"
+PADDED_DIGEST_29_101 = "394d40e87d3c59a215d467a507ff98cc112143baa7e3ec8fd78cd0619fa27212"
+PADDED_DIGEST_PAIRS_29_101 = "b7bd6ad5e49b7c6d4ea2a5f5327fde7419cf50fa9b0974fc1b17eeb4326a7db0"
+# The bytes of each set above with the meta of with_old_meta, as emitted before
+# the meta was cut to the fields the verifier checks.
+OLD_META_DIGEST_29_101 = "899f9eab9b658fbb65a1a76d33791ad93d3b1b64562b035fff42bebdaf52cab3"
+OLD_META_DIGEST_PAIRS_29_101 = "c3f810ca95b4191704795e324c84f47701d55b0c12d3190e7bf527768181b6a9"
+OLD_META_PADDED_DIGEST_29_101 = "82a70353ae099a6349032d53c027e16a0aa23434430f87d21a6726c89cccc7c5"
+OLD_META_PADDED_DIGEST_PAIRS_29_101 = (
+    "5f1e8cee90711a51f6f65681845b5b24a3841d73d64ba2d9774b4c707fd2cf32")
 
 
 def test_modp_certificates_are_byte_identical(table_2k):
@@ -577,6 +607,43 @@ def test_modp_certificates_are_byte_identical(table_2k):
 
 def test_pairs_branch_certificates_are_byte_identical(table_2k):
     assert certificate_digest(certificates_29_101(table_2k, "pairs")) == CERT_DIGEST_PAIRS_29_101
+
+
+def check_lines(capsys, paths, table_path):
+    """`tauwaring check` over the files in one call: (exit code, stdout lines)."""
+    code = cli.main(["check", *map(str, paths), "--table", str(table_path)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("branch,new,old", [
+    ("auto", CERT_DIGEST_29_101, OLD_META_DIGEST_29_101),
+    ("pairs", CERT_DIGEST_PAIRS_29_101, OLD_META_DIGEST_PAIRS_29_101)])
+def test_old_meta_certificates_check_the_same(table_2k, tmp_path, capsys, branch, new, old):
+    certs = list(certificates_29_101(table_2k, branch))
+    twins = list(certificates_29_101(table_2k, branch, with_old_meta))
+    assert certificate_digest(certs) == new
+    # with_old_meta reproduces the bytes emitted before the meta was cut
+    assert certificate_digest(twins) == old
+    table_path = tmp_path / "table.txt"
+    save_table(table_path, table_2k)
+    files = {"new": [], "old": []}
+    for i, (cert, twin) in enumerate(zip(certs, twins, strict=True)):
+        assert set(twin.meta) - set(cert.meta) and twin.meta.items() >= cert.meta.items()
+        back = modp_certificate_from_json(json.loads(json.dumps(twin.to_json_dict())))
+        assert back.meta == twin.meta
+        assert check_modp_certificate(back, table_2k) == check_modp_certificate(
+            cert, table_2k) == (cert.lam, True)
+        for side, c in (("new", cert), ("old", twin)):
+            for moved in (0, 1):  # as emitted, and with lambda moved by one
+                obj = {**c.to_json_dict(), "lambda": (c.lam + moved) % c.p}
+                files[side].append(tmp_path / f"{side}-{i}-{moved}.json")
+                files[side][-1].write_text(json.dumps(obj))
+    new_code, new_lines = check_lines(capsys, files["new"], table_path)
+    assert check_lines(capsys, files["old"], table_path) == (new_code, new_lines)
+    n = len(certs)
+    assert new_code == 1
+    assert [line.endswith("ok=True") for line in new_lines[:-1]] == [True, False] * n
+    assert new_lines[-1] == f"CHECKED files={2 * n} ok={n} failed={n} invalid=0"
 
 
 def padded_pairs(cover, lam):
@@ -593,14 +660,16 @@ def padded_pairs(cover, lam):
     return out + [cover._pair(r)]
 
 
-@pytest.mark.parametrize("branch,digest", [("auto", PADDED_DIGEST_29_101),
-                                           ("pairs", PADDED_DIGEST_PAIRS_29_101)])
+@pytest.mark.parametrize("branch,digest", [("auto", OLD_META_PADDED_DIGEST_29_101),
+                                           ("pairs", OLD_META_PADDED_DIGEST_PAIRS_29_101)])
 def test_padded_walk_certificates_still_verify(table_2k, monkeypatch, branch, digest):
     certs = list(certificates_29_101(table_2k, branch))
     monkeypatch.setattr(ProductSumCover, "pairs_for", padded_pairs)
     padded = list(certificates_29_101(table_2k, branch))
-    # the reference reproduces the padded walk's bytes exactly
-    assert certificate_digest(padded) == digest
+    assert certificate_digest(padded) == {"auto": PADDED_DIGEST_29_101,
+                                          "pairs": PADDED_DIGEST_PAIRS_29_101}[branch]
+    # with the old meta, the reference reproduces the padded walk's bytes exactly
+    assert certificate_digest(certificates_29_101(table_2k, branch, with_old_meta)) == digest
     for cert, twin in zip(certs, padded, strict=True):
         assert (cert.kind, cert.p, cert.lam) == (twin.kind, twin.p, twin.lam)
         assert verify_modp_certificate(twin, table_2k), (twin.kind, twin.p, twin.lam)
@@ -676,6 +745,13 @@ def test_modp_json_roundtrip(table_2k):
     assert back.p == cert.p and back.lam == cert.lam
     assert back.plus == cert.plus and back.minus == cert.minus
     assert verify_modp_certificate(back, table_2k)
+
+
+@pytest.mark.parametrize("kind", ["pm99", None, ["pm32"], {"pm32": 1}])
+def test_modp_codec_takes_only_the_kinds_of_modp_caps(kind):
+    with pytest.raises(ValueError, match="not a mod-p certificate"):
+        modp_certificate_from_json({"kind": kind, "p": 29, "lambda": 0, "plus": [1],
+                                    "minus": [], "meta": {}})
 
 
 def test_modp_json_big_ints_become_strings():
