@@ -99,8 +99,9 @@ def primes_upto(limit: int) -> tuple[int, ...]:
 def factor_within(n: int, limit: int) -> list[tuple[int, int]] | None:
     """(prime, exponent) pairs of n, primes ascending; None when n < 1 or a
     prime factor of n exceeds limit. Trial division by the primes up to
-    min(limit, sqrt(n)), at most pi(limit) divisions plus one per prime-power
-    step however large n is; the sieve is cached per power of two above that."""
+    min(limit, sqrt(n)), at most pi(limit) divisions however large n is, plus
+    O(log^2 e) for an exponent e, taken out by q, q^2, q^4, ... while they
+    divide; the sieve is cached per power of two above min(limit, sqrt(n))."""
     if n < 1:
         return None
     pairs = []
@@ -110,8 +111,9 @@ def factor_within(n: int, limit: int) -> list[tuple[int, int]] | None:
         if n % q == 0:
             e = 0
             while n % q == 0:
-                n //= q
-                e += 1
+                qk, k = q, 1
+                while n % qk == 0:
+                    n, e, qk, k = n // qk, e + k, qk * qk, 2 * k
             pairs.append((q, e))
     if n > 1:
         if n > limit:

@@ -471,20 +471,20 @@ def represent_sum16(lam: int, p: int, table: TauTable, *,
 
 
 def check_modp_certificate(cert: ModpCertificate, table: TauTable) -> tuple[int | None, bool]:
-    """Independent re-check: rebuild every tau(n) from prime entries
+    """Independent re-check: rebuild every tau(n) mod p from prime entries
     (tau_core.tau_factored) and test the congruence plus every cap in the meta.
 
     Returns (signed tau sum mod p, verdict); the sum is None when the kind or
     term counts are out of bounds, p is not a prime in (23, table.limit^2]
     (settled by the table's primes) or an index has a prime factor beyond the
-    table, so the work is bounded by the table, not by the certificate."""
+    table; past table.limit^5, tau(n) is built mod p only, so no value grows with n."""
     p = cert.p
     caps = MODP_CAPS.get(cert.kind)
     if (caps is None or len(cert.plus) > caps[0] or len(cert.minus) > caps[1]
             or not _table_prime(p, table)):
         return None, False
     indices = cert.plus + cert.minus
-    taus = [tau_factored(n, table) for n in indices]
+    taus = [tau_factored(n, table, p) for n in indices]
     if None in taus:
         return None, False
     recomputed = (sum(taus[: len(cert.plus)]) - sum(taus[len(cert.plus) :])) % p

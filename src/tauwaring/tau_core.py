@@ -43,11 +43,8 @@ _EXACT = decimal.Context(
 # 10 s and peaks near 230 MB.
 DEFAULT_SERIES_CAP = 2_000_000
 
-# Entries, and bits of index plus value, that the verifiers' tau memo holds
-# before tau_factored clears it. Legitimate entries take about 350 bits, so
-# the entry cap binds first; the bit cap bounds indices of any size.
+# Entries that the verifiers' tau memo holds before tau_factored clears it.
 TAU_MEMO_CAP = 1 << 18
-TAU_MEMO_BITS = 1 << 27
 
 TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
 _VALUE_RE = re.compile(r"^-?[0-9]+$")
@@ -63,9 +60,8 @@ class TauTable:
 
     Two caches ride on the table. `ladder` holds the integer solver's sorted
     greedy ladder (see waring_int._greedy_descent). `tau_memo` maps an index
-    to the tau value that tau_factored rebuilt for it from the prime
-    entries, and `tau_memo_bits` is the bit length of its keys plus values;
-    only tau_factored fills or reads them. None of these takes part in ==,
+    n <= limit^5 to the exact tau value that tau_factored rebuilt for it from
+    the prime entries; only tau_factored fills or reads it. Neither takes part in ==,
     repr or pickling, and the caches assume `values` is not mutated once they are
     filled: a changed table needs a new TauTable, whose caches start empty.
     """
@@ -75,10 +71,9 @@ class TauTable:
     method: str = "series"
     ladder: tuple | None = field(default=None, init=False, repr=False, compare=False)
     tau_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
-    tau_memo_bits: int = field(default=0, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "ladder": None, "tau_memo": None, "tau_memo_bits": 0}
+        return {**self.__dict__, "ladder": None, "tau_memo": None}
 
     def tau(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -239,10 +234,16 @@ def tau_sigma_formula(n: int, sigma5: SigmaTable, sigma11: SigmaTable) -> int:
     return t // 756
 
 
-def tau_prime_power(tau_q: int, q: int, alpha: int) -> int:
-    """tau(q^alpha) via tau(q^(a+2)) = tau(q^(a+1)) tau(q) - q^11 tau(q^a)."""
+def tau_prime_power(tau_q: int, q: int, alpha: int, mod: int | None = None) -> int:
+    """tau(q^alpha) via tau(q^(a+2)) = tau(q^(a+1)) tau(q) - q^11 tau(q^a); with a
+    modulus mod >= 2, its residue in [0, mod), reduced at every step."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if mod is not None:
+        prev, cur, t, q11 = 0, 1, tau_q % mod, pow(q, 11, mod)
+        for _ in range(alpha):
+            prev, cur = cur, (cur * t - q11 * prev) % mod
+        return cur
     if alpha == 0:
         return 1
     prev, cur = 1, tau_q
@@ -252,11 +253,13 @@ def tau_prime_power(tau_q: int, q: int, alpha: int) -> int:
     return cur
 
 
-def tau_from_factors(pairs, prime_tau) -> int:
+def tau_from_factors(pairs, prime_tau, mod: int | None = None) -> int:
     """tau(prod q^e) from prime values prime_tau[q] by multiplicativity plus the Hecke rule."""
     out = 1
     for q, e in pairs:
-        out *= tau_prime_power(prime_tau[q], q, e)
+        out *= tau_prime_power(prime_tau[q], q, e, mod)
+        if mod is not None:
+            out %= mod
     return out
 
 
@@ -268,33 +271,28 @@ def tau_multiplicative(n: int, prime_tau: dict[int, int], spf: list[int]) -> int
         raise ValueError(f"tau map has no entry for prime {exc.args[0]}") from None
 
 
-def tau_factored(n: int, table: TauTable) -> int | None:
+def tau_factored(n: int, table: TauTable, mod: int | None = None) -> int | None:
     """tau(n) from the table's prime entries, for both verifiers; None past the table or n < 1.
 
-    Each index is factored once per table: a value rebuilt here is kept in
-    table.tau_memo, which holds nothing else and is cleared before it would
-    pass TAU_MEMO_CAP entries or TAU_MEMO_BITS bits of indices and values
-    (counted in table.tau_memo_bits), so it never holds more, whatever the
-    certificates claim. An index that factor_within refuses, or whose entry
-    alone passes the bit cap, is never stored.
+    Each index n <= limit^5 is factored once per table: its exact tau is kept in
+    table.tau_memo (cleared at TAU_MEMO_CAP entries) and returned as is, also with
+    mod. A larger index is rebuilt on each call and never kept; with mod, only its
+    residue in [0, mod) is built, so no value grows with the index.
     """
     memo = table.tau_memo
     if memo is None:
         memo = table.tau_memo = {}
-        table.tau_memo_bits = 0
     tau = memo.get(n)
     if tau is None:
         pairs = factor_within(n, table.limit)
         if pairs is None:
             return None
+        if n > table.limit**5:
+            return tau_from_factors(pairs, table.values, mod)
         tau = tau_from_factors(pairs, table.values)
-        bits = n.bit_length() + tau.bit_length()
-        if len(memo) >= TAU_MEMO_CAP or table.tau_memo_bits + bits > TAU_MEMO_BITS:
+        if len(memo) >= TAU_MEMO_CAP:
             memo.clear()
-            table.tau_memo_bits = 0
-        if bits <= TAU_MEMO_BITS:
-            memo[n] = tau
-            table.tau_memo_bits += bits
+        memo[n] = tau
     return tau
 
 

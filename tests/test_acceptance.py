@@ -323,10 +323,10 @@ def test_tau_memo_gives_the_verdicts_of_an_empty_one(table_2k, table_100k, modp_
         assert len(small[table.limit].tau_memo) <= 8
 
 
-def test_tau_memo_bits_stay_under_their_cap(table_2k, monkeypatch):
-    # sum96 certificates of 96 indices near 2^500 * 3^k * 5^j: some 3400
-    # bits of index and tau value per memo entry, against about 350 for the
-    # indices a context emits. Even lambdas hold, odd ones are off by one.
+def test_tau_memo_keeps_no_index_past_limit_to_the_fifth(table_2k):
+    # sum96 certificates of 96 indices near 2^500 * 3^k * 5^j, all above
+    # 2000^5, so each is rebuilt mod p on every check and never kept. Even
+    # lambdas hold, odd ones are off by one.
     p = 101
     certs = []
     for c in range(4):
@@ -336,24 +336,18 @@ def test_tau_memo_bits_stay_under_their_cap(table_2k, monkeypatch):
         meta = {"index_bound": max(indices), "max_index": max(indices),
                 "counts": {"plus": len(indices), "minus": 0}}
         certs.append(ModpCertificate("sum96", p, (sum(taus) + c % 2) % p, indices, [], meta))
-    certs += certs  # the second pass can hit the memo
+    certs += certs  # the second pass would hit a memo that kept them
+    assert min(min(cert.plus) for cert in certs) > table_2k.limit**5
 
     def cold_check(cert):
         return check_modp_certificate(cert, TauTable(table_2k.limit, list(table_2k.values)))
 
     reference = [cold_check(cert) for cert in certs]
-    assert [ok for _, ok in reference] == [True, False] * 4
-    # 1000 bits is below a single entry, so nothing is kept.
-    for cap in (1000, 20_000, tau_core.TAU_MEMO_BITS):
-        monkeypatch.setattr(tau_core, "TAU_MEMO_BITS", cap)
-        table = TauTable(table_2k.limit, list(table_2k.values))
-        for cert, want in zip(certs, reference):
-            assert check_modp_certificate(cert, table) == want
-            memo = table.tau_memo
-            assert table.tau_memo_bits == sum(n.bit_length() + t.bit_length()
-                                              for n, t in memo.items())
-            assert table.tau_memo_bits <= cap
-        assert (len(memo) == 0) == (cap == 1000)
+    assert reference == [(73, True), (4, False), (82, True), (41, False)] * 2
+    table = TauTable(table_2k.limit, list(table_2k.values))
+    for cert, want in zip(certs, reference):
+        assert check_modp_certificate(cert, table) == want
+        assert table.tau_memo == {}
 
 
 def test_tau_memo_is_not_shared_by_copies(table_100k, modp_sweeps):

@@ -405,6 +405,20 @@ def test_check_wrongly_typed_field(check_inputs, kind, path, value, field):
         assert repr(field) in err
 
 
+def test_check_of_huge_prime_powers_is_bounded_by_the_table(check_inputs):
+    # 96 indices 2^(14000-i), about 412 KB of JSON: each exponent comes out in
+    # O(log^2 e) divisions and tau(2^e) is built mod p only.
+    indices = [2**(14000 - i) for i in range(96)]
+    obj = {"kind": "sum96", "p": 1999, "lambda": 5, "plus": indices, "minus": [],
+           "meta": {"index_bound": indices[0], "max_index": indices[0],
+                    "counts": {"plus": 96, "minus": 0}}}
+    cert_path = check_inputs.dir / "hostile.json"
+    cert_path.write_text(json.dumps(obj))
+    code, out, err, seconds = run_check(cert_path, "--table", check_inputs.table)
+    assert (code, out, err) == (1, "CHECK sum96 p=1999 lambda=5 recomputed=1802 ok=False\n", "")
+    assert seconds < 1.0
+
+
 BIG_PRIME = 10**20 + 39
 
 
@@ -447,7 +461,8 @@ JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-10**6, max_value=10**6),
-    st.sampled_from([0, 1, -1, 29, 2**53, 2**61 - 1, BIG_PRIME, -BIG_PRIME, 10**4000]),
+    st.sampled_from([0, 1, -1, 29, 2**53, 2**61 - 1, BIG_PRIME, -BIG_PRIME, 10**4000,
+                     2**14000, 3**8800 * 1999]),
     st.floats(),
     st.sampled_from(["", "x", "-7", "29", "1e5", " 5", "pm32", "sum96", "sum16",
                      "integer_sum", str(BIG_PRIME), str(2**61 - 1), "9" * 5000]),

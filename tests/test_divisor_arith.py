@@ -151,3 +151,37 @@ def test_factor_within_bounded_on_huge_input():
     assert factor_within(2**64 * 3**40, 3) == [(2, 64), (3, 40)]
     assert factor_within(1, 1) == []
     assert factor_within(2, 1) is None
+    # exponents come out by q, q^2, q^4, ...: O(log^2 e) divisions, not e
+    assert factor_within(2**14000 * 3**5, 2000) == [(2, 14000), (3, 5)]
+    assert factor_within(3**8800 * 7, 2000) == [(3, 8800), (7, 1)]
+
+
+def factor_one_unit_at_a_time(n, limit):
+    """factor_within with one division per unit of each exponent."""
+    pairs = []
+    for q in primes_in(1, min(limit, isqrt(n))):
+        if q * q > n:
+            break
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            pairs.append((q, e))
+    if n > 1:
+        if n > limit:
+            return None
+        pairs.append((n, 1))
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 97, 1999]),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from([3, 97, 2000]),
+)
+def test_factor_within_huge_exponents_match_unit_steps(q, e, m, limit):
+    n = q**e * m
+    assert factor_within(n, limit) == factor_one_unit_at_a_time(n, limit)
