@@ -21,10 +21,6 @@ class InfeasibleContextError(InfeasibleError):
     """No prime window or branch produced a usable coverage context."""
 
 
-class DegenerateContextError(TauwaringError):
-    """A constructed residue context is too small to be usable."""
-
-
 class InternalCheckError(TauwaringError):
     """An internal consistency assertion failed; indicates a bug upstream."""
 

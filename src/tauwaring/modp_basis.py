@@ -29,12 +29,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .divisor_arith import coprime_to_23_factorial, factor_within, primes_in, primes_upto
-from .errors import (
-    DegenerateContextError,
-    InfeasibleContextError,
-    InternalCheckError,
-    LemmaViolationError,
-)
+from .errors import InfeasibleContextError, InternalCheckError, LemmaViolationError
 from .identity_suite import ZERO_SUM_SIX
 from .tau_core import TauTable, json_int, json_ints, json_meta, tau_factored
 
@@ -432,10 +427,6 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
     # the half-window witnesses of A and B.
     cap = min(EPS_CAP, (p - 1) // 2)
     classes = _classes_by_tau({}, primes_in(p // 2, p), p, table)
-    if len(classes) < 2:
-        raise DegenerateContextError(
-            f"only {len(classes)} tau class(es) over primes in ({p // 2}, {p}]"
-        )
     a0 = max(classes, key=lambda r: (len(classes[r]), -r))
     a_set = _class_witnesses({r: qs for r, qs in classes.items() if r != a0})
     b_set = _first_by_residue(
@@ -471,20 +462,22 @@ def represent_sum16(lam: int, p: int, table: TauTable, *,
 
 
 def check_modp_certificate(cert: ModpCertificate, table: TauTable) -> tuple[int | None, bool]:
-    """Independent re-check: rebuild every tau(n) mod p from prime entries
-    (tau_core.tau_factored) and test the congruence plus every cap in the meta.
+    """Independent re-check: rebuild every tau(n) exactly from prime entries
+    (tau_core.tau_factored) and test the congruence mod p plus every cap in the meta.
 
     Returns (signed tau sum mod p, verdict); the sum is None when the kind or
     term counts are out of bounds, p is not a prime in (23, table.limit^2]
-    (settled by the table's primes) or an index has a prime factor beyond the
-    table; past table.limit^5, tau(n) is built mod p only, so no value grows with n."""
+    (settled by the table's primes), or an index exceeds table.limit^5 or has
+    a prime factor beyond the table. Emitted indices stay within limit^5: pm32
+    within hi^4 <= limit^4, sum96 within 105 hi^4 (no context builds below
+    limit 127) and sum16 within p^2 50^2 with p <= limit."""
     p = cert.p
     caps = MODP_CAPS.get(cert.kind)
     if (caps is None or len(cert.plus) > caps[0] or len(cert.minus) > caps[1]
             or not _table_prime(p, table)):
         return None, False
     indices = cert.plus + cert.minus
-    taus = [tau_factored(n, table, p) for n in indices]
+    taus = [tau_factored(n, table) for n in indices]
     if None in taus:
         return None, False
     recomputed = (sum(taus[: len(cert.plus)]) - sum(taus[len(cert.plus) :])) % p

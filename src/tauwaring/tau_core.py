@@ -60,10 +60,11 @@ class TauTable:
 
     Two caches ride on the table. `ladder` holds the integer solver's sorted
     greedy ladder (see waring_int._greedy_descent). `tau_memo` maps an index
-    n <= limit^5 to the exact tau value that tau_factored rebuilt for it from
-    the prime entries; only tau_factored fills or reads it. Neither takes part in ==,
-    repr or pickling, and the caches assume `values` is not mutated once they are
-    filled: a changed table needs a new TauTable, whose caches start empty.
+    n <= limit^5, the verifiers' domain, to the exact tau value that
+    tau_factored built for it from the prime entries; only tau_factored fills
+    or reads it. Neither takes part in ==, repr or pickling, and the caches
+    assume `values` is not mutated once they are filled: a changed table needs
+    a new TauTable, whose caches start empty.
     """
 
     limit: int
@@ -234,16 +235,10 @@ def tau_sigma_formula(n: int, sigma5: SigmaTable, sigma11: SigmaTable) -> int:
     return t // 756
 
 
-def tau_prime_power(tau_q: int, q: int, alpha: int, mod: int | None = None) -> int:
-    """tau(q^alpha) via tau(q^(a+2)) = tau(q^(a+1)) tau(q) - q^11 tau(q^a); with a
-    modulus mod >= 2, its residue in [0, mod), reduced at every step."""
+def tau_prime_power(tau_q: int, q: int, alpha: int) -> int:
+    """tau(q^alpha) via tau(q^(a+2)) = tau(q^(a+1)) tau(q) - q^11 tau(q^a)."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if mod is not None:
-        prev, cur, t, q11 = 0, 1, tau_q % mod, pow(q, 11, mod)
-        for _ in range(alpha):
-            prev, cur = cur, (cur * t - q11 * prev) % mod
-        return cur
     if alpha == 0:
         return 1
     prev, cur = 1, tau_q
@@ -253,13 +248,11 @@ def tau_prime_power(tau_q: int, q: int, alpha: int, mod: int | None = None) -> i
     return cur
 
 
-def tau_from_factors(pairs, prime_tau, mod: int | None = None) -> int:
+def tau_from_factors(pairs, prime_tau) -> int:
     """tau(prod q^e) from prime values prime_tau[q] by multiplicativity plus the Hecke rule."""
     out = 1
     for q, e in pairs:
-        out *= tau_prime_power(prime_tau[q], q, e, mod)
-        if mod is not None:
-            out %= mod
+        out *= tau_prime_power(prime_tau[q], q, e)
     return out
 
 
@@ -271,24 +264,24 @@ def tau_multiplicative(n: int, prime_tau: dict[int, int], spf: list[int]) -> int
         raise ValueError(f"tau map has no entry for prime {exc.args[0]}") from None
 
 
-def tau_factored(n: int, table: TauTable, mod: int | None = None) -> int | None:
-    """tau(n) from the table's prime entries, for both verifiers; None past the table or n < 1.
+def tau_factored(n: int, table: TauTable) -> int | None:
+    """Exact tau(n) from the table's prime entries, for both verifiers; None for
+    n < 1, n > limit^5 or a prime factor past the table.
 
-    Each index n <= limit^5 is factored once per table: its exact tau is kept in
-    table.tau_memo (cleared at TAU_MEMO_CAP entries) and returned as is, also with
-    mod. A larger index is rebuilt on each call and never kept; with mod, only its
-    residue in [0, mod) is built, so no value grows with the index.
+    An index above limit^5 is refused before it is factored; no emitter writes
+    one. Every other index is factored once per table: its tau is kept in
+    table.tau_memo (cleared at TAU_MEMO_CAP entries) and returned as is.
     """
     memo = table.tau_memo
     if memo is None:
         memo = table.tau_memo = {}
     tau = memo.get(n)
     if tau is None:
+        if n > table.limit**5:
+            return None
         pairs = factor_within(n, table.limit)
         if pairs is None:
             return None
-        if n > table.limit**5:
-            return tau_from_factors(pairs, table.values, mod)
         tau = tau_from_factors(pairs, table.values)
         if len(memo) >= TAU_MEMO_CAP:
             memo.clear()

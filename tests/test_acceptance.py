@@ -325,29 +325,33 @@ def test_tau_memo_gives_the_verdicts_of_an_empty_one(table_2k, table_100k, modp_
 
 def test_tau_memo_keeps_no_index_past_limit_to_the_fifth(table_2k):
     # sum96 certificates of 96 indices near 2^500 * 3^k * 5^j, all above
-    # 2000^5, so each is rebuilt mod p on every check and never kept. Even
-    # lambdas hold, odd ones are off by one.
-    p = 101
+    # 2000^5, where even lambdas hold and odd ones are off by one. The
+    # verifier refuses every such index before factoring it, so each check
+    # gives (None, False) and nothing enters the memo.
+    p, limit = 101, table_2k.limit
     certs = []
     for c in range(4):
         indices = [2**(500 + c) * 3**k * 5**j for k in range(12) for j in range(8)]
-        fresh = TauTable(table_2k.limit, table_2k.values)
-        taus = [tau_core.tau_factored(n, fresh) for n in indices]
+        taus = [tau_core.tau_from_factors(factor_within(n, limit), table_2k.values)
+                for n in indices]
         meta = {"index_bound": max(indices), "max_index": max(indices),
                 "counts": {"plus": len(indices), "minus": 0}}
         certs.append(ModpCertificate("sum96", p, (sum(taus) + c % 2) % p, indices, [], meta))
     certs += certs  # the second pass would hit a memo that kept them
-    assert min(min(cert.plus) for cert in certs) > table_2k.limit**5
+    assert min(min(cert.plus) for cert in certs) > limit**5
 
-    def cold_check(cert):
-        return check_modp_certificate(cert, TauTable(table_2k.limit, list(table_2k.values)))
-
-    reference = [cold_check(cert) for cert in certs]
-    assert reference == [(73, True), (4, False), (82, True), (41, False)] * 2
-    table = TauTable(table_2k.limit, list(table_2k.values))
-    for cert, want in zip(certs, reference):
-        assert check_modp_certificate(cert, table) == want
+    table = TauTable(limit, list(table_2k.values))
+    for cert in certs:
+        assert check_modp_certificate(cert, table) == (None, False)
         assert table.tau_memo == {}
+
+    # limit^5 itself is in the verifiers' domain and is kept; twice it is not.
+    tau = tau_core.tau_factored(limit**5, table)
+    assert tau == (tau_core.tau_prime_power(table.tau(2), 2, 20)
+                   * tau_core.tau_prime_power(table.tau(5), 5, 15))
+    assert table.tau_memo == {limit**5: tau}
+    assert tau_core.tau_factored(2 * limit**5, table) is None
+    assert table.tau_memo == {limit**5: tau}
 
 
 def test_tau_memo_is_not_shared_by_copies(table_100k, modp_sweeps):

@@ -25,7 +25,7 @@ from tauwaring.modp_basis import (
     represent_sum96,
     verify_modp_certificate,
 )
-from tauwaring.tau_core import build_tau_table_series, load_table, save_table
+from tauwaring.tau_core import TauTable, build_tau_table_series, load_table, save_table
 from tauwaring.waring_int import (
     RepresentationParams,
     represent_integer,
@@ -193,6 +193,21 @@ def test_modp_window_exhaustion_exit_2(capsys):
                        "--mode", "pm32", "--limit", "30")
     assert code == 2
     assert "infeasible" in err
+
+
+def test_modp_on_one_tau_class_exits_0_or_2(tmp_path, capsys):
+    # tau = 1 throughout leaves A empty at p = 29; BxC still covers Z_29,
+    # and the window of pm32 and sum96 never qualifies.
+    table_path = tmp_path / "ones.txt"
+    save_table(table_path, TauTable(40, [0] + [1] * 40))
+    for lam in range(29):
+        code, out, _ = run(capsys, "modp", "--p", "29", "--lambda", str(lam),
+                           "--mode", "sum16", "--table", str(table_path))
+        assert code == 0 and "mode=sum16" in out, lam
+    for mode in ("pm32", "sum96"):
+        code, _, err = run(capsys, "modp", "--p", "29", "--lambda", "1",
+                           "--mode", mode, "--table", str(table_path))
+        assert code == 2 and "infeasible" in err, mode
 
 
 def test_represent_then_check_roundtrip(tmp_path, capsys):
@@ -406,8 +421,8 @@ def test_check_wrongly_typed_field(check_inputs, kind, path, value, field):
 
 
 def test_check_of_huge_prime_powers_is_bounded_by_the_table(check_inputs):
-    # 96 indices 2^(14000-i), about 412 KB of JSON: each exponent comes out in
-    # O(log^2 e) divisions and tau(2^e) is built mod p only.
+    # 96 indices 2^(14000-i), about 412 KB of JSON, each far above 2000^5: the
+    # verifier refuses them without factoring any.
     indices = [2**(14000 - i) for i in range(96)]
     obj = {"kind": "sum96", "p": 1999, "lambda": 5, "plus": indices, "minus": [],
            "meta": {"index_bound": indices[0], "max_index": indices[0],
@@ -415,7 +430,7 @@ def test_check_of_huge_prime_powers_is_bounded_by_the_table(check_inputs):
     cert_path = check_inputs.dir / "hostile.json"
     cert_path.write_text(json.dumps(obj))
     code, out, err, seconds = run_check(cert_path, "--table", check_inputs.table)
-    assert (code, out, err) == (1, "CHECK sum96 p=1999 lambda=5 recomputed=1802 ok=False\n", "")
+    assert (code, out, err) == (1, "CHECK sum96 p=1999 lambda=5 recomputed=None ok=False\n", "")
     assert seconds < 1.0
 
 
@@ -462,7 +477,7 @@ JSON_SCALARS = st.one_of(
     st.booleans(),
     st.integers(min_value=-10**6, max_value=10**6),
     st.sampled_from([0, 1, -1, 29, 2**53, 2**61 - 1, BIG_PRIME, -BIG_PRIME, 10**4000,
-                     2**14000, 3**8800 * 1999]),
+                     2**14000, 3**8800 * 1999, 2000**5, 2 * 2000**5]),
     st.floats(),
     st.sampled_from(["", "x", "-7", "29", "1e5", " 5", "pm32", "sum96", "sum16",
                      "integer_sum", str(BIG_PRIME), str(2**61 - 1), "9" * 5000]),

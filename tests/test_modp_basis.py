@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import json
+import random
 import time
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -8,12 +10,7 @@ from math import gcd, isqrt
 import pytest
 
 from tauwaring.divisor_arith import coprime_to_23_factorial, factor_within, primes_in
-from tauwaring.errors import (
-    DegenerateContextError,
-    InfeasibleContextError,
-    InternalCheckError,
-    LemmaViolationError,
-)
+from tauwaring.errors import InfeasibleContextError, InternalCheckError, LemmaViolationError
 from tauwaring import cli, modp_basis, tau_core
 from tauwaring.modp_basis import (
     EPS_CAP,
@@ -459,12 +456,6 @@ def test_abc_context_a_split_p101(table_2k):
     assert sorted(residues) == sorted(set(classes) - {a0})
 
 
-def test_abc_degenerate_context():
-    fake = TauTable(200, [0] + [1] * 200, "series")
-    with pytest.raises(DegenerateContextError):
-        build_abc_context(29, fake)
-
-
 def test_sum16_sweep_p29(table_2k):
     ctx = build_abc_context(29, table_2k)
     assert ctx.branch in ("A-split", "BxC")
@@ -517,14 +508,18 @@ def test_abc_context_reports_uncovered_branches(table_2k, monkeypatch):
 
 def test_abc_context_skips_a_split_with_one_a_witness(monkeypatch):
     # tau classes over the primes in (14, 29] are {1: [17, 19, 23], 2: [29]},
-    # so A keeps the one witness 29 and only BxC is tried.
+    # so A keeps the one witness 29; with tau = 1 throughout there is one
+    # class, A has no witness and B four. Either way only BxC is tried.
     values = [0] + [1] * 200
     values[29] = 2
-    fake = TauTable(200, values, "series")
-    assert build_abc_context(29, fake).branch == "BxC"
+    fakes = {3: TauTable(200, values, "series"), 4: TauTable(200, [0] + [1] * 200, "series")}
+    for fake in fakes.values():
+        assert build_abc_context(29, fake).branch == "BxC"
     monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
-    with pytest.raises(InfeasibleContextError, match=r"sizes were \[\('BxC', 3, 7\)\]$"):
-        build_abc_context(29, fake)
+    for b_size, fake in fakes.items():
+        with pytest.raises(InfeasibleContextError,
+                           match=rf"sizes were \[\('BxC', {b_size}, 7\)\]$"):
+            build_abc_context(29, fake)
 
 
 def test_certificate_finisher_holds_every_cap():
@@ -736,6 +731,58 @@ def test_verifier_settles_p_with_table_primes(table_2k):
     # trial division up to sqrt(p) would not finish; the table bound answers at once
     assert not verify_modp_certificate(cert(2**61 - 1), table_2k)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_emitted_indices_stay_within_limit_to_the_fifth(table_2k):
+    # The verifier refuses any index above limit^5, so no emitter may write
+    # one. Every context that builds at a prime in (23, min(limit^2, 3000)]
+    # emits once; the forced-pairs branch first builds near limit 473.
+    kinds = set()
+    for limit in (127, 150, 200, 400, 600):
+        table = TauTable(limit, table_2k.values[: limit + 1])
+        for p in primes_in(23, min(limit**2, 3000)):
+            emitted = []
+            for branch in ("auto", "pairs"):
+                with contextlib.suppress(InfeasibleContextError):
+                    ctx = build_context(p, table, WindowPolicy(branch=branch))
+                    emitted += [(ctx.branch, represent(0, ctx, table))
+                                for represent in (represent_pm32, represent_sum96)]
+            if p <= limit:
+                with contextlib.suppress(InfeasibleContextError):
+                    abc = build_abc_context(p, table)
+                    emitted.append((abc.branch, represent_sum16(0, p, table, ctx=abc)))
+            for branch, cert in emitted:
+                kinds.add((cert.kind, branch))
+                assert max(cert.plus + cert.minus) <= cert.meta["index_bound"] <= limit**5
+    assert kinds == {(kind, branch) for kind in ("pm32", "sum96")
+                     for branch in ("direct", "pairs")} | {("sum16", "A-split"),
+                                                           ("sum16", "BxC")}
+
+
+def test_no_pm32_context_builds_below_limit_127(table_2k):
+    # Below 127 the window (23, limit] holds at most 21 primes, too few for
+    # either branch at any prime; sum96's bound 105 hi^4 <= limit^5 needs
+    # limit >= 105.
+    for limit in range(6, 127):
+        table = TauTable(limit, table_2k.values[: limit + 1])
+        for p in primes_in(23, min(limit**2, 3000)):
+            for branch in ("auto", "pairs"):
+                with pytest.raises(InfeasibleContextError):
+                    build_context(p, table, WindowPolicy(branch=branch))
+
+
+def test_check_refuses_non_smooth_indices_above_limit_to_the_fifth(table_100k):
+    # 96 random odd 14000-bit indices: each is refused before any trial
+    # division, so the check costs nothing that grows with the index.
+    rng = random.Random(26)
+    indices = [rng.getrandbits(14000) | 1 << 13999 | 1 for _ in range(96)]
+    cert = ModpCertificate("sum96", 99991, 5, indices, [],
+                           {"index_bound": max(indices), "max_index": max(indices),
+                            "counts": {"plus": 96, "minus": 0}})
+    fresh = TauTable(table_100k.limit, table_100k.values)
+    t0 = time.perf_counter()
+    assert check_modp_certificate(cert, fresh) == (None, False)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_modp_json_roundtrip(table_2k):
