@@ -508,18 +508,24 @@ def test_abc_context_reports_uncovered_branches(table_2k, monkeypatch):
 
 def test_abc_context_skips_a_split_with_one_a_witness(monkeypatch):
     # tau classes over the primes in (14, 29] are {1: [17, 19, 23], 2: [29]},
-    # so A keeps the one witness 29; with tau = 1 throughout there is one
-    # class, A has no witness and B four. Either way only BxC is tried.
+    # so A keeps the one witness 29 and only BxC is tried.
     values = [0] + [1] * 200
     values[29] = 2
-    fakes = {3: TauTable(200, values, "series"), 4: TauTable(200, [0] + [1] * 200, "series")}
-    for fake in fakes.values():
-        assert build_abc_context(29, fake).branch == "BxC"
+    fake = TauTable(200, values, "series")
+    assert build_abc_context(29, fake).branch == "BxC"
     monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
-    for b_size, fake in fakes.items():
-        with pytest.raises(InfeasibleContextError,
-                           match=rf"sizes were \[\('BxC', {b_size}, 7\)\]$"):
-            build_abc_context(29, fake)
+    with pytest.raises(InfeasibleContextError, match=r"sizes were \[\('BxC', 3, 7\)\]$"):
+        build_abc_context(29, fake)
+
+
+def test_abc_degenerate_context(monkeypatch):
+    # With tau = 1 throughout there is one tau class over (14, 29], so A has
+    # no witness and B four; the context settles on BxC instead of refusing.
+    fake = TauTable(200, [0] + [1] * 200, "series")
+    assert build_abc_context(29, fake).branch == "BxC"
+    monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
+    with pytest.raises(InfeasibleContextError, match=r"sizes were \[\('BxC', 4, 7\)\]$"):
+        build_abc_context(29, fake)
 
 
 def test_certificate_finisher_holds_every_cap():
