@@ -11,12 +11,13 @@ and emits three certificate kinds:
             six-term zero-sum identity at index 12)
   sum16  -- a pure sum of at most 16 indices from the half-window sets
 
-Each context (ModpContext for pm32 and sum96, AbcContext for sum16) settles
-its covering branch once and keeps the cover, whose xs and ys are the chosen
-witnesses; an emitter only walks that cover and finishes through one cap
-check against MODP_CAPS. A witness is a residue with its origin, the signed
-integers whose tau values give it, so certificates are assembled from
-witnesses only and can be re-verified from prime tau values alone.
+Each ModpContext (from build_context for pm32 and sum96, from
+build_abc_context for sum16) settles its covering branch once and keeps the
+cover of its chosen witnesses and the index bound of its branch; every
+emitter walks that cover and finishes through one cap check against
+MODP_CAPS. A witness is a residue with its origin, the signed integers whose
+tau values give it, so certificates are assembled from witnesses only and
+can be re-verified from prime tau values alone.
 """
 
 from __future__ import annotations
@@ -196,17 +197,20 @@ class WindowPolicy:
 class ModpContext:
     """The witnessed sets of one prime p and the cover they settle.
 
-    window is the prime window (23, hi] that first gave |X||Y| > 2p on the
-    chosen branch; x_set and y_set are that branch's witnesses, and cover
-    reaches Z_p within eight levels.
+    window is the prime window the witnesses come from: for build_context the
+    (23, hi] that first gave |X||Y| > 2p on the chosen branch, for
+    build_abc_context the half window (p // 2, p]. x_set and y_set are that
+    branch's witnesses, cover reaches Z_p within eight levels, and every index
+    a walk of it emits is at most index_bound.
     """
 
     p: int
     window: tuple[int, int]
-    branch: str  # "direct" or "pairs"
+    branch: str  # "direct" or "pairs"; "A-split" or "BxC" for sum16
     x_set: list[WitnessedResidue]
     y_set: list[WitnessedResidue]
     cover: ProductSumCover
+    index_bound: int
 
 
 def _classes_by_tau(classes: dict[int, list[int]], qs, p: int,
@@ -275,7 +279,8 @@ def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -
         best = max(best, (len(xs), len(ys)))
         if len(xs) * len(ys) > 2 * p:
             return ModpContext(p=p, window=(23, hi), branch=branch, x_set=xs, y_set=ys,
-                               cover=product_set_cover(xs, ys, p))
+                               cover=product_set_cover(xs, ys, p),
+                               index_bound=hi**4 if branch == "pairs" else hi * hi)
         if hi >= cap_hi:
             raise InfeasibleContextError(
                 f"window exhausted at hi={hi} for p={p}; best |X|,|Y| = {best}"
@@ -329,15 +334,17 @@ def modp_certificate_from_json(obj: dict) -> ModpCertificate:
     )
 
 
-def _expand(cover: ProductSumCover, lam: int) -> tuple[list[int], list[int]]:
-    """Signed tau indices (plus, minus) for lambda from the pairs its cover walk gives.
+def _walk(kind: str, ctx: ModpContext, lam: int) -> ModpCertificate:
+    """The certificate of the given kind for lambda mod p: signed tau indices
+    from the pairs the context's cover walk gives, held to its index bound.
 
     (sum_i s_i tau(n_i)) * (sum_j t_j tau(m_j)) = sum_ij s_i t_j tau(n_i m_j)
     requires gcd(n_i, m_j) = 1 throughout; the context constructions
     guarantee this and it is asserted here.
     """
+    lam %= ctx.p
     plus, minus = [], []
-    for wx, wy in cover.pairs_for(lam):
+    for wx, wy in ctx.cover.pairs_for(lam):
         for s1, n1 in wx.origin:
             for s2, n2 in wy.origin:
                 if gcd(n1, n2) != 1:
@@ -345,7 +352,7 @@ def _expand(cover: ProductSumCover, lam: int) -> tuple[list[int], list[int]]:
                         f"witness indices {n1} and {n2} share a prime factor"
                     )
                 (plus if s1 * s2 > 0 else minus).append(n1 * n2)
-    return plus, minus
+    return _certificate(kind, ctx.p, lam, plus, minus, ctx.index_bound)
 
 
 def _certificate(kind: str, p: int, lam: int, plus: list[int], minus: list[int],
@@ -366,11 +373,7 @@ def _certificate(kind: str, p: int, lam: int, plus: list[int], minus: list[int],
 
 def represent_pm32(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
     """Mixed-sign certificate for lambda mod p from at most eight coverage pairs."""
-    lam %= ctx.p
-    plus, minus = _expand(ctx.cover, lam)
-    hi = ctx.window[1]
-    return _certificate("pm32", ctx.p, lam, plus, minus,
-                        hi**4 if ctx.branch == "pairs" else hi * hi)
+    return _walk("pm32", ctx, lam)
 
 
 def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
@@ -389,23 +392,10 @@ def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertific
     plus = [12 * n for n in base.plus]
     for m in base.minus:
         plus.extend(k * m for k in ZERO_SUM_SIX[1:])
-    return _certificate("sum96", p, lam, plus, [], 105 * base.meta["index_bound"])
+    return _certificate("sum96", p, lam, plus, [], 105 * ctx.index_bound)
 
 
-@dataclass
-class AbcContext:
-    """The settled covering branch of the pure 16-term construction: the first
-    pair of build_abc_context's sets whose cover reaches Z_p (cover.xs and
-    cover.ys are its witnesses) and its index bound, p^2 for A-split and
-    p^2 cap^2 for BxC."""
-
-    p: int
-    branch: str
-    index_bound: int
-    cover: ProductSumCover
-
-
-def build_abc_context(p: int, table: TauTable) -> AbcContext:
+def build_abc_context(p: int, table: TauTable) -> ModpContext:
     """Build the A, B, C sets for p and settle the covering branch once.
 
     A holds one prime per tau class over (p/2, p] but the most frequent, a0; B
@@ -416,8 +406,9 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
     witnesses), then B against C. The cardinality bound |X||Y| > 2p
     guarantees coverage when it holds, but at desk scale the small windows
     rarely reach it, so the first branch whose coverage table reaches Z_p
-    within eight levels is kept. On a 2000 table A-split covers every prime
-    in (23, 2000] but 29, where BxC does.
+    within eight levels is kept, with its index bound: p^2 for A-split and
+    p^2 cap^2 for BxC. On a 2000 table A-split covers every prime in
+    (23, 2000] but 29, where BxC does.
     """
     if not _table_prime(p, table):
         raise ValueError(f"p must be a prime in (23, {table.limit}^2], got {p}")
@@ -445,20 +436,17 @@ def build_abc_context(p: int, table: TauTable) -> AbcContext:
         sizes.append((branch, len(xs), len(ys)))
         cover = ProductSumCover(p, xs, ys)
         if cover.covered:
-            return AbcContext(p, branch, bound, cover)
+            return ModpContext(p=p, window=(p // 2, p), branch=branch, x_set=xs, y_set=ys,
+                               cover=cover, index_bound=bound)
     raise InfeasibleContextError(f"no branch covered Z_{p}; branch sizes were {sizes}")
 
 
-def represent_sum16(lam: int, p: int, table: TauTable, *,
-                    ctx: AbcContext | None = None) -> ModpCertificate:
+def represent_sum16(lam: int, p: int, table: TauTable, *, ctx: ModpContext) -> ModpCertificate:
     """Pure-sum certificate of at most 16 terms for lambda mod p, walked from
-    the cover that build_abc_context settled (built here only without ctx)."""
-    if ctx is None:
-        ctx = build_abc_context(p, table)
-    elif ctx.p != p:
+    the cover that build_abc_context settled for p."""
+    if ctx.p != p:
         raise ValueError(f"context is for p={ctx.p}, not {p}")
-    plus, minus = _expand(ctx.cover, lam)
-    return _certificate("sum16", p, lam % p, plus, minus, ctx.index_bound)
+    return _walk("sum16", ctx, lam)
 
 
 def check_modp_certificate(cert: ModpCertificate, table: TauTable) -> tuple[int | None, bool]:

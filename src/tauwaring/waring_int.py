@@ -254,30 +254,21 @@ def is_admissible(primes, table: TauTable) -> tuple[bool, tuple | None]:
 
 
 def grow_admissible(candidates, cap: int, table: TauTable) -> AdmissibleSet:
-    """Greedily extend an admissible set from ascending candidates up to cap."""
+    """Greedily extend an admissible set from ascending candidates up to cap.
+
+    A candidate joins when is_admissible certifies the set with it, so the
+    result is certified by the check that admitted its last prime; a candidate
+    that is_admissible refuses (a repeat, <= 23 or past the table) raises.
+    """
     if cap > 16:
         raise CapacityError(f"cap must be <= 16, got {cap}")
     chosen: list[int] = []
-    sums: dict[int, tuple] = {}
     for q in sorted(candidates):
         if len(chosen) >= cap:
             break
-        if q <= 23 or q > table.limit:
-            raise ValueError(f"candidate {q} out of range")
-        new_sums = {}
-        ok = True
-        for combo5 in combinations(chosen, 5):
-            combo = tuple(sorted(combo5 + (q,)))
-            s = sum(table.values[t] for t in combo)
-            if s in sums or s in new_sums:
-                ok = False
-                break
-            new_sums[s] = combo
-        if ok:
+        if is_admissible(chosen + [q], table)[0]:
             chosen.append(q)
-            sums.update(new_sums)
-    certified, _ = is_admissible(chosen, table) if chosen else (True, None)
-    return AdmissibleSet(tuple(chosen), certified)
+    return AdmissibleSet(tuple(chosen), True)
 
 
 def find_dyadic_tau_primes(bound: int, table: TauTable) -> dict[int, int]:

@@ -566,11 +566,13 @@ def test_modp_huge_p_is_refused_by_the_table(check_inputs, capsys, mode):
     assert time.perf_counter() - t0 < 1
 
 
-@pytest.mark.parametrize("p, mode, limit", [(29, "pm32", 2000), (300007, "pm32", 300007),
+@pytest.mark.parametrize("p, mode, limit", [(29, "pm32", 2000), (300007, "pm32", 36649),
+                                            (3000017, "pm32", 116044),
                                             (300007, "sum16", 300007)])
 def test_modp_fallback_table_reaches_p(monkeypatch, capsys, p, mode, limit):
-    # no builder needs more than p: sum16 needs limit >= p and the pm32 window
-    # stops near 26-42 sqrt(p); the old fallback 8p was refused past the series cap
+    # sum16 needs limit >= p, while the pm32 window settles at 26.2 or
+    # 41.9 sqrt(p), so pm32 and sum96 ask for 67 isqrt(p); a fallback of p
+    # was refused past the series cap
     requested = []
 
     def builder(n):

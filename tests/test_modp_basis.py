@@ -420,6 +420,8 @@ def test_abc_context_p29(table_2k):
     p = 29
     ctx = build_abc_context(p, table_2k)
     assert ctx.branch == "BxC" and ctx.cover.xs and ctx.cover.ys
+    assert ctx.window == (p // 2, p)
+    assert (ctx.x_set, ctx.y_set) == (ctx.cover.xs, ctx.cover.ys)
     # X = B: squares of primes q in (p/2, p] that share one tau class a0
     qs = [isqrt(w.origin[0][1]) for w in ctx.cover.xs]
     a0s = {table_2k.tau(q) % p for q in qs}
@@ -443,6 +445,8 @@ def test_abc_context_a_split_p101(table_2k):
     p = 101
     ctx = build_abc_context(p, table_2k)
     assert ctx.branch == "A-split"
+    assert ctx.window == (p // 2, p)
+    assert (ctx.x_set, ctx.y_set) == (ctx.cover.xs, ctx.cover.ys)
     window = primes_in(p // 2, p)
     classes = Counter(table_2k.tau(q) % p for q in window)
     a0 = max(classes, key=lambda r: (classes[r], -r))
@@ -468,8 +472,9 @@ def test_sum16_sweep_p29(table_2k):
 
 
 def test_sum16_bad_p(table_2k):
+    # the refusal comes from the context build, which represent_sum16 needs
     with pytest.raises(ValueError):
-        represent_sum16(1, 21, table_2k)
+        build_abc_context(21, table_2k)
 
 
 def test_sum16_refuses_a_context_for_another_prime(table_2k):

@@ -19,7 +19,8 @@ def test_modp_sweep_verifies_every_class(table_2k):
     assert proc.returncode == 0, proc.stderr
     lines = [l for l in proc.stdout.splitlines() if "all-verified" in l]
     assert len(lines) == 6  # two primes, three modes
-    # the detail column comes from the contexts, sum16's from its AbcContext
+    # the detail column comes from the contexts: the window of build_context's,
+    # the index bound of build_abc_context's
     expected = []
     for p, sum16_branch in ((29, "BxC"), (31, "A-split")):
         ctx, abc = build_context(p, table_2k), build_abc_context(p, table_2k)

@@ -6,6 +6,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tauwaring.waring_int import (
     NON_REPRESENTABLE_6X7Y,
     RESIDUE_MODULUS,
     TAU_SMALL,
+    AdmissibleSet,
     RepresentationParams,
     SumCertificate,
     check_integer_certificate,
@@ -179,6 +181,31 @@ def test_is_admissible_detects_collision():
     assert a != b and len(a) == len(b) == 6
 
 
+def grow_admissible_incremental(candidates, cap, table):
+    """The greedy growth as it once ran on its own (test reference): candidate
+    q joins unless a 6-subset through q repeats a sum already held or another
+    new one; the result is then certified by is_admissible."""
+    if cap > 16:
+        raise CapacityError(f"cap must be <= 16, got {cap}")
+    chosen, sums = [], {}
+    for q in sorted(candidates):
+        if len(chosen) >= cap:
+            break
+        if q <= 23 or q > table.limit:
+            raise ValueError(f"candidate {q} out of range")
+        new_sums = {}
+        for combo5 in combinations(chosen, 5):
+            s = sum(table.values[t] for t in combo5 + (q,))
+            if s in sums or s in new_sums:
+                break
+            new_sums[s] = combo5 + (q,)
+        else:
+            chosen.append(q)
+            sums.update(new_sums)
+    certified, _ = is_admissible(chosen, table) if chosen else (True, None)
+    return AdmissibleSet(tuple(chosen), certified)
+
+
 def test_grow_admissible(table_2k):
     grown = grow_admissible(primes_in(23, 200), 12, table_2k)
     assert grown.certified
@@ -195,8 +222,24 @@ def test_grow_admissible_skips_colliding_candidates():
     fake = TauTable(300, [0] + [1] * 300, "series")
     grown = grow_admissible(primes_in(23, 300), 12, fake)
     # with constant tau every 6-subset collides, so growth stalls at 6 picks
-    assert len(grown.primes) <= 6
-    assert grown.certified
+    assert grown == AdmissibleSet((29, 31, 37, 41, 43, 47), True)
+    assert grown == grow_admissible_incremental(primes_in(23, 300), 12, fake)
+
+
+@pytest.mark.parametrize("cap", range(17))
+def test_grow_admissible_matches_the_incremental_loop(table_2k, cap):
+    candidates = primes_in(23, 2000)
+    want = grow_admissible_incremental(candidates, cap, table_2k)
+    assert grow_admissible(candidates, cap, table_2k) == want
+    assert len(want.primes) == cap
+
+
+@pytest.mark.parametrize("candidates", [[23, 29], [29, 31, 2003], [29, 29, 31]],
+                         ids=["at-23", "past-the-table", "repeated"])
+def test_grow_admissible_refuses_what_the_incremental_loop_refuses(table_2k, candidates):
+    for grow in (grow_admissible, grow_admissible_incremental):
+        with pytest.raises(ValueError):
+            grow(candidates, 5, table_2k)
 
 
 # ---------------------------------------------------------------- dyadic scan
