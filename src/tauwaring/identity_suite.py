@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .divisor_arith import iter_factor_pairs, primes_in, primes_upto, sieve_spf
+from .divisor_arith import primes_in, primes_upto, sieve_spf
 from .errors import InternalCheckError
 from .tau_core import TauTable, tau_prime_power
 
@@ -22,45 +22,56 @@ def _violation(name: str, n: int, expected, got) -> str:
     return f"CHECK {name} n={n} expected={expected} got={got}"
 
 
-def _sigma_pow_mod(n: int, s: int, mod: int, spf: list[int]) -> int:
-    """sigma_s(n) mod `mod` via the multiplicative factor structure."""
-    total = 1
-    for q, e in iter_factor_pairs(n, spf):
-        qs = pow(q, s, mod)
-        power = 1
-        term = 1
-        for _ in range(e):
-            power = power * qs % mod
-            term = (term + power) % mod
-        total = total * term % mod
-    return total
-
-
 def _sigma11_sweep(name: str, mod: int, stride: int, table: TauTable, lo: int,
                    hi: int | None, spf: list[int] | None) -> list[str]:
-    """tau(n) = sigma_11(n) (mod `mod`) for n = 1 (mod stride) in [lo, hi]."""
+    """tau(n) = sigma_11(n) (mod `mod`) for n = 1 (mod stride) in [lo, hi].
+
+    sigma_11 mod `mod` comes from one pass over every n = 1 (mod stride) up to
+    hi, whatever lo is: with q = spf[n] and q^e || n, sigma(n) =
+    sigma(q^e) sigma(n / q^e) and sigma(q^e) = 1 + q^11 sigma(q^(e-1)), where
+    q^11 = sigma(q) - 1 and every factor is a smaller n of the same residue
+    (stride 2 sweeps odd n, whose divisors are odd). rest[n] = n / q^e.
+    """
     hi = hi if hi is not None else table.limit
     if hi > table.limit:
         raise ValueError(f"table covers {table.limit}, sweep asks for {hi}")
     spf = spf if spf is not None else sieve_spf(max(hi, 2))
+    values = table.values
+    sigma = [0] * (hi + 1)
+    rest = [1] * (hi + 1)
     out = []
-    for n in range(lo + (1 - lo) % stride, hi + 1, stride):
-        want = _sigma_pow_mod(n, 11, mod, spf)
-        got = table.values[n] % mod
-        if want != got:
-            out.append(_violation(name, n, want, got))
+    for n in range(1, hi + 1, stride):
+        q = spf[n]
+        m = n // q
+        if m == 1:  # n = 1 or n prime
+            s = (1 + pow(n, 11, mod)) % mod if n > 1 else 1
+        elif spf[m] != q:  # q || n
+            rest[n] = m
+            s = sigma[q] * sigma[m] % mod
+        else:  # q^e || n with e >= 2: sigma(q^e) from sigma(q^(e-1)) = sigma[m // rest[m]]
+            r = rest[n] = rest[m]
+            s = (1 + (sigma[q] - 1) * sigma[m // r]) * sigma[r] % mod
+        sigma[n] = s
+        if n >= lo and values[n] % mod != s:
+            out.append(_violation(name, n, s, values[n] % mod))
     return out
 
 
 def check_mod691(table: TauTable, lo: int = 1, hi: int | None = None,
                  spf: list[int] | None = None) -> list[str]:
-    """tau(n) = sigma_11(n) (mod 691) for every n in (lo-1, hi]."""
+    """tau(n) = sigma_11(n) (mod 691) for every n in (lo-1, hi].
+
+    sigma_11 is sieved over all of 1..hi, also when lo > 1.
+    """
     return _sigma11_sweep("mod691", 691, 1, table, lo, hi, spf)
 
 
 def check_mod256_odd(table: TauTable, lo: int = 1, hi: int | None = None,
                      spf: list[int] | None = None) -> list[str]:
-    """tau(n) = sigma_11(n) (mod 2^8) for every odd n in the range."""
+    """tau(n) = sigma_11(n) (mod 2^8) for every odd n in the range.
+
+    sigma_11 is sieved over every odd n in 1..hi, also when lo > 1.
+    """
     return _sigma11_sweep("mod256", 256, 2, table, lo, hi, spf)
 
 

@@ -334,14 +334,25 @@ def modp_certificate_from_json(obj: dict) -> ModpCertificate:
     )
 
 
+# The builder, and its branches, whose covers each walked kind accepts; sum96
+# walks through pm32.
+_WALK_BRANCHES = {"pm32": ("build_context", ("direct", "pairs")),
+                  "sum16": ("build_abc_context", ("A-split", "BxC"))}
+
+
 def _walk(kind: str, ctx: ModpContext, lam: int) -> ModpCertificate:
     """The certificate of the given kind for lambda mod p: signed tau indices
     from the pairs the context's cover walk gives, held to its index bound.
 
     (sum_i s_i tau(n_i)) * (sum_j t_j tau(m_j)) = sum_ij s_i t_j tau(n_i m_j)
     requires gcd(n_i, m_j) = 1 throughout; the context constructions
-    guarantee this and it is asserted here.
+    guarantee this and it is asserted here. A context of another builder's
+    branch raises ValueError: its indices need not meet the kind's bounds.
     """
+    builder, branches = _WALK_BRANCHES[kind]
+    if ctx.branch not in branches:
+        raise ValueError(f"{kind} walks a {builder} context (branch {' or '.join(branches)}),"
+                         f" got branch {ctx.branch!r}")
     lam %= ctx.p
     plus, minus = [], []
     for wx, wy in ctx.cover.pairs_for(lam):

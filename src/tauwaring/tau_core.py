@@ -1,7 +1,9 @@
 """Exact Ramanujan tau values by four independent routes, plus table persistence.
 
 Routes:
-  * series        -- truncated product expansion of X * prod(1 - X^n)^24
+  * series        -- truncated product expansion of X * prod(1 - X^n)^24: the
+                     Jacobi cube squared as a sparse int64 convolution, then
+                     two exact decimal squarings
   * niebur        -- sigma_1 convolution identity (quadratic; cross-check oracle)
   * sigma_formula -- scaled sigma_5 / sigma_11 identity (quadratic; oracle)
   * multiplicative -- Hecke recurrence at prime powers times multiplicativity
@@ -23,6 +25,8 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass, field
 from operator import mul
+
+import numpy as np
 
 from .divisor_arith import SigmaTable, factor_within, iter_factor_pairs, primes_in
 from .errors import CapacityError, InternalCheckError, TableFormatError
@@ -86,8 +90,7 @@ def _cube_terms(n_coeffs: int) -> list[tuple[int, int]]:
     """Nonzero terms (position, coefficient) of prod(1 - X^m)^3 below n_coeffs.
 
     Jacobi: prod(1 - X^m)^3 = sum_{k>=0} (-1)^k (2k+1) X^{k(k+1)/2}, so the
-    cube is sparse with O(sqrt(n)) terms; raising it to the 8th power gives
-    the 24th power of the Euler product.
+    cube is sparse with O(sqrt(n)) terms.
     """
     terms = []
     k = 0
@@ -100,10 +103,87 @@ def _cube_terms(n_coeffs: int) -> list[tuple[int, int]]:
         k += 1
 
 
+def _eta6_coeffs(n_coeffs: int) -> np.ndarray:
+    """Coefficients of prod(1 - X^m)^6 below n_coeffs, as an int64 array.
+
+    The Jacobi cube squared as a sparse convolution of its T = O(sqrt(n))
+    terms, one numpy pass per term. A coefficient sums at most T products of
+    absolute value below (2T)^2, so int64 holds every sum exactly at any limit
+    up to DEFAULT_SERIES_CAP.
+    """
+    terms = _cube_terms(n_coeffs)
+    pos = np.array([p for p, _ in terms], dtype=np.int64)
+    coef = np.array([c for _, c in terms], dtype=np.int64)
+    out = np.zeros(n_coeffs, dtype=np.int64)
+    for p, c in terms:
+        m = np.searchsorted(pos, n_coeffs - p)  # the terms landing below n_coeffs
+        out[p + pos[:m]] += c * coef[:m]
+    return out
+
+
 def _slot_width_digits(limit: int) -> int:
     # Balanced base-10^w slots hold [-10^w / 2, 10^w / 2), and 2 |tau(n)|
     # <= 4 n^6 < 10^w for every n <= limit.
     return len(str(4 * limit**6))
+
+
+def _pack_balanced(coeffs: np.ndarray, width: int) -> decimal.Decimal:
+    """sum_k coeffs[k] 10^(width k) as an exact Decimal (Kronecker substitution).
+
+    Every |coeffs[k]| must be below 10^width. The positive and the negative
+    coefficients are each written as one digit string, width digits per slot
+    and most significant slot first, and the two are subtracted.
+    """
+    digits = len(str(int(np.abs(coeffs).max())))
+    if digits > width:
+        raise ValueError(f"coefficients of {digits} digits do not fit {width}-digit slots")
+    pos, neg = (_slot_digits(np.maximum(sign * coeffs, 0), width, digits) for sign in (1, -1))
+    with decimal.localcontext(_EXACT):
+        return pos - neg
+
+
+def _slot_digits(part: np.ndarray, width: int, digits: int) -> decimal.Decimal:
+    """sum_k part[k] 10^(width k) for 0 <= part[k] < 10^digits, digits <= width."""
+    buf = np.full((len(part), width), ord("0"), dtype=np.uint8)
+    for col in range(width - 1, width - 1 - digits, -1):
+        buf[:, col] += (part % 10).astype(np.uint8)
+        part //= 10
+    text = buf[::-1].tobytes()
+    del buf
+    return decimal.Decimal(text.decode("ascii"))
+
+
+def _square_truncated(acc: decimal.Decimal, n_digits: int) -> decimal.Decimal:
+    """acc^2 mod 10^n_digits, exactly; a square is >= 0, so this is the least residue."""
+    with decimal.localcontext(_EXACT):
+        acc = acc * acc
+        return acc - acc.scaleb(-n_digits).to_integral_value(decimal.ROUND_DOWN).scaleb(n_digits)
+
+
+# Slots that _unpack_balanced turns into Python ints at a time.
+_UNPACK_CHUNK = 1 << 16
+
+
+def _unpack_balanced(acc: decimal.Decimal, width: int, count: int) -> list[int]:
+    """The signed coefficients in the `count` lowest base-10^width slots of
+    acc >= 0, least significant first; see _decode_balanced.
+
+    The digit text is cut into chunks of _UNPACK_CHUNK slots, each viewed as a
+    fixed-width S{width} numpy array and parsed by map(int, ...), so only one
+    chunk's bytes objects are alive at a time.
+    """
+    text = str(acc)
+    size = count * width
+    if len(text) < size:
+        text = text.rjust(size, "0")
+    end = len(text)
+
+    def slots():
+        for hi in range(end, end - size, -_UNPACK_CHUNK * width):
+            chunk = text[max(hi - _UNPACK_CHUNK * width, end - size) : hi].encode("ascii")
+            yield from map(int, np.frombuffer(chunk, dtype=f"S{width}")[::-1].tolist())
+
+    return _decode_balanced(slots(), 10**width)
 
 
 def _decode_balanced(slot_values, base: int) -> list[int]:
@@ -126,15 +206,15 @@ def _decode_balanced(slot_values, base: int) -> list[int]:
 def build_tau_table_series(limit: int) -> TauTable:
     """Compute tau(1..limit) from the truncated 24th-power Euler product.
 
-    The sparse Jacobi cube is packed into one big number (Kronecker
+    The Jacobi cube is squared once as a sparse int64 convolution into eta^6
+    = prod(1 - X^m)^6. That is packed into one big number (Kronecker
     substitution, one balanced base-10^w slot per coefficient) and squared
-    three times, cube -> cube^2 -> cube^4 -> cube^8, truncating mod
-    10^(w*slots) after each squaring. Substitution is a ring map from
-    Z[X]/(X^slots) onto Z/10^(w*slots), so only the final coefficients need
-    to fit a slot. The packed values are decimal.Decimal integers: libmpdec
-    multiplies large operands with a number-theoretic transform, far faster
-    than CPython's Karatsuba at these sizes. Digit strings do the packing and
-    decoding.
+    twice, eta^6 -> eta^12 -> eta^24, truncating mod 10^(w*slots) after each
+    squaring. Substitution is a ring map from Z[X]/(X^slots) onto
+    Z/10^(w*slots), so only the final coefficients need to fit a slot. The
+    packed values are decimal.Decimal integers: libmpdec multiplies large
+    operands with a number-theoretic transform, far faster than CPython's
+    Karatsuba at these sizes. numpy digit arrays do the packing and decoding.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -145,24 +225,12 @@ def build_tau_table_series(limit: int) -> TauTable:
         )
     width = _slot_width_digits(limit)
     slots = limit + 1  # one guard slot on top; it absorbs wraparound
-    n = width * slots
-    pos = ["0" * width] * slots  # most significant slot first
-    neg = list(pos)
-    for p, c in _cube_terms(slots):
-        (pos if c > 0 else neg)[slots - 1 - p] = str(abs(c)).zfill(width)
-    with decimal.localcontext(_EXACT):
-        acc = decimal.Decimal("".join(pos)) - decimal.Decimal("".join(neg))
-        for _ in range(3):
-            acc = acc * acc
-            # acc mod 10^n; acc is a square, so this is the least residue.
-            acc -= acc.scaleb(-n).to_integral_value(decimal.ROUND_DOWN).scaleb(n)
-    text = str(acc).rjust(n, "0")
+    acc = _pack_balanced(_eta6_coeffs(slots), width)
+    for _ in range(2):
+        acc = _square_truncated(acc, width * slots)
     # tau(n) is the coefficient of X^(n-1) in the 24th power.
     values = [0]
-    values.extend(_decode_balanced(
-        (int(text[n - (i + 1) * width : n - i * width]) for i in range(limit)),
-        10**width,
-    ))
+    values.extend(_unpack_balanced(acc, width, limit))
     return TauTable(limit=limit, values=values, method="series")
 
 
@@ -241,6 +309,8 @@ def tau_prime_power(tau_q: int, q: int, alpha: int) -> int:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return 1
+    if alpha == 1:
+        return tau_q
     prev, cur = 1, tau_q
     q11 = q**11
     for _ in range(alpha - 1):

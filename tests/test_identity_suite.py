@@ -1,7 +1,9 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tauwaring.divisor_arith import iter_factor_pairs, sieve_spf
 from tauwaring.errors import InternalCheckError
 from tauwaring.identity_suite import (
     ZERO_SUM_SEVEN,
@@ -13,6 +15,7 @@ from tauwaring.identity_suite import (
     check_multiplicativity,
     verify_zero_sums,
 )
+from tauwaring.identity_suite import _violation
 from tauwaring.tau_core import TauTable
 
 
@@ -56,6 +59,62 @@ def test_violation_report_format(table_2k):
     odd_broken.values[9] += 1
     lines = check_mod256_odd(odd_broken, 1, 50)
     assert len(lines) == 1 and lines[0].startswith("CHECK mod256 n=9 ")
+
+
+def sigma_pow_mod(n, s, mod, spf):
+    """sigma_s(n) mod `mod` from the factor pairs of n alone: the per-n loop
+    that the one-pass sieve of identity_suite._sigma11_sweep replaced."""
+    total = 1
+    for q, e in iter_factor_pairs(n, spf):
+        qs = pow(q, s, mod)
+        power = 1
+        term = 1
+        for _ in range(e):
+            power = power * qs % mod
+            term = (term + power) % mod
+        total = total * term % mod
+    return total
+
+
+def loop_sigma11_sweep(name, mod, stride, table, lo, hi, spf):
+    hi = hi if hi is not None else table.limit
+    spf = spf if spf is not None else sieve_spf(max(hi, 2))
+    out = []
+    for n in range(lo + (1 - lo) % stride, hi + 1, stride):
+        want = sigma_pow_mod(n, 11, mod, spf)
+        got = table.values[n] % mod
+        if want != got:
+            out.append(_violation(name, n, want, got))
+    return out
+
+
+# 1, primes, prime powers and composites, each of which the sieve reaches by a
+# different branch.
+CORRUPTIBLE = (1, 2, 3, 691, 1999, 4, 8, 9, 27, 243, 256, 1024, 1331, 1849,
+               6, 12, 15, 100, 105, 210, 1000, 1998, 2000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.one_of(st.sampled_from(CORRUPTIBLE), st.integers(1, 2000)),
+                             st.sampled_from([1, -1, 5, 256, 691, 691 * 256, 10**30])),
+                   max_size=12),
+    lo_half=st.integers(0, 1000),
+    lo_odd=st.booleans(),
+    hi=st.one_of(st.none(), st.integers(0, 2000)),
+    pass_spf=st.booleans(),
+)
+def test_sigma11_sweeps_match_the_per_n_loop(table_2k, spf_2k, edits, lo_half, lo_odd, hi,
+                                             pass_spf):
+    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    for n, delta in edits:
+        broken.values[n] += delta
+    lo = max(1, 2 * lo_half + lo_odd)
+    spf = spf_2k if pass_spf else None
+    for check, name, mod, stride in ((check_mod691, "mod691", 691, 1),
+                                     (check_mod256_odd, "mod256", 256, 2)):
+        assert check(broken, lo, hi, spf) == loop_sigma11_sweep(name, mod, stride, broken,
+                                                                lo, hi, spf)
 
 
 def test_deligne_examples(table_2k):

@@ -497,6 +497,25 @@ def test_sum16_walks_the_context_cover(table_2k, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("p, branch", [(29, "BxC"), (101, "A-split")])
+@pytest.mark.parametrize("represent", [represent_pm32, represent_sum96])
+def test_pm32_and_sum96_refuse_a_sum16_context(table_2k, represent, p, branch):
+    # Walked as pm32, the BxC cover at p = 29 gives [4693] = [13 * 19^2] for
+    # lambda = 0, an index with a factor below 23 that the verifier rejects.
+    ctx = build_abc_context(p, table_2k)
+    assert ctx.branch == branch
+    with pytest.raises(ValueError, match=f"got branch '{branch}'"):
+        represent(0, ctx, table_2k)
+
+
+@pytest.mark.parametrize("policy, branch", [(None, "direct"), (WindowPolicy("pairs"), "pairs")])
+def test_sum16_refuses_a_pm32_context(table_2k, policy, branch):
+    ctx = build_context(101, table_2k, policy)
+    assert ctx.branch == branch
+    with pytest.raises(ValueError, match=f"got branch '{branch}'"):
+        represent_sum16(0, 101, table_2k, ctx=ctx)
+
+
 def test_abc_context_branch_at_every_prime_below_2000(table_2k):
     # A-split at every prime in (23, 2000] but 29, where BxC covers; a prime
     # that ever needed a third branch would fail here first.

@@ -1,8 +1,10 @@
+import decimal
 import hashlib
 import re
 import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,10 @@ from tauwaring.tau_core import (
     TABLE_HEADER_RE,
     TauTable,
     _cube_terms,
+    _eta6_coeffs,
+    _pack_balanced,
+    _square_truncated,
+    _unpack_balanced,
     build_tau_table_series,
     load_table,
     save_table,
@@ -46,29 +52,75 @@ QUOTED_TAU = {
 }
 
 
-def dense_delta_prefix(n):
-    """Brute-force oracle: expand prod(1 - X^m)^24 by dense polynomial
-    multiplication and read tau(1..n) off the shifted coefficients."""
+def dense_euler_power(n, k):
+    """The first n coefficients of prod(1 - X^m)^k by dense multiplication."""
     coeffs = [0] * n
     coeffs[0] = 1
     for m in range(1, n):
-        for _ in range(24):
+        for _ in range(k):
             for i in range(n - 1, m - 1, -1):
                 coeffs[i] -= coeffs[i - m]
-    return {k + 1: coeffs[k] for k in range(n)}
+    return coeffs
+
+
+def dense_delta_prefix(n):
+    """Brute-force oracle: expand prod(1 - X^m)^24 by dense polynomial
+    multiplication and read tau(1..n) off the shifted coefficients."""
+    return {k + 1: c for k, c in enumerate(dense_euler_power(n, 24))}
 
 
 def test_cube_terms_match_dense_cube():
     n = 120
-    coeffs = [0] * n
-    coeffs[0] = 1
-    for m in range(1, n):
-        for _ in range(3):
-            for i in range(n - 1, m - 1, -1):
-                coeffs[i] -= coeffs[i - m]
+    coeffs = dense_euler_power(n, 3)
     sparse = dict(_cube_terms(n))
     for pos in range(n):
         assert coeffs[pos] == sparse.get(pos, 0)
+
+
+def test_sparse_eta6_matches_dense_cube_squared():
+    n = 300
+    cube = dense_euler_power(n, 3)
+    square = [sum(cube[i] * cube[k - i] for i in range(k + 1)) for k in range(n)]
+    for size in range(1, n + 1):
+        eta6 = _eta6_coeffs(size)
+        assert eta6.dtype == np.int64
+        assert eta6.tolist() == square[:size], size
+
+
+def test_eta6_convolution_stays_inside_int64_at_the_cap():
+    # A coefficient of eta^6 takes at most one product c_i c_j per cube term
+    # c_i, so the sum of |c_i c_j| at any position is at most the term count
+    # times the largest |c|^2.
+    terms = _cube_terms(tau_core.DEFAULT_SERIES_CAP + 1)
+    largest = max(abs(c) for _, c in terms)
+    assert len(terms) * largest * largest < 2**62
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_unpack_inverts_pack(width, data):
+    half = 10**width // 2
+    coeffs = data.draw(st.lists(st.integers(-half, half - 1), min_size=1, max_size=40))
+    chunk = data.draw(st.integers(min_value=1, max_value=50))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tau_core, "_UNPACK_CHUNK", chunk)
+        packed = _pack_balanced(np.array(coeffs, dtype=np.int64), width)
+        # Adding a power of ten above every slot makes the value non-negative,
+        # as squaring does in the build, and leaves the slots alone.
+        with decimal.localcontext(tau_core._EXACT):
+            packed += 10 ** (width * (len(coeffs) + 1))
+        assert _unpack_balanced(packed, width, len(coeffs)) == coeffs
+
+
+def test_pack_refuses_a_coefficient_wider_than_its_slot():
+    with pytest.raises(ValueError, match="3 digits do not fit 2-digit slots"):
+        _pack_balanced(np.array([1, -100, 7], dtype=np.int64), 2)
+
+
+def test_square_truncated_is_the_square_mod_a_power_of_ten():
+    for x in (0, 1, 7, -12345, 10**40 + 3, -(10**55) + 99):
+        for n in (1, 5, 30, 120):
+            assert int(_square_truncated(decimal.Decimal(x), n)) == x * x % 10**n
 
 
 # sha256 of save_table(build_tau_table_series(N)), taken from the seven-product
