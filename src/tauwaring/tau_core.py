@@ -44,7 +44,7 @@ _EXACT = decimal.Context(
 )
 
 # Largest series build accepted, read at each call. A 1e6 build takes about
-# 10 s and peaks near 230 MB.
+# 5 s and peaks near 210 MB.
 DEFAULT_SERIES_CAP = 2_000_000
 
 # Entries that the verifiers' tau memo holds before tau_factored clears it.
@@ -128,26 +128,30 @@ def _slot_width_digits(limit: int) -> int:
 
 
 def _pack_balanced(coeffs: np.ndarray, width: int) -> decimal.Decimal:
-    """sum_k coeffs[k] 10^(width k) as an exact Decimal (Kronecker substitution).
+    """A Decimal D >= 0 with D = sum_k coeffs[k] 10^(width k) modulo
+    10^(width len(coeffs)), all that a product truncated to those slots reads.
 
-    Every |coeffs[k]| must be below 10^width. The positive and the negative
-    coefficients are each written as one digit string, width digits per slot
-    and most significant slot first, and the two are subtracted.
+    Slot k holds (coeffs[k] - b_k) mod 10^width, where the borrow b_k is 1
+    when the nearest nonzero coefficient below k is negative, so one digit
+    string, most significant slot first, carries the value. The digits of
+    max |coeffs[k]| + 1 must fit the slot and int64.
     """
-    digits = len(str(int(np.abs(coeffs).max())))
-    if digits > width:
-        raise ValueError(f"coefficients of {digits} digits do not fit {width}-digit slots")
-    pos, neg = (_slot_digits(np.maximum(sign * coeffs, 0), width, digits) for sign in (1, -1))
-    with decimal.localcontext(_EXACT):
-        return pos - neg
-
-
-def _slot_digits(part: np.ndarray, width: int, digits: int) -> decimal.Decimal:
-    """sum_k part[k] 10^(width k) for 0 <= part[k] < 10^digits, digits <= width."""
-    buf = np.full((len(part), width), ord("0"), dtype=np.uint8)
+    top = int(np.abs(coeffs).max())
+    digits = len(str(top + 1))
+    if digits > min(width, 18):
+        raise ValueError(f"coefficient {top} does not fit a {width}-digit slot")
+    n = len(coeffs)
+    last = np.where(coeffs != 0, np.arange(n), -1)
+    np.maximum.accumulate(last, out=last)  # the nearest nonzero coefficient at or below k
+    slot = coeffs.copy()
+    slot[1:] -= (last[:-1] >= 0) & (coeffs[last[:-1]] < 0)
+    neg = slot < 0
+    slot[neg] += 10**digits  # then the slot reads 9...9 followed by these digits
+    buf = np.full((n, width), ord("0"), dtype=np.uint8)
+    buf[neg, : width - digits] = ord("9")
     for col in range(width - 1, width - 1 - digits, -1):
-        buf[:, col] += (part % 10).astype(np.uint8)
-        part //= 10
+        buf[:, col] += (slot % 10).astype(np.uint8)
+        slot //= 10
     text = buf[::-1].tobytes()
     del buf
     return decimal.Decimal(text.decode("ascii"))
@@ -161,7 +165,7 @@ def _square_truncated(acc: decimal.Decimal, n_digits: int) -> decimal.Decimal:
 
 
 # Slots that _unpack_balanced turns into Python ints at a time.
-_UNPACK_CHUNK = 1 << 16
+_UNPACK_CHUNK = 1 << 12
 
 
 def _unpack_balanced(acc: decimal.Decimal, width: int, count: int) -> list[int]:
@@ -172,10 +176,8 @@ def _unpack_balanced(acc: decimal.Decimal, width: int, count: int) -> list[int]:
     fixed-width S{width} numpy array and parsed by map(int, ...), so only one
     chunk's bytes objects are alive at a time.
     """
-    text = str(acc)
     size = count * width
-    if len(text) < size:
-        text = text.rjust(size, "0")
+    text = str(acc).rjust(size, "0")
     end = len(text)
 
     def slots():

@@ -1,4 +1,3 @@
-import decimal
 import hashlib
 import re
 import tracemalloc
@@ -17,7 +16,6 @@ from tauwaring.tau_core import (
     _cube_terms,
     _eta6_coeffs,
     _pack_balanced,
-    _square_truncated,
     _unpack_balanced,
     build_tau_table_series,
     load_table,
@@ -105,22 +103,18 @@ def test_unpack_inverts_pack(width, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tau_core, "_UNPACK_CHUNK", chunk)
         packed = _pack_balanced(np.array(coeffs, dtype=np.int64), width)
-        # Adding a power of ten above every slot makes the value non-negative,
-        # as squaring does in the build, and leaves the slots alone.
-        with decimal.localcontext(tau_core._EXACT):
-            packed += 10 ** (width * (len(coeffs) + 1))
+        assert 0 <= packed < 10 ** (width * len(coeffs))
+        want = sum(c * 10 ** (width * k) for k, c in enumerate(coeffs))
+        assert (int(packed) - want) % 10 ** (width * len(coeffs)) == 0
         assert _unpack_balanced(packed, width, len(coeffs)) == coeffs
 
 
 def test_pack_refuses_a_coefficient_wider_than_its_slot():
-    with pytest.raises(ValueError, match="3 digits do not fit 2-digit slots"):
-        _pack_balanced(np.array([1, -100, 7], dtype=np.int64), 2)
-
-
-def test_square_truncated_is_the_square_mod_a_power_of_ten():
-    for x in (0, 1, 7, -12345, 10**40 + 3, -(10**55) + 99):
-        for n in (1, 5, 30, 120):
-            assert int(_square_truncated(decimal.Decimal(x), n)) == x * x % 10**n
+    _pack_balanced(np.array([1, -98, 7], dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="coefficient 99 does not fit a 2-digit slot"):
+        _pack_balanced(np.array([1, -99, 7], dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="coefficient 999999999999999999 does not fit"):
+        _pack_balanced(np.array([10**18 - 1], dtype=np.int64), 40)
 
 
 # sha256 of save_table(build_tau_table_series(N)), taken from the seven-product
