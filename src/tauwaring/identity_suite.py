@@ -36,6 +36,8 @@ def _sigma11_sweep(name: str, mod: int, stride: int, table: TauTable, lo: int,
     if hi > table.limit:
         raise ValueError(f"table covers {table.limit}, sweep asks for {hi}")
     spf = spf if spf is not None else sieve_spf(max(hi, 2))
+    if len(spf) <= hi:
+        raise ValueError(f"sieve covers {len(spf) - 1}, sweep asks for {hi}")
     values = table.values
     sigma = [0] * (hi + 1)
     rest = [1] * (hi + 1)

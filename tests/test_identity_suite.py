@@ -117,6 +117,12 @@ def test_sigma11_sweeps_match_the_per_n_loop(table_2k, spf_2k, edits, lo_half, l
                                                                 lo, hi, spf)
 
 
+def test_sigma11_sweeps_refuse_a_short_sieve(table_2k):
+    for check in (check_mod691, check_mod256_odd):
+        with pytest.raises(ValueError, match="sieve covers 100, sweep asks for 300"):
+            check(table_2k, 1, 300, sieve_spf(100))
+
+
 def test_deligne_examples(table_2k):
     assert table_2k.tau(2) ** 2 == 576 and 4 * 2**11 == 8192
     assert table_2k.tau(29) == 128406630
