@@ -27,10 +27,11 @@ def _sigma11_sweep(name: str, mod: int, stride: int, table: TauTable, lo: int,
     """tau(n) = sigma_11(n) (mod `mod`) for n = 1 (mod stride) in [lo, hi].
 
     sigma_11 mod `mod` comes from one pass over every n = 1 (mod stride) up to
-    hi, whatever lo is: with q = spf[n] and q^e || n, sigma(n) =
-    sigma(q^e) sigma(n / q^e) and sigma(q^e) = 1 + q^11 sigma(q^(e-1)), where
-    q^11 = sigma(q) - 1 and every factor is a smaller n of the same residue
-    (stride 2 sweeps odd n, whose divisors are odd). rest[n] = n / q^e.
+    hi, whatever lo is. With q = spf[n] and m = n / q: sigma(n) =
+    sigma(q) sigma(m) when q does not divide m; otherwise sigma(q^e) =
+    1 + q^11 sigma(q^(e-1)) gives sigma(n) = sigma(q) sigma(m) -
+    q^11 sigma(m / q), with q^11 = sigma(q) - 1. Every factor is a smaller n
+    of the same residue (stride 2 sweeps odd n, whose divisors are odd).
     """
     hi = hi if hi is not None else table.limit
     if hi > table.limit:
@@ -39,20 +40,17 @@ def _sigma11_sweep(name: str, mod: int, stride: int, table: TauTable, lo: int,
     if len(spf) <= hi:
         raise ValueError(f"sieve covers {len(spf) - 1}, sweep asks for {hi}")
     values = table.values
-    sigma = [0] * (hi + 1)
-    rest = [1] * (hi + 1)
+    sigma = [1] * (hi + 1)
     out = []
     for n in range(1, hi + 1, stride):
         q = spf[n]
         m = n // q
         if m == 1:  # n = 1 or n prime
             s = (1 + pow(n, 11, mod)) % mod if n > 1 else 1
-        elif spf[m] != q:  # q || n
-            rest[n] = m
+        elif spf[m] != q:
             s = sigma[q] * sigma[m] % mod
-        else:  # q^e || n with e >= 2: sigma(q^e) from sigma(q^(e-1)) = sigma[m // rest[m]]
-            r = rest[n] = rest[m]
-            s = (1 + (sigma[q] - 1) * sigma[m // r]) * sigma[r] % mod
+        else:
+            s = (sigma[q] * sigma[m] - (sigma[q] - 1) * sigma[m // q]) % mod
         sigma[n] = s
         if n >= lo and values[n] % mod != s:
             out.append(_violation(name, n, s, values[n] % mod))

@@ -145,6 +145,8 @@ def _pack_balanced(coeffs: np.ndarray, width: int) -> decimal.Decimal:
     np.maximum.accumulate(last, out=last)  # the nearest nonzero coefficient at or below k
     slot = coeffs.copy()
     slot[1:] -= (last[:-1] >= 0) & (coeffs[last[:-1]] < 0)
+    del last
+    slot = slot[::-1]  # most significant first, as the digit string reads
     neg = slot < 0
     slot[neg] += 10**digits  # then the slot reads 9...9 followed by these digits
     buf = np.full((n, width), ord("0"), dtype=np.uint8)
@@ -152,9 +154,9 @@ def _pack_balanced(coeffs: np.ndarray, width: int) -> decimal.Decimal:
     for col in range(width - 1, width - 1 - digits, -1):
         buf[:, col] += (slot % 10).astype(np.uint8)
         slot //= 10
-    text = buf[::-1].tobytes()
-    del buf
-    return decimal.Decimal(text.decode("ascii"))
+    text = str(buf, "ascii")
+    del buf, slot, neg  # Decimal() copies the text once more while it parses
+    return decimal.Decimal(text)
 
 
 def _square_truncated(acc: decimal.Decimal, n_digits: int) -> decimal.Decimal:
