@@ -53,9 +53,11 @@ TAU_MEMO_CAP = 1 << 18
 TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
 _VALUE_RE = re.compile(r"^-?[0-9]+$")
 
-# Bytes of value lines that load_table parses at once; whole-file parsing
-# would hold every field's copy at the same time.
+# Bytes of value lines that load_table parses at once, and value lines that
+# save_table formats at once; whole-file parsing or formatting would hold every
+# line's copy at the same time.
 _LOAD_BLOCK = 1 << 16
+_SAVE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -369,11 +371,14 @@ def build_prime_tau_map(table: TauTable) -> dict[int, int]:
 
 
 def save_table(path, table: TauTable) -> None:
-    """Write the line-oriented cache format (header + one value per line)."""
-    lines = [f"TAU-TABLE v1 limit={table.limit}"]
-    lines.extend(f"{n}\t{table.values[n]}" for n in range(1, table.limit + 1))
+    """Write the line-oriented cache format (header + one value per line),
+    _SAVE_BLOCK value lines at a time."""
+    values = table.values
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"TAU-TABLE v1 limit={table.limit}\n")
+        for lo in range(1, table.limit + 1, _SAVE_BLOCK):
+            fh.write("".join([f"{n}\t{values[n]}\n"
+                              for n in range(lo, min(lo + _SAVE_BLOCK, table.limit + 1))]))
 
 
 def load_table(path) -> TauTable:
