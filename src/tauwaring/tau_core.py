@@ -57,7 +57,7 @@ _VALUE_RE = re.compile(r"^-?[0-9]+$")
 # save_table formats at once; whole-file parsing or formatting would hold every
 # line's copy at the same time.
 _LOAD_BLOCK = 1 << 16
-_SAVE_BLOCK = 1 << 16
+_SAVE_BLOCK = 1 << 12
 
 
 @dataclass
