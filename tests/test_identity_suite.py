@@ -8,6 +8,7 @@ from tauwaring.errors import InternalCheckError
 from tauwaring.identity_suite import (
     ZERO_SUM_SEVEN,
     ZERO_SUM_SIX,
+    _violation,
     check_deligne_all,
     check_hecke_all,
     check_mod256_odd,
@@ -15,7 +16,6 @@ from tauwaring.identity_suite import (
     check_multiplicativity,
     verify_zero_sums,
 )
-from tauwaring.identity_suite import _violation
 from tauwaring.tau_core import TauTable
 
 
