@@ -18,12 +18,7 @@ import sys
 from math import isqrt
 
 from . import identity_suite, modp_basis, waring_int
-from .errors import (
-    CapacityError,
-    InfeasibleError,
-    TableFormatError,
-    TauwaringError,
-)
+from .errors import InfeasibleError, TableFormatError, TauwaringError
 from .tau_core import TauTable, build_tau_table_series, load_table, save_table
 
 EXIT_OK = 0
@@ -240,7 +235,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliInputError, CapacityError, TableFormatError, ValueError, OSError) as exc:
+    except (CliInputError, TableFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InfeasibleError as exc:

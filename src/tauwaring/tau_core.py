@@ -75,7 +75,6 @@ class TauTable:
 
     limit: int
     values: list[int]
-    method: str = "series"
     ladder: tuple | None = field(default=None, init=False, repr=False, compare=False)
     tau_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -237,7 +236,7 @@ def build_tau_table_series(limit: int) -> TauTable:
     # tau(n) is the coefficient of X^(n-1) in the 24th power.
     values = [0]
     values.extend(_unpack_balanced(acc, width, limit))
-    return TauTable(limit=limit, values=values, method="series")
+    return TauTable(limit=limit, values=values)
 
 
 def _require_order(sigma: SigmaTable, s: int) -> None:
@@ -428,7 +427,7 @@ def load_table(path) -> TauTable:
         else:
             _load_lines(block.decode("ascii").split("\n")[:-1], n, values)
         start, n = end, n + k
-    return TauTable(limit=limit, values=values, method="loaded")
+    return TauTable(limit=limit, values=values)
 
 
 def _load_lines(lines, n, values) -> None:

@@ -13,7 +13,7 @@ import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -28,15 +28,20 @@ RESIDUE_MODULUS = 370944
 RESIDUE_TERM_COUNT = 198
 MAX_RESIDUE_INDEX = 105
 
-# tau at the small indices the residue construction needs; cross-checked
-# against the series table in the test suite.
+# tau at 1..10, the exact finisher's coins, and at the small indices the
+# residue construction needs; cross-checked against the series table in the
+# test suite.
 TAU_SMALL = {
     1: 1,
     2: -24,
     3: 252,
+    4: -1472,
     5: 4830,
     6: -6048,
+    7: -16744,
     8: 84480,
+    9: -113643,
+    10: -115920,
     12: -370944,
     14: 401856,
     27: -73279080,
@@ -50,11 +55,6 @@ TAU_SMALL = {
     90: 13173496560,
     105: -20380127040,
 }
-
-# Remainders that 6x + 7y cannot reach; everything >= 30 is reachable.
-NON_REPRESENTABLE_6X7Y = frozenset(
-    {1, 2, 3, 4, 5, 8, 9, 10, 11, 15, 16, 17, 22, 23, 29}
-)
 
 # Below this remainder the exact finisher over tau(1..10) takes over from
 # the greedy descent.
@@ -292,9 +292,11 @@ def find_dyadic_tau_primes(bound: int, table: TauTable) -> dict[int, int]:
 def solve_prime_power_sum(target: int, s: int, pool) -> list[int] | None:
     """Primes q_1..q_s from the pool (repeats allowed) with sum q_i^11 = target.
 
-    Meet-in-the-middle over pair sums; s is capped at 4 and the pool at 200,
-    which keeps the pair dictionary around 20k entries. Returns None when no
-    solution exists (infeasibility is an answer, not an error).
+    Meet in the middle: the sums of (s + 1) // 2 pool primes' 11th powers map
+    to the first combination giving each, and the combinations of s // 2
+    primes are scanned in order for a complement. s is capped at 4 and the
+    pool at 200, which keeps that dictionary around 20k entries. Returns None
+    when no solution exists (infeasibility is an answer, not an error).
     """
     pool = sorted(set(pool))
     if not 1 <= s <= 4:
@@ -304,48 +306,38 @@ def solve_prime_power_sum(target: int, s: int, pool) -> list[int] | None:
     if not all(is_prime(q) for q in pool):
         raise ValueError("pool must consist of primes")
     power = {q: q**11 for q in pool}
-    if s == 1:
-        for q in pool:
-            if power[q] == target:
-                return [q]
-        return None
-    pair_sums: dict[int, tuple[int, int]] = {}
-    for a, b in combinations_with_replacement(pool, 2):
-        pair_sums.setdefault(power[a] + power[b], (a, b))
-    if s == 2:
-        hit = pair_sums.get(target)
-        return sorted(hit) if hit else None
-    if s == 3:
-        for q in pool:
-            hit = pair_sums.get(target - power[q])
-            if hit:
-                return sorted((q,) + hit)
-        return None
-    for t, (a, b) in pair_sums.items():
-        hit = pair_sums.get(target - t)
+    half: dict[int, tuple[int, ...]] = {}
+    for combo in combinations_with_replacement(pool, (s + 1) // 2):
+        half.setdefault(sum(power[q] for q in combo), combo)
+    for combo in combinations_with_replacement(pool, s // 2):
+        hit = half.get(target - sum(power[q] for q in combo))
         if hit:
-            return sorted((a, b) + hit)
+            return sorted(combo + hit)
     return None
 
 
-@lru_cache(maxsize=2)
-def _finisher_distances(coins: tuple[int, ...], radius: int):
-    """Breadth-first minimum-term table over sums of the given tau values.
+@cache
+def _finisher():
+    """(coin order, distance table, radius) for the exact finisher.
 
-    dist[v + radius] = least number of coins (tau values at indices 1..10)
-    summing to v, for every v in [-radius, radius]. The mixed signs make the
-    whole window reachable.
+    The coins are tau(1..10), tried by (-|tau|, index). dist[v + radius] =
+    least number of coins summing to v, for every v in [-radius, radius];
+    the mixed signs and tau(1) = 1 make the whole window reachable, within
+    33 coins.
 
-    Each layer works on Python ints used as bitsets, bit v + radius standing
-    for remainder v: shifting the frontier by a coin c marks v + c for every
-    frontier v, and the bits still unseen after a layer are those at least
-    one layer deeper. So dist[v] is the number of layers v stays unseen, and
-    each layer adds `unseen` into bit-sliced counters (plane i holds bit i
-    of every distance) with a ripple carry. Every int stays non-negative:
-    `a & ~b` on an int this long costs some 20 times a plain `&`. The planes
-    are unpacked once at the end into a uint8 table (int16 past depth 255),
-    which is read-only because every caller shares this cached array.
+    The table comes from a breadth-first search on Python ints used as
+    bitsets, bit v + radius standing for remainder v: shifting the frontier
+    by a coin c marks v + c for every frontier v, and the bits still unseen
+    after a layer are those at least one layer deeper. So dist[v] is the
+    number of layers v stays unseen, and each layer adds `unseen` into
+    bit-sliced counters (plane i holds bit i of every distance) with a ripple
+    carry. Every int stays non-negative: `a & ~b` on an int this long costs
+    some 20 times a plain `&`. The planes are unpacked once at the end into a
+    read-only uint8 array, handed out as a zero-copy memoryview that reads
+    Python ints.
     """
+    coins = [TAU_SMALL[n] for n in range(1, 11)]
+    radius = DP_THRESHOLD + max(abs(c) for c in coins)
     size = 2 * radius + 1
     frontier = 1 << radius
     unseen = ((1 << size) - 1) ^ frontier
@@ -363,31 +355,16 @@ def _finisher_distances(coins: tuple[int, ...], radius: int):
         for c in coins:
             nxt |= frontier << c if c >= 0 else frontier >> -c
         frontier = nxt & unseen
-        if not frontier:
-            raise InternalCheckError("finisher table has unreachable remainders")
         unseen ^= frontier
-    dtype = np.uint8 if len(planes) <= 8 else np.int16
-    dist = np.zeros(size, dtype=dtype)
+    dist = np.zeros(size, dtype=np.uint8)
     nbytes = (size + 7) // 8
     for i, plane in enumerate(planes):
         bits = np.unpackbits(np.frombuffer(plane.to_bytes(nbytes, "little"), np.uint8),
                              count=size, bitorder="little")
-        dist |= bits.astype(dtype, copy=False) << i
+        dist |= bits << i
     dist.flags.writeable = False
-    return dist
-
-
-@lru_cache(maxsize=2)
-def _finisher(coins: tuple[int, ...]):
-    """(coin order, distance table, radius) for the exact finisher over coins.
-
-    The coins are tried by (-|tau|, index), and the distance table of
-    _finisher_distances is handed out as a zero-copy memoryview, which reads
-    Python ints straight from either layout.
-    """
-    radius = DP_THRESHOLD + max(abs(c) for c in coins)
-    order = sorted(zip(coins, range(1, len(coins) + 1)), key=lambda t: (-abs(t[0]), t[1]))
-    return tuple(order), memoryview(_finisher_distances(coins, radius)), radius
+    order = sorted(zip(coins, range(1, 11)), key=lambda t: (-abs(t[0]), t[1]))
+    return tuple(order), memoryview(dist), radius
 
 
 def _finish_exact(r: int, coins: tuple[tuple[int, int], ...], dist, radius: int) -> list[int]:
@@ -505,7 +482,10 @@ def represent_integer(target: int, params: RepresentationParams,
     Strategy: greedy descent on the remainder using the closest tau value
     within the index budget while |remainder| is large, then an exact
     minimum-term finish over tau(1..10) once it drops below DP_THRESHOLD.
-    The descent's sorted ladder is built once per table, not per target.
+    The finisher's coins are the constants TAU_SMALL[1..10], never the
+    table's entries, so a damaged table cannot steer or stall it; the
+    verifier then judges the result. The descent's sorted ladder is built
+    once per table, not per target.
     Zero gets the canonical 33-block certificate so the result is never an
     empty sum.
     """
@@ -531,7 +511,7 @@ def represent_integer(target: int, params: RepresentationParams,
 
     terms, remainder = _greedy_descent(target, budget, params.max_terms, table)
 
-    terms.extend(_finish_exact(remainder, *_finisher(tuple(table.values[1:11]))))
+    terms.extend(_finish_exact(remainder, *_finisher()))
 
     if len(terms) > params.max_terms:
         raise InfeasibleError(

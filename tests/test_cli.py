@@ -609,6 +609,34 @@ def test_modp_certificates_at_a_large_prime(tmp_path, monkeypatch, capsys, table
             assert f"CHECK {kind} p={p} lambda={lam} recomputed={lam} ok=True" in out
 
 
+# -------------------------------------- tables with damaged small entries
+
+
+@pytest.fixture(scope="module")
+def small_entries_damaged(tmp_path_factory, table_2k):
+    """A saved 2000-entry table whose tau(2..10) read -1, 2, -2, ..., -5. The
+    finisher once took its coins from these entries, and coins this small
+    needed some 2e5 search layers for a remainder near 1e6."""
+    values = list(table_2k.values)
+    values[2:11] = [-1, 2, -2, 3, -3, 4, -4, 5, -5]
+    path = tmp_path_factory.mktemp("small") / "table.txt"
+    save_table(path, TauTable(table_2k.limit, values))
+    return str(path)
+
+
+@pytest.mark.parametrize("target", ["5", "-24"])
+def test_represent_on_damaged_small_entries_ends_at_the_self_check(small_entries_damaged,
+                                                                  target):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tauwaring.cli", "represent",
+                           "--target", target, "--table", small_entries_damaged],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ----------------------------------------- tables damaged past the first block
 
 

@@ -50,12 +50,12 @@ def test_mod256_sweep_clean(table_2k):
 
 
 def test_violation_report_format(table_2k):
-    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    broken = TauTable(table_2k.limit, list(table_2k.values))
     broken.values[10] += 1
     lines = check_mod691(broken, 1, 50)
     assert len(lines) == 1
     assert re.fullmatch(r"CHECK mod691 n=10 expected=\d+ got=\d+", lines[0])
-    odd_broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    odd_broken = TauTable(table_2k.limit, list(table_2k.values))
     odd_broken.values[9] += 1
     lines = check_mod256_odd(odd_broken, 1, 50)
     assert len(lines) == 1 and lines[0].startswith("CHECK mod256 n=9 ")
@@ -106,7 +106,7 @@ CORRUPTIBLE = (1, 2, 3, 691, 1999, 4, 8, 9, 27, 243, 256, 1024, 1331, 1849,
 )
 def test_sigma11_sweeps_match_the_per_n_loop(table_2k, spf_2k, edits, lo_half, lo_odd, hi,
                                              pass_spf):
-    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    broken = TauTable(table_2k.limit, list(table_2k.values))
     for n, delta in edits:
         broken.values[n] += delta
     lo = max(1, 2 * lo_half + lo_odd)
@@ -133,7 +133,7 @@ def test_deligne_sweep_clean(table_2k):
 
 
 def test_deligne_catches_violation(table_2k):
-    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    broken = TauTable(table_2k.limit, list(table_2k.values))
     broken.values[2] = 10**9
     assert any("n=2" in line for line in check_deligne_all(broken, 10))
 
@@ -148,7 +148,7 @@ def test_hecke_sweep_clean(table_2k):
 
 
 def test_hecke_catches_violation(table_2k):
-    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    broken = TauTable(table_2k.limit, list(table_2k.values))
     corrupted = (4, 8, 9, 27, 49, 343)  # q^2 and q^3 for q = 2, 3, 7
     for n in corrupted:
         broken.values[n] += 1
@@ -167,7 +167,7 @@ def test_multiplicativity_sweep_clean(table_2k):
 
 
 def test_multiplicativity_catches_violation(table_2k):
-    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    broken = TauTable(table_2k.limit, list(table_2k.values))
     broken.values[6] += 7
     assert any("n=6" in line for line in check_multiplicativity(broken, 50))
 
@@ -179,7 +179,7 @@ def test_zero_sums(table_2k):
 
 
 def test_zero_sum_rejects_nonzero(table_2k):
-    broken = TauTable(table_2k.limit, list(table_2k.values), "series")
+    broken = TauTable(table_2k.limit, list(table_2k.values))
     broken.values[105] += 1
     with pytest.raises(InternalCheckError,
                        match=r"^indices \(12, 27, 55, 69, 90, 105\) sum to 1, not zero;"):
@@ -187,6 +187,6 @@ def test_zero_sum_rejects_nonzero(table_2k):
 
 
 def test_zero_sums_need_coverage():
-    tiny = TauTable(10, [0] + [1] * 10, "series")
+    tiny = TauTable(10, [0] + [1] * 10)
     with pytest.raises(ValueError):
         verify_zero_sums(tiny)

@@ -535,7 +535,7 @@ def test_abc_context_skips_a_split_with_one_a_witness(monkeypatch):
     # so A keeps the one witness 29 and only BxC is tried.
     values = [0] + [1] * 200
     values[29] = 2
-    fake = TauTable(200, values, "series")
+    fake = TauTable(200, values)
     assert build_abc_context(29, fake).branch == "BxC"
     monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
     with pytest.raises(InfeasibleContextError, match=r"sizes were \[\('BxC', 3, 7\)\]$"):
@@ -545,7 +545,7 @@ def test_abc_context_skips_a_split_with_one_a_witness(monkeypatch):
 def test_abc_degenerate_context(monkeypatch):
     # With tau = 1 throughout there is one tau class over (14, 29], so A has
     # no witness and B four; the context settles on BxC instead of refusing.
-    fake = TauTable(200, [0] + [1] * 200, "series")
+    fake = TauTable(200, [0] + [1] * 200)
     assert build_abc_context(29, fake).branch == "BxC"
     monkeypatch.setattr(ProductSumCover, "covered", property(lambda self: False))
     with pytest.raises(InfeasibleContextError, match=r"sizes were \[\('BxC', 4, 7\)\]$"):
@@ -852,7 +852,7 @@ def test_basis_order_scan_tau_of_one(table_2k):
 
 
 def test_basis_order_scan_full_cover_is_one():
-    fake = TauTable(50, [0] + list(range(1, 51)), "series")
+    fake = TauTable(50, [0] + list(range(1, 51)))
     assert basis_order_scan(29, 29, fake) == 1
 
 

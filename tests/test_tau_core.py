@@ -488,7 +488,7 @@ def regex_load_table(path):
         if parts[0] != str(n):
             raise TableFormatError(f"line {i}: expected index {n}, found {parts[0]!r}")
         values.append(int(parts[1]))
-    return TauTable(limit=limit, values=values, method="loaded")
+    return TauTable(limit=limit, values=values)
 
 
 def traced_peak(fn, *args):

@@ -6,20 +6,19 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tauwaring import waring_int
-from tauwaring.divisor_arith import integer_nth_root, primes_in
+from tauwaring.divisor_arith import integer_nth_root, is_prime, primes_in
 from tauwaring.errors import CapacityError, InfeasibleError, InternalCheckError
 from tauwaring.identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
 from tauwaring.tau_core import TauTable, build_tau_table_series, tau_factored
 from tauwaring.waring_int import (
     DP_THRESHOLD,
-    NON_REPRESENTABLE_6X7Y,
     RESIDUE_MODULUS,
     TAU_SMALL,
     AdmissibleSet,
@@ -91,16 +90,17 @@ def test_pad_examples():
 
 
 def test_pad_matches_brute_force_semigroup():
+    unreachable = []
     for gap in range(0, 301):
         if brute_6x7y(gap):
             x, y = pad_count_6x7y(gap)
             assert 6 * x + 7 * y == gap and x >= 0 and y >= 0
-            assert gap not in NON_REPRESENTABLE_6X7Y
         else:
-            assert gap in NON_REPRESENTABLE_6X7Y
+            unreachable.append(gap)
             with pytest.raises(InfeasibleError):
                 pad_count_6x7y(gap)
-    assert all(g < 30 for g in NON_REPRESENTABLE_6X7Y)
+    # the Frobenius number of 6 and 7 is 6 * 7 - 6 - 7 = 29
+    assert unreachable == [1, 2, 3, 4, 5, 8, 9, 10, 11, 15, 16, 17, 22, 23, 29]
 
 
 # ---------------------------------------------------------------- residues
@@ -174,7 +174,7 @@ def test_is_admissible_capacity(table_2k):
 
 def test_is_admissible_detects_collision():
     # synthetic table where two 6-subsets share a sum: tau == 1 on all primes
-    fake = TauTable(200, [0] + [1] * 200, "series")
+    fake = TauTable(200, [0] + [1] * 200)
     ok, witness = is_admissible(primes_in(23, 200)[:7], fake)
     assert not ok
     a, b = witness
@@ -219,7 +219,7 @@ def test_grow_admissible_trivial_cases(table_2k):
 
 
 def test_grow_admissible_skips_colliding_candidates():
-    fake = TauTable(300, [0] + [1] * 300, "series")
+    fake = TauTable(300, [0] + [1] * 300)
     grown = grow_admissible(primes_in(23, 300), 12, fake)
     # with constant tau every 6-subset collides, so growth stalls at 6 picks
     assert grown == AdmissibleSet((29, 31, 37, 41, 43, 47), True)
@@ -285,6 +285,68 @@ def test_solve_prime_power_s4():
     sol = solve_prime_power_sum(target, 4, pool)
     assert sol is not None and len(sol) == 4
     assert sum(q**11 for q in sol) == target
+
+
+def four_branch_prime_power_sum(target, s, pool):
+    """solve_prime_power_sum as it was with one branch per s (test reference
+    for the library's single meet-in-the-middle loop)."""
+    pool = sorted(set(pool))
+    if not 1 <= s <= 4:
+        raise ValueError(f"term count must be in 1..4, got {s}")
+    if len(pool) > 200:
+        raise CapacityError(f"pool capped at 200 primes, got {len(pool)}")
+    if not all(is_prime(q) for q in pool):
+        raise ValueError("pool must consist of primes")
+    power = {q: q**11 for q in pool}
+    if s == 1:
+        for q in pool:
+            if power[q] == target:
+                return [q]
+        return None
+    pair_sums = {}
+    for a, b in combinations_with_replacement(pool, 2):
+        pair_sums.setdefault(power[a] + power[b], (a, b))
+    if s == 2:
+        hit = pair_sums.get(target)
+        return sorted(hit) if hit else None
+    if s == 3:
+        for q in pool:
+            hit = pair_sums.get(target - power[q])
+            if hit:
+                return sorted((q,) + hit)
+        return None
+    for t, (a, b) in pair_sums.items():
+        hit = pair_sums.get(target - t)
+        if hit:
+            return sorted((a, b) + hit)
+    return None
+
+
+PRIMES_TO_400 = primes_in(1, 400)
+
+
+@st.composite
+def prime_power_cases(draw):
+    """(target, s, pool): a pool of table primes, with repeats, and either a
+    sum of s of its primes' 11th powers, that sum nudged, or a random target."""
+    pool = draw(st.lists(st.sampled_from(PRIMES_TO_400), min_size=1, max_size=40))
+    s = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["feasible", "nudged", "random"]))
+    if kind == "random":
+        return draw(st.integers(-(10**30), 4 * 400**11)), s, pool
+    picks = draw(st.lists(st.sampled_from(pool), min_size=s, max_size=s))
+    target = sum(q**11 for q in picks)
+    return target + (draw(st.integers(-5, 5)) if kind == "nudged" else 0), s, pool
+
+
+@settings(max_examples=400, deadline=None)
+@given(prime_power_cases())
+@example((3 * 31**11, 3, [29, 31, 37]))
+@example((2 * 29**11, 2, [29, 29, 31]))
+@example((0, 1, [2]))
+def test_solve_prime_power_matches_four_branch_reference(case):
+    target, s, pool = case
+    assert solve_prime_power_sum(target, s, pool) == four_branch_prime_power_sum(target, s, pool)
 
 
 def test_solve_prime_power_guards():
@@ -526,7 +588,7 @@ def assert_same_greedy(cases, table):
 
 
 def fresh_copy(table):
-    return TauTable(table.limit, list(table.values), table.method)
+    return TauTable(table.limit, list(table.values))
 
 
 def budget_as_c_bound(target, budget):
@@ -581,7 +643,7 @@ def test_greedy_matches_per_call_sort_on_tied_values():
     # by index) only show on a fake table.
     rng = random.Random("greedy ladder: ties")
     steps = (-(10**7), -(10**6), -24, 1, 5, 10**6, 3 * 10**6)
-    table = TauTable(300, [0] + [rng.choice(steps) for _ in range(300)], "series")
+    table = TauTable(300, [0] + [rng.choice(steps) for _ in range(300)])
     cases = [(rng.choice((-1, 1)) * rng.randint(DP_THRESHOLD + 1, 10**9),
               rng.randint(1, table.limit), 500) for _ in range(300)]
     outcomes = assert_same_greedy(cases, table)
@@ -710,33 +772,21 @@ def frontier_bfs(coins, radius):
 
 
 def test_finisher_distances_match_frontier_bfs(table_2k):
-    coins = tuple(table_2k.values[n] for n in range(1, 11))
-    radius = DP_THRESHOLD + max(abs(c) for c in coins)
-    dist = waring_int._finisher_distances(coins, radius)
-    assert dist.dtype == np.uint8
+    coins = tuple(table_2k.values[1:11])
+    assert coins == tuple(TAU_SMALL[n] for n in range(1, 11))
+    _, view, radius = waring_int._finisher()
+    assert radius == DP_THRESHOLD + max(abs(c) for c in coins)
+    dist = view.obj
+    assert dist.dtype == np.uint8 and dist.max() == 33
     assert np.array_equal(dist, frontier_bfs(coins, radius))
-    # The second set has coins beyond the radius and beyond the window; the
-    # third needs 300 layers to reach +300, past what uint8 holds.
-    synthetic = [((7, -5, 3, 0, 7), 400),
-                 ((1, -24, 252, -1472, 4830, -7000, 9000, 20000, -30000), 5000),
-                 ((1, -2), 300)]
-    for coins, radius in synthetic:
-        assert np.array_equal(waring_int._finisher_distances.__wrapped__(coins, radius),
-                              frontier_bfs(coins, radius))
-    deep = waring_int._finisher_distances.__wrapped__((1, -2), 300)
-    assert deep.dtype == np.int16 and deep.max() == 300
-    for bfs in (waring_int._finisher_distances.__wrapped__, frontier_bfs):
-        with pytest.raises(InternalCheckError, match="unreachable"):
-            bfs((2, -4), 50)
 
 
-def test_finisher_distances_is_read_only(table_2k):
-    coins = tuple(table_2k.values[n] for n in range(1, 11))
-    radius = DP_THRESHOLD + max(abs(c) for c in coins)
-    dist = waring_int._finisher_distances(coins, radius)
+def test_finisher_distances_is_read_only():
+    _, view, radius = waring_int._finisher()
+    assert view.readonly and not view.obj.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        dist[radius + 1] = 0
-    assert waring_int._finisher_distances(coins, radius) is dist
+        view.obj[radius + 1] = 0
+    assert waring_int._finisher()[1].obj is view.obj
 
 
 def numpy_scalar_finish(r, coins, dist, radius):
@@ -756,25 +806,12 @@ def numpy_scalar_finish(r, coins, dist, radius):
     return out
 
 
-def by_size_then_index(coins):
-    return tuple(sorted(zip(coins, range(1, len(coins) + 1)), key=lambda t: (-abs(t[0]), t[1])))
-
-
 def test_finish_exact_matches_numpy_scalar_walk(table_2k):
     coins = tuple(table_2k.values[1:11])
-    order, view, radius = waring_int._finisher(coins)
-    assert order == by_size_then_index(coins)
-    assert radius == DP_THRESHOLD + max(abs(c) for c in coins)
-    dist = waring_int._finisher_distances(coins, radius)
-    assert view.obj is dist and view.readonly
+    order, view, radius = waring_int._finisher()
+    assert order == tuple(sorted(zip(coins, range(1, 11)), key=lambda t: (-abs(t[0]), t[1])))
     remainders = [*range(-DP_THRESHOLD, DP_THRESHOLD + 1, 499), DP_THRESHOLD, -1, 1]
     for r in remainders:
         got = waring_int._finish_exact(r, order, view, radius)
-        assert got == numpy_scalar_finish(r, order, dist, radius), r
+        assert got == numpy_scalar_finish(r, order, view.obj, radius), r
         assert sum(table_2k.values[n] for n in got) == r
-    # The int16 layout, past depth 255.
-    deep = waring_int._finisher_distances.__wrapped__((1, -2), 300)
-    order = by_size_then_index((1, -2))
-    for r in range(-300, 301):
-        assert (waring_int._finish_exact(r, order, memoryview(deep), 300)
-                == numpy_scalar_finish(r, order, deep, 300)), r
