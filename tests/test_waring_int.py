@@ -327,7 +327,7 @@ PRIMES_TO_400 = primes_in(1, 400)
 
 @st.composite
 def prime_power_cases(draw):
-    """(target, s, pool): a pool of table primes, with repeats, and either a
+    """(target, s, pool): a pool of primes below 400, with repeats, and either a
     sum of s of its primes' 11th powers, that sum nudged, or a random target."""
     pool = draw(st.lists(st.sampled_from(PRIMES_TO_400), min_size=1, max_size=40))
     s = draw(st.integers(1, 4))
