@@ -14,16 +14,15 @@ import argparse
 import time
 
 from tauwaring.modp_basis import (
-    MODP_CAPS,
     basis_order_scan,
     build_abc_context,
     build_context,
     represent_pm32,
     represent_sum16,
     represent_sum96,
-    verify_modp_certificate,
 )
 from tauwaring.tau_core import build_tau_table_series
+from tauwaring.verify import MODP_CAPS, verdict
 
 
 def sweep(p, mode, table):
@@ -37,7 +36,7 @@ def sweep(p, mode, table):
         emit = represent_pm32 if mode == "pm32" else represent_sum96
         certs = [emit(lam, ctx, table) for lam in range(p)]
         detail = f"branch={ctx.branch} window={ctx.window}"
-    bad = [c.lam for c in certs if not verify_modp_certificate(c, table)]
+    bad = [c.lam for c in certs if not verdict(c, table)]
     sizes = [len(c.plus) + len(c.minus) for c in certs]
     top = max(max(c.plus + c.minus) for c in certs)
     dt = time.perf_counter() - t0

@@ -12,8 +12,8 @@ Usage: python3 scripts/scan_dyadic_primes.py [--limit 100000] [--cap 12]
 import argparse
 import time
 
-from tauwaring.divisor_arith import primes_in
 from tauwaring.tau_core import build_tau_table_series
+from tauwaring.verify import primes_in
 from tauwaring.waring_int import find_dyadic_tau_primes, grow_admissible
 
 

@@ -5,6 +5,7 @@ Exit codes are part of the contract so shell harnesses can tell failure modes
 apart: 0 success, 1 verification failure, 2 infeasible / search exhausted,
 3 invalid input or unsupported modulus. Every certificate-writing command
 re-verifies its output through the independent verifier before exiting 0.
+Only the verifier is imported up front, so `check --table` never loads numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import os
 import sys
 from math import isqrt
 
-from . import identity_suite, modp_basis, waring_int
+from . import verify
 from .errors import InfeasibleError, TableFormatError, TauwaringError
-from .tau_core import TauTable, build_tau_table_series, load_table, save_table
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -40,20 +40,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _resolve_table(table_path, limit, fallback_limit) -> TauTable:
+def _resolve_table(table_path, limit, fallback_limit) -> verify.TauTable:
     if limit is not None and limit < 1:
         raise CliInputError("--limit must be >= 1")
     if table_path:
-        return load_table(table_path)
+        return verify.load_table(table_path)
     env_path = os.environ.get(TABLE_ENV)
     if env_path:
-        return load_table(env_path)
+        return verify.load_table(env_path)
+    from .tau_core import build_tau_table_series
     return build_tau_table_series(limit or fallback_limit)
 
 
-def _emit(out, cert, verified: bool, summary: str) -> int:
-    """Write a self-checked certificate (to `out`, else stdout), then the summary line."""
-    if not verified:
+def _emit(out, cert, table, summary: str) -> int:
+    """Self-check the certificate, write it (to `out`, else stdout), then the summary line."""
+    if not verify.check(cert, table)[1]:
         print("SELF-CHECK FAILED: certificate did not re-verify", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     payload = json.dumps(cert.to_json_dict(), indent=None, sort_keys=True)
@@ -67,32 +68,31 @@ def _emit(out, cert, verified: bool, summary: str) -> int:
 
 
 def cmd_table(args) -> int:
+    from .tau_core import build_tau_table_series
     if args.limit < 1:
         raise CliInputError("--limit must be >= 1")
     table = build_tau_table_series(args.limit)
-    save_table(args.out, table)
+    verify.save_table(args.out, table)
     with open(args.out, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     print(f"TAU-TABLE v1 limit={table.limit} sha256={digest}")
     return EXIT_OK
 
 
-# Each suite's sweep over (table, hi), returning its violation lines.
-SUITES = {
-    "mod691": identity_suite.check_mod691,
-    "mod256": identity_suite.check_mod256_odd,
-    "deligne": identity_suite.check_deligne_all,
-    "hecke": identity_suite.check_hecke_all,
-    # a bad block raises InternalCheckError, which names it
-    "zero-sums": lambda table, hi: identity_suite.verify_zero_sums(table) or [],
-    "multiplicativity": identity_suite.check_multiplicativity,
-}
+# Each suite's sweep in identity_suite over (table, hi), returning its violation
+# lines; verify_zero_sums takes the table alone and raises InternalCheckError,
+# which names the bad block.
+SUITES = {"mod691": "check_mod691", "mod256": "check_mod256_odd", "deligne": "check_deligne_all",
+          "hecke": "check_hecke_all", "zero-sums": "verify_zero_sums",
+          "multiplicativity": "check_multiplicativity"}
 
 
 def cmd_verify(args) -> int:
+    from . import identity_suite
     table = _resolve_table(args.table, args.limit, fallback_limit=2000)
     hi = min(args.limit or table.limit, table.limit)
-    violations = SUITES[args.suite](table, hi=hi)
+    sweep = getattr(identity_suite, SUITES[args.suite])
+    violations = (sweep(table) or []) if args.suite == "zero-sums" else sweep(table, hi=hi)
     for line in violations:
         print(line)
     print(f"VERIFY {args.suite} violations={len(violations)}")
@@ -100,6 +100,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_represent(args) -> int:
+    from . import waring_int
     target = int(args.target)
     if args.residue:
         if not 0 <= target < waring_int.RESIDUE_MODULUS:
@@ -121,12 +122,13 @@ def cmd_represent(args) -> int:
         cert = waring_int.represent_integer(target, params, table)
     if max(cert.plus) > table.limit:
         raise ValueError(f"table covers {table.limit}, certificate needs index {max(cert.plus)}")
-    return _emit(args.out, cert, waring_int.verify_integer_certificate(cert, table),
+    return _emit(args.out, cert, table,
                  f"REPRESENT target={target} terms={cert.meta['term_count']}"
                  f" max_index={cert.meta['max_index']}")
 
 
 def cmd_modp(args) -> int:
+    from . import modp_basis
     p = args.p
     # sum16 needs the table to reach p. The pm32 window of every sampled prime
     # up to 1e7 settled at 26.2 or 41.9 sqrt(p); 67 sqrt(p) is one growth step more.
@@ -139,7 +141,7 @@ def cmd_modp(args) -> int:
         represent = (modp_basis.represent_pm32 if args.mode == "pm32"
                      else modp_basis.represent_sum96)
         cert = represent(args.lam, modp_basis.build_context(p, table), table)
-    return _emit(args.out, cert, modp_basis.verify_modp_certificate(cert, table),
+    return _emit(args.out, cert, table,
                  f"MODP p={p} lambda={cert.lam} mode={cert.kind}"
                  f" terms={len(cert.plus)}+{len(cert.minus)} max_index={cert.meta['max_index']}")
 
@@ -153,22 +155,15 @@ def _check_file(path, table_of) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: unreadable certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    kind = obj.get("kind") if isinstance(obj, dict) else None
     try:
-        if kind == "integer_sum":
-            cert = waring_int.sum_certificate_from_json(obj)
-            check, head = waring_int.check_integer_certificate, f"target={cert.target}"
-        elif isinstance(kind, str) and kind in modp_basis.MODP_CAPS:
-            cert = modp_basis.modp_certificate_from_json(obj)
-            check, head = modp_basis.check_modp_certificate, f"p={cert.p} lambda={cert.lam}"
-        else:
-            print(f"error: unknown certificate kind {kind!r:.40}", file=sys.stderr)
-            return EXIT_INVALID
-    except ValueError as exc:  # a missing or wrongly typed field
+        cert = verify.decode(obj)
+    except ValueError as exc:  # an unknown kind, or a missing or wrongly typed field
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    recomputed, ok = check(cert, table_of())
-    print(f"CHECK {kind} {head} recomputed={recomputed} ok={ok}")
+    recomputed, ok = verify.check(cert, table_of())
+    head = (f"target={cert.target}" if cert.kind == "integer_sum"
+            else f"p={cert.p} lambda={cert.lam}")
+    print(f"CHECK {cert.kind} {head} recomputed={recomputed} ok={ok}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -215,7 +210,7 @@ def build_parser() -> _Parser:
     p_modp = sub.add_parser("modp", help="represent a residue class mod p")
     p_modp.add_argument("--p", type=int, required=True)
     p_modp.add_argument("--lambda", type=int, required=True, dest="lam")
-    p_modp.add_argument("--mode", required=True, choices=list(modp_basis.MODP_CAPS))
+    p_modp.add_argument("--mode", required=True, choices=list(verify.MODP_CAPS))
     p_modp.add_argument("--out")
     p_modp.add_argument("--table")
     p_modp.add_argument("--limit", type=int)

@@ -1,4 +1,4 @@
-"""Integer substrate: sieves, factorization, divisor-power sums, prime windows.
+"""Integer substrate: the smallest-factor sieve, divisor-power sums, roots.
 
 Everything here is exact integer arithmetic; divisor-power sums grow like n^s
 and are kept as Python big integers throughout.
@@ -7,13 +7,9 @@ and are kept as Python big integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
-
-# The product of the primes up to 23: n is coprime to 23! iff it is coprime to this.
-PRIMORIAL_23 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
 
 
 def sieve_spf(limit: int) -> list[int]:
@@ -75,53 +71,6 @@ def build_sigma_table(s: int, limit: int) -> SigmaTable:
     return SigmaTable(s, limit, vals)
 
 
-def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes q with lo < q <= hi, ascending. Empty list when none."""
-    if hi < lo:
-        raise ValueError(f"need hi >= lo, got ({lo}, {hi})")
-    if hi < 2:
-        return []
-    mask = np.ones(hi + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(hi) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    start = max(lo, 1) + 1  # a negative lo must not wrap the slice
-    return (np.flatnonzero(mask[start:]) + start).tolist()
-
-
-@lru_cache(maxsize=32)
-def primes_upto(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, ascending; sieved once per limit."""
-    return tuple(primes_in(1, limit)) if limit > 1 else ()
-
-
-def factor_within(n: int, limit: int) -> list[tuple[int, int]] | None:
-    """(prime, exponent) pairs of n, primes ascending; None when n < 1 or a
-    prime factor of n exceeds limit. Trial division by the primes up to
-    min(limit, sqrt(n)), at most pi(limit) divisions however large n is, plus
-    O(log^2 e) for an exponent e, taken out by q, q^2, q^4, ... while they
-    divide; the sieve is cached per power of two above min(limit, sqrt(n))."""
-    if n < 1:
-        return None
-    pairs = []
-    for q in primes_upto(1 << isqrt(min(n, limit * limit)).bit_length()):
-        if q * q > n or q > limit:
-            break
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                qk, k = q, 1
-                while n % qk == 0:
-                    n, e, qk, k = n // qk, e + k, qk * qk, 2 * k
-            pairs.append((q, e))
-    if n > 1:
-        if n > limit:
-            return None
-        pairs.append((n, 1))
-    return pairs
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -129,13 +78,6 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
-
-
-def coprime_to_23_factorial(n: int) -> bool:
-    """True iff n has no prime factor <= 23 (i.e. gcd(n, 23!) = 1)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return gcd(n, PRIMORIAL_23) == 1
 
 
 def integer_nth_root(x: int, k: int) -> int:

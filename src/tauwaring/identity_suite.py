@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .divisor_arith import primes_in, primes_upto, sieve_spf
+from .divisor_arith import sieve_spf
 from .errors import InternalCheckError
-from .tau_core import TauTable, tau_prime_power
+from .verify import TauTable, primes_in, primes_upto, tau_prime_power
 
 # Index multisets whose tau values sum to exactly zero; used as padding blocks.
 ZERO_SUM_SIX = (12, 27, 55, 69, 90, 105)

@@ -24,18 +24,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
 
-from .divisor_arith import coprime_to_23_factorial, factor_within, primes_in, primes_upto
 from .errors import InfeasibleContextError, InternalCheckError, LemmaViolationError
 from .identity_suite import ZERO_SUM_SIX
-from .tau_core import TauTable, json_int, json_ints, json_meta, tau_factored
+from .verify import MODP_CAPS, Certificate, TauTable, primes_in, primes_upto, table_prime
 
-# Largest (plus, minus) term counts of each mod-p certificate kind.
-MODP_CAPS = {"pm32": (16, 16), "sum96": (96, 0), "sum16": (16, 0)}
+# The benchmark reads the codec and the verdict here; ROADMAP item 2b drops these.
+from .verify import decode as modp_certificate_from_json  # noqa: F401
+from .verify import verdict as verify_modp_certificate  # noqa: F401
 
 # build_context starts its prime window at WINDOW_START * sqrt(p) and widens it
 # by WINDOW_GROWTH until a branch qualifies or the table runs out.
@@ -46,18 +45,6 @@ EPS_CAP = 50
 # ProductSumCover forms its level-1 products this many at a time, which bounds
 # the int64 temporaries of that fill (512 kB a chunk) whatever |X||Y| is.
 COVER_CHUNK = 1 << 16
-
-
-def _table_prime(p: int, table: TauTable) -> bool:
-    """True iff p is a prime in (23, table.limit^2], settled by trial division
-    by the primes up to sqrt(p) <= table.limit, so the table bounds the work;
-    the verdict is cached per (p, table.limit)."""
-    return _prime_within(p, table.limit)
-
-
-@lru_cache(maxsize=256)
-def _prime_within(p: int, limit: int) -> bool:
-    return 23 < p <= limit**2 and factor_within(p, p) == [(p, 1)]
 
 
 @dataclass(frozen=True)
@@ -259,7 +246,7 @@ def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -
     pair images are used. The finished context always carries a coverage
     table that reaches Z_p within eight levels.
     """
-    if not _table_prime(p, table):
+    if not table_prime(p, table.limit):
         raise ValueError(f"p must be a prime in (23, {table.limit}^2], got {p}")
     policy = policy or WindowPolicy()
     cap_hi = table.limit
@@ -288,59 +275,13 @@ def build_context(p: int, table: TauTable, policy: WindowPolicy | None = None) -
         hi = min(cap_hi, max(hi + 1, int(hi * WINDOW_GROWTH)))
 
 
-@dataclass
-class ModpCertificate:
-    """Claimed congruence sum(tau(plus)) - sum(tau(minus)) = lambda (mod p)."""
-
-    kind: str  # a key of MODP_CAPS
-    p: int
-    lam: int
-    plus: list[int]
-    minus: list[int]
-    meta: dict
-
-    def to_json_dict(self) -> dict:
-        def enc(v: int):
-            return v if abs(v) < 2**53 else str(v)
-
-        meta = {k: (enc(v) if isinstance(v, int) else v) for k, v in self.meta.items()}
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "lambda": self.lam,
-            "plus": [enc(n) for n in self.plus],
-            "minus": [enc(n) for n in self.minus],
-            "meta": meta,
-        }
-
-
-def modp_certificate_from_json(obj: dict) -> ModpCertificate:
-    kind = obj.get("kind")
-    if not (isinstance(kind, str) and kind in MODP_CAPS):
-        raise ValueError(f"not a mod-p certificate: {kind!r}")
-    for field in ("p", "lambda", "plus", "minus"):
-        if field not in obj:
-            raise ValueError(f"{kind} certificate has no {field!r} field")
-    meta = json_meta(obj, ("max_index", "index_bound"))
-    if not isinstance(meta.get("counts", {}), dict):
-        raise ValueError("certificate field 'meta.counts' must be an object")
-    return ModpCertificate(
-        kind=kind,
-        p=json_int(obj["p"], "p"),
-        lam=json_int(obj["lambda"], "lambda"),
-        plus=json_ints(obj["plus"], "plus"),
-        minus=json_ints(obj["minus"], "minus"),
-        meta=meta,
-    )
-
-
 # The builder, and its branches, whose covers each walked kind accepts; sum96
 # walks through pm32.
 _WALK_BRANCHES = {"pm32": ("build_context", ("direct", "pairs")),
                   "sum16": ("build_abc_context", ("A-split", "BxC"))}
 
 
-def _walk(kind: str, ctx: ModpContext, lam: int) -> ModpCertificate:
+def _walk(kind: str, ctx: ModpContext, lam: int) -> Certificate:
     """The certificate of the given kind for lambda mod p: signed tau indices
     from the pairs the context's cover walk gives, held to its index bound.
 
@@ -367,7 +308,7 @@ def _walk(kind: str, ctx: ModpContext, lam: int) -> ModpCertificate:
 
 
 def _certificate(kind: str, p: int, lam: int, plus: list[int], minus: list[int],
-                 index_bound: int) -> ModpCertificate:
+                 index_bound: int) -> Certificate:
     """Finish a certificate of any kind: hold its term counts to MODP_CAPS[kind],
     the caps the verifier reads, and record in the meta exactly the fields the
     verifier checks: max_index, counts and index_bound."""
@@ -379,15 +320,15 @@ def _certificate(kind: str, p: int, lam: int, plus: list[int], minus: list[int],
         )
     meta = {"max_index": max(plus + minus),
             "counts": {"plus": len(plus), "minus": len(minus)}, "index_bound": index_bound}
-    return ModpCertificate(kind, p, lam, plus, minus, meta)
+    return Certificate(kind, p, lam, plus, minus, meta)
 
 
-def represent_pm32(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
+def represent_pm32(lam: int, ctx: ModpContext, table: TauTable) -> Certificate:
     """Mixed-sign certificate for lambda mod p from at most eight coverage pairs."""
     return _walk("pm32", ctx, lam)
 
 
-def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> ModpCertificate:
+def represent_sum96(lam: int, ctx: ModpContext, table: TauTable) -> Certificate:
     """Pure-sum certificate of at most 96 terms via the index-12 zero-sum block.
 
     Solves pm32 for lambda * tau(12)^{-1}, then maps plus indices n -> 12n and
@@ -421,7 +362,7 @@ def build_abc_context(p: int, table: TauTable) -> ModpContext:
     p^2 cap^2 for BxC. On a 2000 table A-split covers every prime in
     (23, 2000] but 29, where BxC does.
     """
-    if not _table_prime(p, table):
+    if not table_prime(p, table.limit):
         raise ValueError(f"p must be a prime in (23, {table.limit}^2], got {p}")
     if table.limit < p:
         raise ValueError(f"table covers {table.limit}, need {p}")
@@ -452,51 +393,12 @@ def build_abc_context(p: int, table: TauTable) -> ModpContext:
     raise InfeasibleContextError(f"no branch covered Z_{p}; branch sizes were {sizes}")
 
 
-def represent_sum16(lam: int, p: int, table: TauTable, *, ctx: ModpContext) -> ModpCertificate:
+def represent_sum16(lam: int, p: int, table: TauTable, *, ctx: ModpContext) -> Certificate:
     """Pure-sum certificate of at most 16 terms for lambda mod p, walked from
     the cover that build_abc_context settled for p."""
     if ctx.p != p:
         raise ValueError(f"context is for p={ctx.p}, not {p}")
     return _walk("sum16", ctx, lam)
-
-
-def check_modp_certificate(cert: ModpCertificate, table: TauTable) -> tuple[int | None, bool]:
-    """Independent re-check: rebuild every tau(n) exactly from prime entries
-    (tau_core.tau_factored) and test the congruence mod p plus every cap in the meta.
-
-    Returns (signed tau sum mod p, verdict); the sum is None when the kind or
-    term counts are out of bounds, p is not a prime in (23, table.limit^2]
-    (settled by the table's primes), or an index exceeds table.limit^5 or has
-    a prime factor beyond the table. Emitted indices stay within limit^5: pm32
-    within hi^4 <= limit^4, sum96 within 105 hi^4 (no context builds below
-    limit 127) and sum16 within p^2 50^2 with p <= limit."""
-    p = cert.p
-    caps = MODP_CAPS.get(cert.kind)
-    if (caps is None or len(cert.plus) > caps[0] or len(cert.minus) > caps[1]
-            or not _table_prime(p, table)):
-        return None, False
-    indices = cert.plus + cert.minus
-    taus = [tau_factored(n, table) for n in indices]
-    if None in taus:
-        return None, False
-    recomputed = (sum(taus[: len(cert.plus)]) - sum(taus[len(cert.plus) :])) % p
-    meta = cert.meta
-    counts = meta.get("counts", {})
-    ok = (
-        recomputed == cert.lam
-        and bool(indices)
-        and (cert.kind != "pm32" or all(coprime_to_23_factorial(n) for n in indices))
-        and max(indices) <= meta.get("index_bound", 0)
-        and meta.get("max_index") == max(indices)
-        and counts.get("plus") == len(cert.plus)
-        and counts.get("minus") == len(cert.minus)
-    )
-    return recomputed, ok
-
-
-def verify_modp_certificate(cert: ModpCertificate, table: TauTable) -> bool:
-    """The verdict of check_modp_certificate."""
-    return check_modp_certificate(cert, table)[1]
 
 
 def basis_order_scan(p: int, n_bound: int, table: TauTable) -> int | None:

@@ -1,4 +1,4 @@
-"""Exact Ramanujan tau values by four independent routes, plus table persistence.
+"""Exact Ramanujan tau values by four independent routes.
 
 Routes:
   * series        -- truncated product expansion of X * prod(1 - X^n)^24: the
@@ -20,16 +20,16 @@ symmetric, but P(k) + P(n-k) = n^4 - 20n^2 u + 70u^2 with u = k(n-k) is.
 from __future__ import annotations
 
 import decimal
-import json
-import re
-from contextlib import suppress
-from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
 
-from .divisor_arith import SigmaTable, factor_within, iter_factor_pairs, primes_in
-from .errors import CapacityError, InternalCheckError, TableFormatError
+from .divisor_arith import SigmaTable, iter_factor_pairs
+from .errors import CapacityError, InternalCheckError
+from .verify import TauTable, primes_in, tau_from_factors
+
+# The benchmark reads the table file format here; ROADMAP item 2b drops these.
+from .verify import load_table, save_table  # noqa: F401
 
 # Big-integer type of the library; the series build runs on decimal.Decimal.
 # The benchmark's environment record reads this name.
@@ -46,45 +46,6 @@ _EXACT = decimal.Context(
 # Largest series build accepted, read at each call. A 1e6 build takes about
 # 5 s and peaks near 210 MB.
 DEFAULT_SERIES_CAP = 2_000_000
-
-# Entries that the verifiers' tau memo holds before tau_factored clears it.
-TAU_MEMO_CAP = 1 << 18
-
-TABLE_HEADER_RE = re.compile(r"^TAU-TABLE v1 limit=([0-9]+)$")
-_VALUE_RE = re.compile(r"^-?[0-9]+$")
-
-# Bytes of value lines that load_table parses at once, and value lines that
-# save_table formats at once; whole-file parsing or formatting would hold every
-# line's copy at the same time.
-_LOAD_BLOCK = 1 << 16
-_SAVE_BLOCK = 1 << 12
-
-
-@dataclass
-class TauTable:
-    """Exact tau(1..limit); values[0] is a zero sentinel, entries are exact ints.
-
-    Two caches ride on the table. `ladder` holds the integer solver's sorted
-    greedy ladder (see waring_int._greedy_descent). `tau_memo` maps an index
-    n <= limit^5, the verifiers' domain, to the exact tau value that
-    tau_factored built for it from the prime entries; only tau_factored fills
-    or reads it. Neither takes part in ==, repr or pickling, and the caches
-    assume `values` is not mutated once they are filled: a changed table needs
-    a new TauTable, whose caches start empty.
-    """
-
-    limit: int
-    values: list[int]
-    ladder: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    tau_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __getstate__(self):
-        return {**self.__dict__, "ladder": None, "tau_memo": None}
-
-    def tau(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range [1, {self.limit}]")
-        return self.values[n]
 
 
 def _cube_terms(n_coeffs: int) -> list[tuple[int, int]]:
@@ -308,29 +269,6 @@ def tau_sigma_formula(n: int, sigma5: SigmaTable, sigma11: SigmaTable) -> int:
     return t // 756
 
 
-def tau_prime_power(tau_q: int, q: int, alpha: int) -> int:
-    """tau(q^alpha) via tau(q^(a+2)) = tau(q^(a+1)) tau(q) - q^11 tau(q^a)."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0:
-        return 1
-    if alpha == 1:
-        return tau_q
-    prev, cur = 1, tau_q
-    q11 = q**11
-    for _ in range(alpha - 1):
-        prev, cur = cur, cur * tau_q - q11 * prev
-    return cur
-
-
-def tau_from_factors(pairs, prime_tau) -> int:
-    """tau(prod q^e) from prime values prime_tau[q] by multiplicativity plus the Hecke rule."""
-    out = 1
-    for q, e in pairs:
-        out *= tau_prime_power(prime_tau[q], q, e)
-    return out
-
-
 def tau_multiplicative(n: int, prime_tau: dict[int, int], spf: list[int]) -> int:
     """tau(n) assembled from prime values by multiplicativity plus the Hecke rule."""
     try:
@@ -339,132 +277,6 @@ def tau_multiplicative(n: int, prime_tau: dict[int, int], spf: list[int]) -> int
         raise ValueError(f"tau map has no entry for prime {exc.args[0]}") from None
 
 
-def tau_factored(n: int, table: TauTable) -> int | None:
-    """Exact tau(n) from the table's prime entries, for both verifiers; None for
-    n < 1, n > limit^5 or a prime factor past the table.
-
-    An index above limit^5 is refused before it is factored; no emitter writes
-    one. Every other index is factored once per table: its tau is kept in
-    table.tau_memo (cleared at TAU_MEMO_CAP entries) and returned as is.
-    """
-    memo = table.tau_memo
-    if memo is None:
-        memo = table.tau_memo = {}
-    tau = memo.get(n)
-    if tau is None:
-        if n > table.limit**5:
-            return None
-        pairs = factor_within(n, table.limit)
-        if pairs is None:
-            return None
-        tau = tau_from_factors(pairs, table.values)
-        if len(memo) >= TAU_MEMO_CAP:
-            memo.clear()
-        memo[n] = tau
-    return tau
-
-
 def build_prime_tau_map(table: TauTable) -> dict[int, int]:
     """Map prime q -> tau(q) for every prime within the table."""
     return {q: table.values[q] for q in primes_in(1, table.limit)}
-
-
-def save_table(path, table: TauTable) -> None:
-    """Write the line-oriented cache format (header + one value per line),
-    _SAVE_BLOCK value lines at a time."""
-    values = table.values
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(f"TAU-TABLE v1 limit={table.limit}\n")
-        for lo in range(1, table.limit + 1, _SAVE_BLOCK):
-            fh.write("".join([f"{n}\t{values[n]}\n"
-                              for n in range(lo, min(lo + _SAVE_BLOCK, table.limit + 1))]))
-
-
-def load_table(path) -> TauTable:
-    """Parse a saved table; raises TableFormatError with a line number on damage.
-
-    Value lines are parsed a block of about _LOAD_BLOCK bytes at a time: one
-    translate() proves the block is digits and '-' with one tab and one
-    newline per line, and one json.loads turns every field into an int. A
-    block that fails either step, or whose indices are not the next ones,
-    goes through _load_lines, which accepts a superset of what JSON does
-    (leading zeros, say) with equal values, and names the first bad line.
-    """
-    # A text read, so a non-ASCII byte raises the text decoder's error; a
-    # bytes read would report its position differently.
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        data = fh.read().encode("ascii")
-    if not data.endswith(b"\n"):
-        raise TableFormatError("line 1: file is not newline-terminated")
-    if data.endswith(b"\n\n"):
-        raise TableFormatError("trailing blank line at end of file")
-    start = data.index(b"\n") + 1
-    header = data[: start - 1].decode("ascii")
-    m = TABLE_HEADER_RE.match(header)
-    if not m:
-        raise TableFormatError(f"line 1: bad header {header!r}")
-    limit = int(m.group(1))
-    if limit < 1:
-        raise TableFormatError("line 1: limit must be >= 1")
-    n_lines = data.count(b"\n")
-    if n_lines - 1 != limit:
-        raise TableFormatError(
-            f"line {n_lines}: expected {limit} value lines, found {n_lines - 1}"
-        )
-    values = [0]
-    n = 1  # index of the block's first line
-    while start < len(data):
-        end = data.find(b"\n", start + _LOAD_BLOCK) + 1 or len(data)
-        block = data[start:end]
-        k = block.count(b"\n")
-        nums = None
-        if block.translate(None, b"0123456789-") == b"\t\n" * k:
-            with suppress(ValueError):  # not JSON integers, or past int()'s digit limit
-                nums = json.loads(b"[" + block[:-1].replace(b"\t", b",").replace(b"\n", b",")
-                                  + b"]")
-        if nums is not None and nums[0::2] == list(range(n, n + k)):
-            values.extend(nums[1::2])
-        else:
-            _load_lines(block.decode("ascii").split("\n")[:-1], n, values)
-        start, n = end, n + k
-    return TauTable(limit=limit, values=values)
-
-
-def _load_lines(lines, n, values) -> None:
-    """Append the values of `lines`, which hold indices n, n+1, ..., to `values`."""
-    for n, line in enumerate(lines, start=n):
-        # The text is ASCII, so isdigit() accepts exactly _VALUE_RE's digits.
-        index, tab, value = line.partition("\t")
-        if not tab or not (value[1:] if value[:1] == "-" else value).isdigit():
-            raise TableFormatError(f"line {n + 1}: malformed entry {line!r}")
-        if index != str(n):
-            raise TableFormatError(f"line {n + 1}: expected index {n}, found {index!r}")
-        values.append(int(value))
-
-
-# Certificate field decoding for both codecs: a wrongly typed field raises a
-# ValueError that names it.
-
-
-def json_int(value, field: str) -> int:
-    """An integer certificate field: a JSON integer or a decimal string."""
-    with suppress(ValueError):  # a digit string past int()'s length limit
-        if type(value) is int or isinstance(value, str) and _VALUE_RE.match(value):
-            return int(value)
-    raise ValueError(f"certificate field {field!r} must be an integer, got {value!r:.40}")
-
-
-def json_ints(value, field: str) -> list[int]:
-    if not isinstance(value, list):
-        raise ValueError(f"certificate field {field!r} must be a list, got {value!r:.40}")
-    if set(map(type, value)) <= {int}:  # the common case, kept as fast as int()
-        return list(value)
-    return [json_int(v, f"{field}[{i}]") for i, v in enumerate(value)]
-
-
-def json_meta(obj: dict, int_fields) -> dict:
-    """The meta object, with each listed field present decoded by json_int."""
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError(f"certificate field 'meta' must be an object, got {meta!r:.40}")
-    return {k: json_int(v, f"meta.{k}") if k in int_fields else v for k, v in meta.items()}

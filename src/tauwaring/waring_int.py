@@ -10,7 +10,6 @@ with a verifiable certificate.
 from __future__ import annotations
 
 import bisect
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -18,10 +17,14 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .divisor_arith import integer_nth_root, is_prime, primes_in
+from .divisor_arith import integer_nth_root, is_prime
 from .errors import CapacityError, InfeasibleError, InternalCheckError
 from .identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
-from .tau_core import TauTable, json_int, json_ints, json_meta, tau_factored
+from .verify import Certificate, TauTable, primes_in
+
+# The benchmark reads the codec and the verdict here; ROADMAP item 2b drops these.
+from .verify import decode as sum_certificate_from_json  # noqa: F401
+from .verify import verdict as verify_integer_certificate  # noqa: F401
 
 # Everything used to assemble residue certificates stays at index <= 105.
 RESIDUE_MODULUS = 370944
@@ -79,41 +82,6 @@ class DigitVector:
         return self.r5 + self.r4 + self.r3 + self.r2 + self.r1
 
 
-@dataclass
-class SumCertificate:
-    """Claimed representation target = sum of tau(n) over the plus multiset."""
-
-    target: int
-    plus: list[int]
-    meta: dict
-    kind: str = "integer_sum"
-
-    def to_json_dict(self) -> dict:
-        meta = dict(self.meta)
-        if "max_abs_tau" in meta:
-            meta["max_abs_tau"] = str(meta["max_abs_tau"])
-        return {
-            "kind": self.kind,
-            "target": str(self.target),
-            "plus": list(self.plus),
-            "meta": meta,
-        }
-
-
-def sum_certificate_from_json(obj: dict) -> SumCertificate:
-    if obj.get("kind") != "integer_sum":
-        raise ValueError(f"not an integer_sum certificate: {obj.get('kind')!r}")
-    for field in ("target", "plus"):
-        if field not in obj:
-            raise ValueError(f"integer_sum certificate has no {field!r} field")
-    return SumCertificate(
-        target=json_int(obj["target"], "target"),
-        plus=json_ints(obj["plus"], "plus"),
-        meta=json_meta(obj, ("term_count", "max_index", "max_abs_tau", "index_bound",
-                             "exact_terms", "max_terms")),
-    )
-
-
 @dataclass(frozen=True)
 class AdmissibleSet:
     """Primes certified to admit no nontrivial equal pair of 6-term tau sums."""
@@ -168,7 +136,7 @@ def pad_count_6x7y(gap: int) -> tuple[int, int]:
     return (gap - 7 * y) // 6, y
 
 
-def represent_residue_198(r: int) -> SumCertificate:
+def represent_residue_198(r: int) -> Certificate:
     """Exactly 198 indices <= 105 whose tau values sum to r in [0, 370944).
 
     Digits give at most 75 terms; the remaining count (always >= 123, hence
@@ -189,44 +157,7 @@ def represent_residue_198(r: int) -> SumCertificate:
         "index_bound": MAX_RESIDUE_INDEX,
         "exact_terms": RESIDUE_TERM_COUNT,
     }
-    return SumCertificate(target=r, plus=indices, meta=meta)
-
-
-def check_integer_certificate(cert: SumCertificate, table: TauTable) -> tuple[int, bool]:
-    """Recompute the sum through the multiplicative route and re-check meta.
-
-    Returns (recomputed sum, verdict). tau(n) is rebuilt from prime entries
-    (tau_core.tau_factored), never read off the table, so a corrupt
-    certificate cannot hide behind the path that produced it. Indices outside
-    [1, table.limit] are left out of the sum and fail the verdict.
-    """
-    counts = Counter(cert.plus)
-    outside = [n for n in counts if not 1 <= n <= table.limit]
-    for n in outside:
-        del counts[n]
-    tau_of = {n: tau_factored(n, table) for n in counts}
-    total = sum(c * tau_of[n] for n, c in counts.items())
-    if cert.kind != "integer_sum" or not cert.plus or outside:
-        return total, False
-    n_terms = len(cert.plus)
-    top = max(counts)
-    max_abs = max(abs(t) for t in tau_of.values())
-    meta = cert.meta
-    ok = (
-        total == cert.target
-        and meta.get("term_count") == n_terms
-        and meta.get("max_index") == top
-        and meta.get("max_abs_tau", max_abs) == max_abs
-        and top <= meta.get("index_bound", top)
-        and meta.get("exact_terms", n_terms) == n_terms
-        and n_terms <= meta.get("max_terms", n_terms)
-    )
-    return total, ok
-
-
-def verify_integer_certificate(cert: SumCertificate, table: TauTable) -> bool:
-    """The verdict of check_integer_certificate."""
-    return check_integer_certificate(cert, table)[1]
+    return Certificate("integer_sum", target=r, plus=indices, meta=meta)
 
 
 def is_admissible(primes, table: TauTable) -> tuple[bool, tuple | None]:
@@ -476,7 +407,7 @@ def _greedy_descent(target: int, budget: int, max_terms: int,
 
 
 def represent_integer(target: int, params: RepresentationParams,
-                      table: TauTable) -> SumCertificate:
+                      table: TauTable) -> Certificate:
     """Write target as a sum of tau values at indices within the budget.
 
     Strategy: greedy descent on the remainder using the closest tau value
@@ -507,7 +438,7 @@ def represent_integer(target: int, params: RepresentationParams,
             "index_bound": max(budget, MAX_RESIDUE_INDEX),
             "max_terms": params.max_terms,
         }
-        return SumCertificate(target=0, plus=indices, meta=meta)
+        return Certificate("integer_sum", target=0, plus=indices, meta=meta)
 
     terms, remainder = _greedy_descent(target, budget, params.max_terms, table)
 
@@ -531,4 +462,4 @@ def represent_integer(target: int, params: RepresentationParams,
         "index_bound": budget,
         "max_terms": params.max_terms,
     }
-    return SumCertificate(target=target, plus=terms, meta=meta)
+    return Certificate("integer_sum", target=target, plus=terms, meta=meta)

@@ -5,15 +5,16 @@ The heavyweight shared objects (the 10^5 table, mod-p contexts, certificate
 sweeps) are module fixtures so each is built exactly once.
 """
 
+import hashlib
 import json
 import random
 from itertools import combinations_with_replacement
 
 import pytest
 
-from tauwaring import tau_core
+from tauwaring import verify
 from tauwaring.cli import main as cli_main
-from tauwaring.divisor_arith import build_sigma_table, factor_within, primes_in
+from tauwaring.divisor_arith import build_sigma_table
 from tauwaring.identity_suite import (
     ZERO_SUM_SEVEN,
     ZERO_SUM_SIX,
@@ -24,38 +25,39 @@ from tauwaring.identity_suite import (
 )
 from tauwaring.modp_basis import (
     EPS_CAP,
-    ModpCertificate,
     build_abc_context,
     build_context,
-    check_modp_certificate,
-    modp_certificate_from_json,
     product_set_cover,
     represent_pm32,
     represent_sum16,
     represent_sum96,
-    verify_modp_certificate,
 )
 from tauwaring.tau_core import (
-    TauTable,
     build_prime_tau_map,
     build_tau_table_series,
-    load_table,
-    save_table,
     tau_multiplicative,
     tau_niebur,
     tau_sigma_formula,
 )
+from tauwaring.verify import (
+    Certificate,
+    TauTable,
+    check,
+    decode,
+    factor_within,
+    load_table,
+    primes_in,
+    save_table,
+    verdict,
+)
 from tauwaring.waring_int import (
     RESIDUE_MODULUS,
     RepresentationParams,
-    check_integer_certificate,
     digits_mod_370944,
     index_budget,
     represent_integer,
     represent_residue_198,
     solve_prime_power_sum,
-    sum_certificate_from_json,
-    verify_integer_certificate,
 )
 
 PM32_PRIMES = (29, 31, 101, 499)
@@ -166,11 +168,11 @@ def test_criterion_6_pm32_and_sum96(modp_sweeps, table_100k):
         for lam, cert in enumerate(modp_sweeps["pm32"][p]):
             assert cert.lam == lam
             assert len(cert.plus) <= 16 and len(cert.minus) <= 16
-            assert verify_modp_certificate(cert, table_100k), (p, lam)
+            assert verdict(cert, table_100k), (p, lam)
         for lam, cert in enumerate(modp_sweeps["sum96"][p]):
             assert cert.lam == lam
             assert cert.minus == [] and len(cert.plus) <= 96
-            assert verify_modp_certificate(cert, table_100k), (p, lam)
+            assert verdict(cert, table_100k), (p, lam)
     report(6, "pm32 and sum96 sweeps verified for p in {29, 31, 101, 499}")
 
 
@@ -184,7 +186,7 @@ def test_criterion_7_sum16(sum16_sweeps, table_100k):
             assert cert.minus == [] and len(cert.plus) <= 16
             assert cert.meta["index_bound"] == bound
             assert max(cert.plus) <= cert.meta["index_bound"]
-            assert verify_modp_certificate(cert, table_100k), (p, lam)
+            assert verdict(cert, table_100k), (p, lam)
     report(7, "sum16 sweeps verified with recorded branch bounds for p in {29, 31, 101, 499}")
 
 
@@ -225,7 +227,7 @@ def test_criterion_10_integer_representation(integer_certs, table_2k):
     params = RepresentationParams()
     failures = []
     for n, cert in integer_certs:
-        if not verify_integer_certificate(cert, table_2k):
+        if not verdict(cert, table_2k):
             failures.append((n, "verify"))
             continue
         if cert.meta["term_count"] > params.max_terms:
@@ -283,11 +285,6 @@ def test_criterion_11_persistence_and_check(tmp_path, table_2k, modp_sweeps,
                " and rejected 4 tampered ones")
 
 
-def check_certificate(cert, table):
-    checker = check_integer_certificate if cert.kind == "integer_sum" else check_modp_certificate
-    return checker(cert, table)
-
-
 def test_tau_memo_gives_the_verdicts_of_an_empty_one(table_2k, table_100k, modp_sweeps,
                                                     sum16_sweeps, integer_certs, monkeypatch):
     # Full-lambda pm32, sum96 and sum16 sweeps, then criterion 11's certificates.
@@ -295,8 +292,6 @@ def test_tau_memo_gives_the_verdicts_of_an_empty_one(table_2k, table_100k, modp_
              for cert in modp_sweeps["pm32"][p] + modp_sweeps["sum96"][p] + sum16_sweeps[p]]
     expected = [True] * len(cases)
     for obj, code in criterion_11_certificates(modp_sweeps, sum16_sweeps, integer_certs):
-        decode = (sum_certificate_from_json if obj["kind"] == "integer_sum"
-                  else modp_certificate_from_json)
         cases.append((decode(obj), table_2k))
         expected.append(code == 0)
 
@@ -308,18 +303,18 @@ def test_tau_memo_gives_the_verdicts_of_an_empty_one(table_2k, table_100k, modp_
     def cold_check(cert, table):
         fresh = cold[table.limit]
         fresh.tau_memo = None
-        return check_certificate(cert, fresh)
+        return check(cert, fresh)
 
     reference = [cold_check(cert, table) for cert, table in cases]
     assert [ok for _, ok in reference] == expected
     for _ in range(2):  # the second pass finds every index in the memo
-        assert [check_certificate(cert, table) for cert, table in cases] == reference
-    assert 0 < len(table_100k.tau_memo) <= tau_core.TAU_MEMO_CAP
+        assert [check(cert, table) for cert, table in cases] == reference
+    assert 0 < len(table_100k.tau_memo) <= verify.TAU_MEMO_CAP
 
-    monkeypatch.setattr(tau_core, "TAU_MEMO_CAP", 8)
+    monkeypatch.setattr(verify, "TAU_MEMO_CAP", 8)
     small = {t.limit: copy(t) for t in (table_2k, table_100k)}
     for (cert, table), want in zip(cases, reference):
-        assert check_certificate(cert, small[table.limit]) == want
+        assert check(cert, small[table.limit]) == want
         assert len(small[table.limit].tau_memo) <= 8
 
 
@@ -332,34 +327,76 @@ def test_tau_memo_keeps_no_index_past_limit_to_the_fifth(table_2k):
     certs = []
     for c in range(4):
         indices = [2**(500 + c) * 3**k * 5**j for k in range(12) for j in range(8)]
-        taus = [tau_core.tau_from_factors(factor_within(n, limit), table_2k.values)
+        taus = [verify.tau_from_factors(factor_within(n, limit), table_2k.values)
                 for n in indices]
         meta = {"index_bound": max(indices), "max_index": max(indices),
                 "counts": {"plus": len(indices), "minus": 0}}
-        certs.append(ModpCertificate("sum96", p, (sum(taus) + c % 2) % p, indices, [], meta))
+        certs.append(Certificate("sum96", p, (sum(taus) + c % 2) % p, indices, [], meta))
     certs += certs  # the second pass would hit a memo that kept them
     assert min(min(cert.plus) for cert in certs) > limit**5
 
     table = TauTable(limit, list(table_2k.values))
     for cert in certs:
-        assert check_modp_certificate(cert, table) == (None, False)
+        assert check(cert, table) == (None, False)
         assert table.tau_memo == {}
 
     # limit^5 itself is in the verifiers' domain and is kept; twice it is not.
-    tau = tau_core.tau_factored(limit**5, table)
-    assert tau == (tau_core.tau_prime_power(table.tau(2), 2, 20)
-                   * tau_core.tau_prime_power(table.tau(5), 5, 15))
+    tau = verify.tau_factored(limit**5, table)
+    assert tau == (verify.tau_prime_power(table.tau(2), 2, 20)
+                   * verify.tau_prime_power(table.tau(5), 5, 15))
     assert table.tau_memo == {limit**5: tau}
-    assert tau_core.tau_factored(2 * limit**5, table) is None
+    assert verify.tau_factored(2 * limit**5, table) is None
     assert table.tau_memo == {limit**5: tau}
 
 
 def test_tau_memo_is_not_shared_by_copies(table_100k, modp_sweeps):
     cert = modp_sweeps["pm32"][101][7]
-    assert check_modp_certificate(cert, table_100k)[1]
+    assert check(cert, table_100k)[1]
     bent = TauTable(table_100k.limit, list(table_100k.values))
     q = factor_within(cert.plus[0], table_100k.limit)[0][0]
     bent.values[q] += 1
     assert table_100k.tau_memo and bent.tau_memo is None
-    assert not check_modp_certificate(cert, bent)[1]
-    assert check_modp_certificate(cert, table_100k)[1]
+    assert not check(cert, bent)[1]
+    assert check(cert, table_100k)[1]
+
+
+def check_output(paths, table, workdir, capsys):
+    """Stdout of one `tauwaring check` over the files of `paths` (JSON objects)
+    against `table` saved under workdir: every CHECK line, then CHECKED."""
+    table_path = workdir / f"table_{table.limit}.txt"
+    save_table(table_path, table)
+    files = []
+    for i, obj in enumerate(paths):
+        files.append(workdir / f"{table.limit}_{i}.json")
+        files[-1].write_text(json.dumps(obj))
+    capsys.readouterr()
+    cli_main(["check", *map(str, files), "--table", str(table_path)])
+    return capsys.readouterr().out
+
+
+# sha256 of the `tauwaring check` lines, verdict and recomputed value, over
+# criterion 11's 141 certificates on the 2000 table, then the full-lambda pm32,
+# sum96 and sum16 sweeps at p = 29, 101 and 499 and the 50 integer
+# certificates behind REPRESENT_DIGEST (test_waring_int.py) on a 2e4 table.
+CHECK_LINES_DIGEST = "d680ac4b07ed9ca3abd8701ba66b98b9497a41b00a192d433e9b125551e3dea5"
+
+
+def test_check_lines_are_pinned(tmp_path, table_2k, table_20k, modp_sweeps, sum16_sweeps,
+                                integer_certs, capsys):
+    criterion_11 = [obj for obj, _ in criterion_11_certificates(modp_sweeps, sum16_sweeps,
+                                                                 integer_certs)]
+    table = TauTable(table_20k.limit, list(table_20k.values))
+    sweeps = []
+    for p in (29, 101, 499):
+        ctx, abc = build_context(p, table), build_abc_context(p, table)
+        for lam in range(p):
+            sweeps += [represent_pm32(lam, ctx, table), represent_sum96(lam, ctx, table),
+                       represent_sum16(lam, p, table, ctx=abc)]
+    rng = random.Random("represent_integer pin")
+    targets = [rng.choice((-1, 1)) * int(10 ** rng.uniform(0, 17)) for _ in range(50)]
+    sweeps += [represent_integer(n, RepresentationParams(), table) for n in targets]
+    out = (check_output(criterion_11, table_2k, tmp_path, capsys)
+           + check_output([cert.to_json_dict() for cert in sweeps], table, tmp_path, capsys))
+    lines = out.splitlines()
+    assert len(lines) == 141 + 1 + 3 * (29 + 101 + 499) + 50 + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_LINES_DIGEST

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tauwaring import cli, modp_basis, waring_int
+from tauwaring import cli, modp_basis, tau_core, verify, waring_int
 from tauwaring.cli import main
 from tauwaring.modp_basis import (
     WindowPolicy,
@@ -23,14 +23,10 @@ from tauwaring.modp_basis import (
     represent_pm32,
     represent_sum16,
     represent_sum96,
-    verify_modp_certificate,
 )
-from tauwaring.tau_core import TauTable, build_tau_table_series, load_table, save_table
-from tauwaring.waring_int import (
-    RepresentationParams,
-    represent_integer,
-    verify_integer_certificate,
-)
+from tauwaring.tau_core import build_tau_table_series
+from tauwaring.verify import TauTable, load_table, save_table, verdict
+from tauwaring.waring_int import RepresentationParams, represent_integer
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -368,20 +364,24 @@ def test_bad_flag_exits_3(capsys):
 
 @pytest.fixture(scope="module")
 def check_inputs(tmp_path_factory, table_2k):
-    """A saved 2000-entry table plus one valid pm32 (pairs branch, 16+16
-    terms) and one valid integer certificate, as JSON objects."""
+    """A saved 2000-entry table plus valid pm32 certificates (pairs branch,
+    16+16 terms, and direct branch, one plus term) and one valid integer
+    certificate, as JSON objects."""
     workdir = tmp_path_factory.mktemp("check")
     table_path = workdir / "table.txt"
     save_table(table_path, table_2k)
     ctx = build_context(29, table_2k, WindowPolicy(branch="pairs"))
     pm32 = represent_pm32(3, ctx, table_2k)
+    pm32_one = represent_pm32(3, build_context(29, table_2k), table_2k)
+    assert (len(pm32_one.plus), len(pm32_one.minus)) == (1, 0)
     integer = represent_integer(123456789, RepresentationParams(), table_2k)
-    assert verify_modp_certificate(pm32, table_2k)
-    assert verify_integer_certificate(integer, table_2k)
+    assert verdict(pm32, table_2k)
+    assert verdict(integer, table_2k)
     return SimpleNamespace(
         dir=workdir,
         table=str(table_path),
-        certs={"pm32": pm32.to_json_dict(), "integer": integer.to_json_dict()},
+        certs={"pm32": pm32.to_json_dict(), "pm32_one": pm32_one.to_json_dict(),
+               "integer": integer.to_json_dict()},
     )
 
 
@@ -410,6 +410,8 @@ def edited(obj, path, value):
     ("integer", ("meta", "index_bound"), "abc", "meta.index_bound"),
     ("pm32", ("meta", "counts"), [1], "meta.counts"),
     ("pm32", ("p",), 0, None),
+    ("pm32_one", ("meta", "counts", "plus"), True, "meta.counts.plus"),
+    ("pm32_one", ("meta", "counts", "plus"), 1.0, "meta.counts.plus"),
 ])
 def test_check_wrongly_typed_field(check_inputs, kind, path, value, field):
     cert_path = check_inputs.dir / "typed.json"
@@ -579,7 +581,7 @@ def test_modp_fallback_table_reaches_p(monkeypatch, capsys, p, mode, limit):
         requested.append(n)
         return build_tau_table_series(100)
 
-    monkeypatch.setattr(cli, "build_tau_table_series", builder)
+    monkeypatch.setattr(tau_core, "build_tau_table_series", builder)
     monkeypatch.delenv("TAU_TABLE_PATH", raising=False)
     code, _, _ = run(capsys, "modp", "--p", str(p), "--lambda", "1", "--mode", mode)
     assert requested == [limit]
@@ -592,7 +594,7 @@ def test_modp_certificates_at_a_large_prime(tmp_path, monkeypatch, capsys, table
     save_table(table_path, table_100k)
     # parse the saved table once; every check below still decodes its JSON and
     # verifies against the table read back from the file
-    monkeypatch.setattr(cli, "load_table", functools.lru_cache(maxsize=1)(cli.load_table))
+    monkeypatch.setattr(verify, "load_table", functools.lru_cache(maxsize=1)(verify.load_table))
     ctx, abc = build_context(p, table_100k), build_abc_context(p, table_100k)
     rng = random.Random(99991)
     emitters = {"pm32": lambda lam: represent_pm32(lam, ctx, table_100k),
@@ -601,7 +603,7 @@ def test_modp_certificates_at_a_large_prime(tmp_path, monkeypatch, capsys, table
     for kind, emit in emitters.items():
         for lam in rng.sample(range(p), 10):
             cert = emit(lam)
-            assert cert.kind == kind and verify_modp_certificate(cert, table_100k), (kind, lam)
+            assert cert.kind == kind and verdict(cert, table_100k), (kind, lam)
             cert_path = tmp_path / f"{kind}.json"
             cert_path.write_text(json.dumps(cert.to_json_dict()))
             code, out, _ = run(capsys, "check", str(cert_path), "--table", str(table_path))

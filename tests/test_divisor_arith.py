@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from tauwaring.divisor_arith import (
     build_sigma_table,
-    coprime_to_23_factorial,
-    factor_within,
     integer_nth_root,
     iter_factor_pairs,
-    primes_in,
     sieve_spf,
 )
+from tauwaring.verify import coprime_to_23_factorial, factor_within, primes_in
 
 
 def brute_sigma(s, n):

@@ -16,7 +16,7 @@ from tauwaring.identity_suite import (
     check_multiplicativity,
     verify_zero_sums,
 )
-from tauwaring.tau_core import TauTable
+from tauwaring.verify import TauTable
 
 
 def brute_sigma11(n):

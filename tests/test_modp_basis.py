@@ -9,27 +9,34 @@ from math import gcd, isqrt
 
 import pytest
 
-from tauwaring.divisor_arith import coprime_to_23_factorial, factor_within, primes_in
 from tauwaring.errors import InfeasibleContextError, InternalCheckError, LemmaViolationError
-from tauwaring import cli, modp_basis, tau_core
+from tauwaring import cli, modp_basis, verify
 from tauwaring.modp_basis import (
     EPS_CAP,
-    ModpCertificate,
     ProductSumCover,
     WindowPolicy,
     WitnessedResidue,
     basis_order_scan,
     build_abc_context,
     build_context,
-    check_modp_certificate,
-    modp_certificate_from_json,
     product_set_cover,
     represent_pm32,
     represent_sum16,
     represent_sum96,
-    verify_modp_certificate,
 )
-from tauwaring.tau_core import TauTable, build_tau_table_series, save_table, tau_prime_power
+from tauwaring.tau_core import build_tau_table_series
+from tauwaring.verify import (
+    Certificate,
+    TauTable,
+    check,
+    coprime_to_23_factorial,
+    decode,
+    factor_within,
+    primes_in,
+    save_table,
+    tau_prime_power,
+    verdict,
+)
 
 
 def recompute_witnessed(w, table, p):
@@ -298,7 +305,7 @@ def test_table_prime_matches_trial_division(table_2k, limit):
     primes = primes_in(1, limit)
     for p in range(-3, limit * limit + 50):
         want = 23 < p <= limit * limit and all(p % q for q in primes if q * q <= p)
-        assert modp_basis._table_prime(p, table) == want, p
+        assert verify.table_prime(p, table.limit) == want, p
 
 
 def test_build_context_direct(table_2k):
@@ -349,7 +356,7 @@ def test_pm32_full_sweep_p29(table_2k):
     ctx = build_context(29, table_2k)
     for lam in range(29):
         cert = represent_pm32(lam, ctx, table_2k)
-        assert verify_modp_certificate(cert, table_2k), lam
+        assert verdict(cert, table_2k), lam
         assert len(cert.plus) <= 16 and len(cert.minus) <= 16
         assert all(coprime_to_23_factorial(n) for n in cert.plus + cert.minus)
 
@@ -372,7 +379,7 @@ def test_pm32_pairs_branch_expansion(table_2k):
     cert = represent_pm32(11, ctx, table_2k)
     # each pair of (q q' - q^2) witnesses expands to two plus and two minus terms
     assert len(cert.plus) == len(cert.minus) == 2 * k
-    assert verify_modp_certificate(cert, table_2k)
+    assert verdict(cert, table_2k)
     assert max(cert.plus + cert.minus) <= ctx.window[1] ** 4
 
 
@@ -380,7 +387,7 @@ def test_pm32_tamper_detected(table_2k):
     ctx = build_context(29, table_2k)
     cert = represent_pm32(3, ctx, table_2k)
     cert.lam = (cert.lam + 1) % 29
-    assert not verify_modp_certificate(cert, table_2k)
+    assert not verdict(cert, table_2k)
 
 
 def test_pm32_index_tamper_detected(table_2k):
@@ -388,14 +395,14 @@ def test_pm32_index_tamper_detected(table_2k):
     cert = represent_pm32(3, ctx, table_2k)
     cert.plus[0] *= 5  # violates the 23! coprimality condition
     cert.meta["max_index"] = max(cert.plus + cert.minus)
-    assert not verify_modp_certificate(cert, table_2k)
+    assert not verdict(cert, table_2k)
 
 
 def test_sum96_sweep_p29(table_2k):
     ctx = build_context(29, table_2k)
     for lam in range(29):
         cert = represent_sum96(lam, ctx, table_2k)
-        assert verify_modp_certificate(cert, table_2k), lam
+        assert verdict(cert, table_2k), lam
         assert cert.minus == [] and len(cert.plus) <= 96
 
 
@@ -465,7 +472,7 @@ def test_sum16_sweep_p29(table_2k):
     assert ctx.branch in ("A-split", "BxC")
     for lam in range(29):
         cert = represent_sum16(lam, 29, table_2k, ctx=ctx)
-        assert verify_modp_certificate(cert, table_2k), lam
+        assert verdict(cert, table_2k), lam
         assert cert.minus == [] and len(cert.plus) <= 16
         assert max(cert.plus) <= cert.meta["index_bound"] == ctx.index_bound
         assert set(cert.meta) == {"max_index", "counts", "index_bound"}
@@ -595,7 +602,7 @@ def with_old_meta(cert, ctx):
         old.update(window=list(ctx.window), glibichuk=True)
     if cert.kind == "sum96":
         old["lambda_star"] = cert.lam * pow(TAU_12, -1, cert.p) % cert.p
-    return ModpCertificate(cert.kind, cert.p, cert.lam, cert.plus, cert.minus,
+    return Certificate(cert.kind, cert.p, cert.lam, cert.plus, cert.minus,
                            {**cert.meta, **old})
 
 
@@ -654,9 +661,9 @@ def test_old_meta_certificates_check_the_same(table_2k, tmp_path, capsys, branch
     files = {"new": [], "old": []}
     for i, (cert, twin) in enumerate(zip(certs, twins, strict=True)):
         assert set(twin.meta) - set(cert.meta) and twin.meta.items() >= cert.meta.items()
-        back = modp_certificate_from_json(json.loads(json.dumps(twin.to_json_dict())))
+        back = decode(json.loads(json.dumps(twin.to_json_dict())))
         assert back.meta == twin.meta
-        assert check_modp_certificate(back, table_2k) == check_modp_certificate(
+        assert check(back, table_2k) == check(
             cert, table_2k) == (cert.lam, True)
         for side, c in (("new", cert), ("old", twin)):
             for moved in (0, 1):  # as emitted, and with lambda moved by one
@@ -697,8 +704,8 @@ def test_padded_walk_certificates_still_verify(table_2k, monkeypatch, branch, di
     assert certificate_digest(certificates_29_101(table_2k, branch, with_old_meta)) == digest
     for cert, twin in zip(certs, padded, strict=True):
         assert (cert.kind, cert.p, cert.lam) == (twin.kind, twin.p, twin.lam)
-        assert verify_modp_certificate(twin, table_2k), (twin.kind, twin.p, twin.lam)
-        assert verify_modp_certificate(cert, table_2k), (cert.kind, cert.p, cert.lam)
+        assert verdict(twin, table_2k), (twin.kind, twin.p, twin.lam)
+        assert verdict(cert, table_2k), (cert.kind, cert.p, cert.lam)
         assert len(cert.plus) + len(cert.minus) <= len(twin.plus) + len(twin.minus)
 
 
@@ -717,49 +724,49 @@ def test_verifier_factors_each_index_once_per_table(table_20k, monkeypatch, p, b
         factored[n] += 1
         return factor_within(n, limit)
 
-    monkeypatch.setattr(tau_core, "factor_within", counting_factor_within)
-    assert all(verify_modp_certificate(cert, table) for cert in certs)
+    monkeypatch.setattr(verify, "factor_within", counting_factor_within)
+    assert all(verdict(cert, table) for cert in certs)
     distinct = {n for cert in certs for n in cert.plus + cert.minus}
     assert factored.keys() == distinct
     assert set(factored.values()) == {1}
 
 
 def test_verifier_rejects_wrong_kind(table_2k):
-    cert = ModpCertificate("pm99", 29, 0, [29 * 31], [], {"index_bound": 10**6})
-    assert not verify_modp_certificate(cert, table_2k)
+    cert = Certificate("pm99", 29, 0, [29 * 31], [], {"index_bound": 10**6})
+    assert not verdict(cert, table_2k)
 
 
 def test_verifier_rejects_cap_overflow(table_2k):
-    cert = ModpCertificate(
+    cert = Certificate(
         "sum16", 29, 0, [29] * 17, [],
         {"index_bound": 10**6, "max_index": 29, "counts": {"plus": 17, "minus": 0}},
     )
-    assert not verify_modp_certificate(cert, table_2k)
+    assert not verdict(cert, table_2k)
 
 
 def test_verifier_rejects_index_above_bound(table_2k):
     ctx = build_context(29, table_2k)
     cert = represent_pm32(3, ctx, table_2k)
     cert.meta["index_bound"] = 1
-    assert not verify_modp_certificate(cert, table_2k)
+    assert not verdict(cert, table_2k)
 
 
 def test_verifier_settles_p_with_table_primes(table_2k):
     def cert(p):
         counts = {"plus": 1, "minus": 0}
-        return ModpCertificate("sum16", p, 1, [1], [],
+        return Certificate("sum16", p, 1, [1], [],
                                {"index_bound": 1, "max_index": 1, "counts": counts})
 
     def head(limit):
         return TauTable(limit, table_2k.values[: limit + 1])
 
-    assert verify_modp_certificate(cert(29), head(6))  # 29 <= 6^2
-    assert not verify_modp_certificate(cert(29), head(5))  # 29 > 5^2
-    assert verify_modp_certificate(cert(1_000_003), table_2k)  # prime above the table
-    assert not verify_modp_certificate(cert(31 * 37), table_2k)
+    assert verdict(cert(29), head(6))  # 29 <= 6^2
+    assert not verdict(cert(29), head(5))  # 29 > 5^2
+    assert verdict(cert(1_000_003), table_2k)  # prime above the table
+    assert not verdict(cert(31 * 37), table_2k)
     t0 = time.perf_counter()
     # trial division up to sqrt(p) would not finish; the table bound answers at once
-    assert not verify_modp_certificate(cert(2**61 - 1), table_2k)
+    assert not verdict(cert(2**61 - 1), table_2k)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -806,39 +813,38 @@ def test_check_refuses_non_smooth_indices_above_limit_to_the_fifth(table_100k):
     # division, so the check costs nothing that grows with the index.
     rng = random.Random(26)
     indices = [rng.getrandbits(14000) | 1 << 13999 | 1 for _ in range(96)]
-    cert = ModpCertificate("sum96", 99991, 5, indices, [],
+    cert = Certificate("sum96", 99991, 5, indices, [],
                            {"index_bound": max(indices), "max_index": max(indices),
                             "counts": {"plus": 96, "minus": 0}})
     fresh = TauTable(table_100k.limit, table_100k.values)
     t0 = time.perf_counter()
-    assert check_modp_certificate(cert, fresh) == (None, False)
+    assert check(cert, fresh) == (None, False)
     assert time.perf_counter() - t0 < 0.5
 
 
 def test_modp_json_roundtrip(table_2k):
     ctx = build_context(31, table_2k)
     cert = represent_sum96(17, ctx, table_2k)
-    back = modp_certificate_from_json(cert.to_json_dict())
+    back = decode(cert.to_json_dict())
     assert back.p == cert.p and back.lam == cert.lam
     assert back.plus == cert.plus and back.minus == cert.minus
-    assert verify_modp_certificate(back, table_2k)
+    assert verdict(back, table_2k)
 
 
 @pytest.mark.parametrize("kind", ["pm99", None, ["pm32"], {"pm32": 1}])
 def test_modp_codec_takes_only_the_kinds_of_modp_caps(kind):
-    with pytest.raises(ValueError, match="not a mod-p certificate"):
-        modp_certificate_from_json({"kind": kind, "p": 29, "lambda": 0, "plus": [1],
-                                    "minus": [], "meta": {}})
+    with pytest.raises(ValueError, match="unknown certificate kind"):
+        decode({"kind": kind, "p": 29, "lambda": 0, "plus": [1], "minus": [], "meta": {}})
 
 
 def test_modp_json_big_ints_become_strings():
-    cert = ModpCertificate(
+    cert = Certificate(
         "pm32", 29, 0, [2**60], [], {"index_bound": 2**61, "max_index": 2**60}
     )
     enc = cert.to_json_dict()
     assert enc["plus"][0] == str(2**60)
     assert enc["meta"]["index_bound"] == str(2**61)
-    back = modp_certificate_from_json(enc)
+    back = decode(enc)
     assert back.plus == [2**60]
     assert back.meta["index_bound"] == 2**61
 

@@ -7,24 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tauwaring import tau_core
+from tauwaring import tau_core, verify
 from tauwaring.errors import CapacityError, InternalCheckError, TableFormatError
 from tauwaring.divisor_arith import SigmaTable, build_sigma_table
 from tauwaring.tau_core import (
-    TABLE_HEADER_RE,
-    TauTable,
     _cube_terms,
     _eta6_coeffs,
     _pack_balanced,
     _unpack_balanced,
     build_tau_table_series,
-    load_table,
-    save_table,
     tau_multiplicative,
     tau_niebur,
-    tau_prime_power,
     tau_sigma_formula,
 )
+from tauwaring.verify import TABLE_HEADER_RE, TauTable, load_table, save_table, tau_prime_power
 
 # Exact values quoted in the source tables; every one is re-derived from the
 # series expansion in test_series_matches_quoted_values.
@@ -370,7 +366,7 @@ def test_save_load_roundtrip(tmp_path, table_2k):
 def test_blocked_save_matches_one_join(tmp_path, monkeypatch, block):
     table = build_tau_table_series(100)
     lines = ["TAU-TABLE v1 limit=100"] + [f"{n}\t{table.values[n]}" for n in range(1, 101)]
-    monkeypatch.setattr(tau_core, "_SAVE_BLOCK", block)
+    monkeypatch.setattr(verify, "_SAVE_BLOCK", block)
     save_table(tmp_path / "t.txt", table)
     assert (tmp_path / "t.txt").read_text(encoding="ascii") == "\n".join(lines) + "\n"
 
@@ -542,13 +538,13 @@ def block_starts(data, block):
 def fallback_blocks(monkeypatch):
     """(first, last) index of each block that load_table hands to its line loop."""
     calls = []
-    real = tau_core._load_lines
+    real = verify._load_lines
 
     def spy(lines, n, values):
         calls.append((n, n + len(lines) - 1))
         return real(lines, n, values)
 
-    monkeypatch.setattr(tau_core, "_load_lines", spy)
+    monkeypatch.setattr(verify, "_load_lines", spy)
     return calls
 
 
@@ -574,7 +570,7 @@ def test_blocked_load_matches_regex_loader(saved_200, edits, block):
             del buf[pos % len(buf)]
     path.write_bytes(buf)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tau_core, "_LOAD_BLOCK", block)
+        mp.setattr(verify, "_LOAD_BLOCK", block)
         got = load_outcome(load_table, path)
     assert got == load_outcome(regex_load_table, path)
 
@@ -584,7 +580,7 @@ def test_load_takes_leading_zeros_in_a_later_block(saved_200, monkeypatch, fallb
     lines = data.split(b"\n")
     lines[150], lines[151] = b"150\t-0", b"151\t007"
     path.write_bytes(b"\n".join(lines))
-    monkeypatch.setattr(tau_core, "_LOAD_BLOCK", 40)
+    monkeypatch.setattr(verify, "_LOAD_BLOCK", 40)
     expected = build_tau_table_series(200).values
     expected[150], expected[151] = 0, 7
     assert load_table(path).values == expected == regex_load_table(path).values
@@ -608,7 +604,7 @@ def test_load_names_a_bad_line_at_a_block_edge(saved_200, monkeypatch, fallback_
         lines[n] = lines[n][: tab + 1] + b"+" + lines[n][tab + 2:]
         message = f"line {n + 1}: malformed entry {lines[n].decode()!r}"
     path.write_bytes(b"\n".join(lines))
-    monkeypatch.setattr(tau_core, "_LOAD_BLOCK", 40)
+    monkeypatch.setattr(verify, "_LOAD_BLOCK", 40)
     assert load_outcome(load_table, path) == (None, (TableFormatError, message))
     assert load_outcome(regex_load_table, path) == (None, (TableFormatError, message))
     first, last = fallback_blocks[0]
@@ -622,7 +618,7 @@ def test_load_block_edges_at_the_end_of_the_file(saved_200, monkeypatch):
     multiples = [d for d in range(2, len(data) + 1) if len(data) % d == 0 or body % d == 0]
     expected = regex_load_table(path).values
     for block in [*range(1, 100), *multiples, body - 1, body + 1]:
-        monkeypatch.setattr(tau_core, "_LOAD_BLOCK", block)
+        monkeypatch.setattr(verify, "_LOAD_BLOCK", block)
         assert load_table(path).values == expected, block
 
 

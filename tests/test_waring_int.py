@@ -13,18 +13,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tauwaring import waring_int
-from tauwaring.divisor_arith import integer_nth_root, is_prime, primes_in
+from tauwaring.divisor_arith import integer_nth_root, is_prime
 from tauwaring.errors import CapacityError, InfeasibleError, InternalCheckError
 from tauwaring.identity_suite import ZERO_SUM_SEVEN, ZERO_SUM_SIX
-from tauwaring.tau_core import TauTable, build_tau_table_series, tau_factored
+from tauwaring.tau_core import build_tau_table_series
+from tauwaring.verify import (
+    Certificate,
+    TauTable,
+    check,
+    decode,
+    primes_in,
+    tau_factored,
+    verdict,
+)
 from tauwaring.waring_int import (
     DP_THRESHOLD,
     RESIDUE_MODULUS,
     TAU_SMALL,
     AdmissibleSet,
     RepresentationParams,
-    SumCertificate,
-    check_integer_certificate,
     digits_mod_370944,
     find_dyadic_tau_primes,
     grow_admissible,
@@ -34,8 +41,6 @@ from tauwaring.waring_int import (
     represent_integer,
     represent_residue_198,
     solve_prime_power_sum,
-    sum_certificate_from_json,
-    verify_integer_certificate,
 )
 
 
@@ -115,14 +120,14 @@ def test_residue_84480(table_2k):
     cert = represent_residue_198(84480)
     assert len(cert.plus) == 198
     assert cert.plus.count(8) == 1
-    assert verify_integer_certificate(cert, table_2k)
+    assert verdict(cert, table_2k)
 
 
 def test_residue_370943(table_2k):
     cert = represent_residue_198(370943)
     assert len(cert.plus) == 198
     assert max(cert.plus) <= 105
-    assert verify_integer_certificate(cert, table_2k)
+    assert verdict(cert, table_2k)
 
 
 @settings(max_examples=80)
@@ -141,7 +146,7 @@ def test_residue_certificates_sum_correctly(r):
 def test_residue_certificate_tamper_detected(table_2k):
     cert = represent_residue_198(12345)
     cert.plus[0] = 4 if cert.plus[0] != 4 else 9
-    assert not verify_integer_certificate(cert, table_2k)
+    assert not verdict(cert, table_2k)
 
 
 # ---------------------------------------------------------------- admissible sets
@@ -371,13 +376,13 @@ def test_params_validation():
 def test_represent_zero(table_2k):
     cert = represent_integer(0, RepresentationParams(), table_2k)
     assert Counter(cert.plus) == Counter({n: 33 for n in ZERO_SUM_SIX})
-    assert verify_integer_certificate(cert, table_2k)
+    assert verdict(cert, table_2k)
 
 
 def test_represent_one(table_2k):
     cert = represent_integer(1, RepresentationParams(), table_2k)
     assert cert.plus == [1]
-    assert verify_integer_certificate(cert, table_2k)
+    assert verdict(cert, table_2k)
 
 
 def test_represent_respects_index_budget(table_2k):
@@ -386,14 +391,14 @@ def test_represent_respects_index_budget(table_2k):
     for _ in range(40):
         n = rng.randint(-(10**4), 10**4)
         cert = represent_integer(n, params, table_2k)
-        assert verify_integer_certificate(cert, table_2k), n
+        assert verdict(cert, table_2k), n
         assert cert.meta["max_index"] <= index_budget(n, params.c_bound)
         assert cert.meta["term_count"] <= params.max_terms
 
 
 def test_represent_greedy_stage(table_2k):
     cert = represent_integer(5_000_000_000, RepresentationParams(), table_2k)
-    assert verify_integer_certificate(cert, table_2k)
+    assert verdict(cert, table_2k)
     assert cert.meta["max_index"] <= index_budget(5_000_000_000, 15)
 
 
@@ -417,41 +422,44 @@ def test_represent_zero_budget_is_infeasible():
 
 def test_certificate_json_roundtrip(table_2k):
     cert = represent_integer(-98765, RepresentationParams(), table_2k)
-    back = sum_certificate_from_json(cert.to_json_dict())
+    back = decode(cert.to_json_dict())
     assert back.target == cert.target
     assert back.plus == cert.plus
     assert back.meta == cert.meta
-    assert verify_integer_certificate(back, table_2k)
+    assert verdict(back, table_2k)
 
 
 def test_check_integer_certificate_recomputes(table_2k):
     cert = represent_integer(-98765, RepresentationParams(), table_2k)
-    assert check_integer_certificate(cert, table_2k) == (-98765, True)
+    assert check(cert, table_2k) == (-98765, True)
     # indices outside [1, limit] are skipped, never wrapped around the table
-    padded = SumCertificate(target=0, plus=[0, -3, 2001, *cert.plus], meta={})
-    assert check_integer_certificate(padded, table_2k) == (-98765, False)
+    padded = Certificate("integer_sum", target=0, plus=[0, -3, 2001, *cert.plus], meta={})
+    assert check(padded, table_2k) == (-98765, False)
 
 
 def test_verify_rejects_tampering(table_2k):
     cert = represent_integer(777, RepresentationParams(), table_2k)
     cert.plus[0] += 1
     cert.meta["max_index"] = max(cert.plus)
-    assert not verify_integer_certificate(cert, table_2k)
+    assert not verdict(cert, table_2k)
 
 
 def test_verify_rejects_meta_tampering(table_2k):
     cert = represent_integer(777, RepresentationParams(), table_2k)
     cert.meta["term_count"] += 1
-    assert not verify_integer_certificate(cert, table_2k)
+    assert not verdict(cert, table_2k)
 
 
 def filtered_count_check(cert, table):
     """The integer verifier counting a filtered generator of in-table indices
-    (test reference for the library's one Counter over every index)."""
+    (test reference for the library's one check). A kind the verifier does
+    not know gives (None, False), as it does for every certificate kind."""
+    if cert.kind != "integer_sum":
+        return None, False
     counts = Counter(n for n in cert.plus if 1 <= n <= table.limit)
     tau_of = {n: tau_factored(n, table) for n in counts}
     total = sum(c * tau_of[n] for n, c in counts.items())
-    if cert.kind != "integer_sum" or not cert.plus or len(counts) < len(set(cert.plus)):
+    if not cert.plus or len(counts) < len(set(cert.plus)):
         return total, False
     n_terms = len(cert.plus)
     top = max(counts)
@@ -515,7 +523,7 @@ def test_check_matches_filtered_count_on_mutated_certificates(table_2k, source, 
         cert = represent_residue_198(n)
     for mutation in mutations:
         mutate(cert, mutation)
-    assert check_integer_certificate(cert, table_2k) == filtered_count_check(cert, table_2k)
+    assert check(cert, table_2k) == filtered_count_check(cert, table_2k)
 
 
 # ---------------------------------------------------------------- greedy ladder
@@ -740,7 +748,7 @@ def test_ladder_cache_leaves_eq_repr_pickle_alone():
     table = build_tau_table_series(500)
     before = (repr(table), pickle.dumps(table))
     cert = represent_integer(-(10**8), RepresentationParams(), table)
-    assert check_integer_certificate(cert, table) == (-(10**8), True)  # fills the tau memo
+    assert check(cert, table) == (-(10**8), True)  # fills the tau memo
     assert table.ladder is not None and table.tau_memo
     assert (repr(table), pickle.dumps(table)) == before
     assert table == fresh_copy(table)
