@@ -71,9 +71,10 @@ def cmd_table(args) -> int:
     from .tau_core import build_tau_table_series
     if args.limit < 1:
         raise CliInputError("--limit must be >= 1")
+    out = args.out if args.out is not None else os.environ.get(TABLE_ENV, "tau_table.txt")
     table = build_tau_table_series(args.limit)
-    verify.save_table(args.out, table)
-    with open(args.out, "rb") as fh:
+    verify.save_table(out, table)
+    with open(out, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     print(f"TAU-TABLE v1 limit={table.limit} sha256={digest}")
     return EXIT_OK
@@ -181,13 +182,16 @@ def cmd_check(args) -> int:
     return max(codes)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; it holds no state of
+    the environment, which the commands read when they run."""
     parser = _Parser(prog="tauwaring", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="build and save a tau table")
     p_table.add_argument("--limit", type=int, required=True)
-    p_table.add_argument("--out", default=os.environ.get(TABLE_ENV, "tau_table.txt"))
+    p_table.add_argument("--out")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run an identity sweep")

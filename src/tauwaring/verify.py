@@ -276,14 +276,16 @@ def json_object(value, ints: dict, field: str) -> dict:
 @dataclass(frozen=True, slots=True)
 class Kind:
     """How one certificate kind is written and checked: its required JSON
-    fields as (attribute, key, decoder), the meta fields decoded as integers
-    (see json_object), and per JSON key, "meta.<name>" or "meta" (any meta
-    field), the |value| from which an integer is written as a string. caps
+    fields as (attribute, key, decoder, since), the meta fields decoded as
+    integers (see json_object), and the since of each meta field named in
+    meta_texts and of every other meta field (meta_every). An integer is
+    written as a string when a since is given and |value| >= since. caps
     bounds the (plus, minus) term counts; a modular kind claims a residue."""
 
     fields: tuple
     meta_ints: dict
-    texts: dict
+    meta_texts: dict
+    meta_every: int | None
     caps: tuple[int, int]
     modular: bool
     coprime: bool
@@ -293,18 +295,18 @@ class Kind:
 # ones as strings. integer_sum writes target and max_abs_tau as strings.
 KINDS = {
     "integer_sum": Kind(
-        fields=(("target", "target", json_int), ("plus", "plus", json_ints)),
+        fields=(("target", "target", json_int, 0), ("plus", "plus", json_ints, None)),
         meta_ints=dict.fromkeys(("term_count", "max_index", "max_abs_tau", "index_bound",
                                  "exact_terms", "max_terms")),
-        texts={"target": 0, "meta.max_abs_tau": 0},
+        meta_texts={"max_abs_tau": 0}, meta_every=None,
         caps=(inf, 0), modular=False, coprime=False,
     ),
     **{kind: Kind(
-        fields=(("p", "p", json_int), ("lam", "lambda", json_int),
-                ("plus", "plus", json_ints), ("minus", "minus", json_ints)),
+        fields=(("p", "p", json_int, None), ("lam", "lambda", json_int, None),
+                ("plus", "plus", json_ints, 2**53), ("minus", "minus", json_ints, 2**53)),
         meta_ints={"max_index": None, "index_bound": None,
                    "counts": {"plus": None, "minus": None}},
-        texts={"plus": 2**53, "minus": 2**53, "meta": 2**53},
+        meta_texts={}, meta_every=2**53,
         caps=caps, modular=True, coprime=kind == "pm32",
     ) for kind, caps in MODP_CAPS.items()},
 }
@@ -332,15 +334,22 @@ class Certificate:
 
     def to_json_dict(self) -> dict:
         rules = KINDS[self.kind]
-        texts = rules.texts
         out = {"kind": self.kind}
-        for attr, key, _ in rules.fields:
-            value, since = getattr(self, attr), texts.get(key)
-            if isinstance(value, list):  # plus and minus, lists of ints
-                value = list(value) if since is None else [_text(v, since) for v in value]
-            out[key] = _text(value, since)
-        every = texts.get("meta")
-        out["meta"] = {k: _text(v, texts.get(f"meta.{k}", every)) for k, v in self.meta.items()}
+        for attr, key, _, since in rules.fields:
+            value = getattr(self, attr)
+            if since is None:
+                out[key] = value[:] if isinstance(value, list) else value
+            elif isinstance(value, list):  # plus and minus, lists of ints
+                out[key] = [_text(v, since) for v in value]
+            else:
+                out[key] = _text(value, since)
+        every, named = rules.meta_every, rules.meta_texts
+        if every is None:  # only the named meta fields may turn into text
+            out["meta"] = meta = self.meta.copy()
+            for k in named.keys() & meta.keys():
+                meta[k] = _text(meta[k], named[k])
+        else:
+            out["meta"] = {k: _text(v, named.get(k, every)) for k, v in self.meta.items()}
         return out
 
 
@@ -351,10 +360,10 @@ def decode(obj) -> Certificate:
     rules = KINDS.get(kind) if isinstance(kind, str) else None
     if rules is None:
         raise ValueError(f"unknown certificate kind {kind!r:.40}")
-    for _, key, _ in rules.fields:
+    for _, key, _, _ in rules.fields:
         if key not in obj:
             raise ValueError(f"{kind} certificate has no {key!r} field")
-    fields = {attr: decoder(obj[key], key) for attr, key, decoder in rules.fields}
+    fields = {attr: decoder(obj[key], key) for attr, key, decoder, _ in rules.fields}
     return Certificate(kind, meta=json_object(obj.get("meta", {}), rules.meta_ints, "meta"),
                        **fields)
 

@@ -63,6 +63,11 @@ TAU_SMALL = {
 # the greedy descent.
 DP_THRESHOLD = 10**6
 
+# target^2 below this has its 11th root below 2^50, where the float power
+# |target|^(2/11) lands within 2 of the exact root; index_budget corrects it
+# both ways, since how pow rounds is not pinned down.
+FLOAT_ROOT_LIMIT = 1 << 550
+
 # Ladder positions a greedy step looks at on each side of its bisection point
 # for an index within the budget, before the call lists every such position.
 LADDER_PROBES = 8
@@ -249,23 +254,25 @@ def solve_prime_power_sum(target: int, s: int, pool) -> list[int] | None:
 
 @cache
 def _finisher():
-    """(coin order, distance table, radius) for the exact finisher.
+    """(step table, radius) for the exact finisher.
 
-    The coins are tau(1..10), tried by (-|tau|, index). dist[v + radius] =
-    least number of coins summing to v, for every v in [-radius, radius];
-    the mixed signs and tau(1) = 1 make the whole window reachable, within
-    33 coins.
+    The coins are tau(1..10), tried by (-|tau|, index). step[v + radius] is
+    the index of the first coin in that order that takes remainder v one coin
+    closer to zero, and 0 at v = 0, for every v in [-radius, radius]; the
+    mixed signs and tau(1) = 1 make the whole window reachable, within 33
+    coins.
 
-    The table comes from a breadth-first search on Python ints used as
+    The distances come from a breadth-first search on Python ints used as
     bitsets, bit v + radius standing for remainder v: shifting the frontier
     by a coin c marks v + c for every frontier v, and the bits still unseen
     after a layer are those at least one layer deeper. So dist[v] is the
     number of layers v stays unseen, and each layer adds `unseen` into
     bit-sliced counters (plane i holds bit i of every distance) with a ripple
     carry. Every int stays non-negative: `a & ~b` on an int this long costs
-    some 20 times a plain `&`. The planes are unpacked once at the end into a
-    read-only uint8 array, handed out as a zero-copy memoryview that reads
-    Python ints.
+    some 20 times a plain `&`. The planes are unpacked into a uint8 distance
+    array (_unpack_planes), the steps are derived from it (_first_steps), and
+    the distances are dropped, so the process keeps one 2.2 MB table. It is
+    read-only and handed out as a zero-copy memoryview that reads Python ints.
     """
     coins = [TAU_SMALL[n] for n in range(1, 11)]
     radius = DP_THRESHOLD + max(abs(c) for c in coins)
@@ -287,41 +294,109 @@ def _finisher():
             nxt |= frontier << c if c >= 0 else frontier >> -c
         frontier = nxt & unseen
         unseen ^= frontier
-    dist = np.zeros(size, dtype=np.uint8)
-    nbytes = (size + 7) // 8
-    for i, plane in enumerate(planes):
-        bits = np.unpackbits(np.frombuffer(plane.to_bytes(nbytes, "little"), np.uint8),
-                             count=size, bitorder="little")
-        dist |= bits << i
-    dist.flags.writeable = False
     order = sorted(zip(coins, range(1, 11)), key=lambda t: (-abs(t[0]), t[1]))
-    return tuple(order), memoryview(dist), radius
+    step = _first_steps(_unpack_planes(planes, size), order)
+    step.flags.writeable = False
+    return memoryview(step), radius
 
 
-def _finish_exact(r: int, coins: tuple[tuple[int, int], ...], dist, radius: int) -> list[int]:
-    """Walk the distance table back from remainder r to zero, emitting indices.
+# Positions per block of the distance unpacking and the step derivation, and
+# the coins (first in the order) tested on whole blocks: tau(10), tau(9) and
+# tau(8) settle 98% of the window, and the rest are tested position by
+# position.
+STEP_BLOCK = 1 << 17
+STEP_WIDE_COINS = 3
 
-    Each step takes the first coin, in the given order, that leads one step
-    closer to zero. dist is indexed by remainder + radius and read one entry
-    at a time, so a memoryview (as _finisher gives) costs no numpy scalar.
+
+def _unpack_planes(planes: list[int], size: int) -> np.ndarray:
+    """dist[v] = sum over i of bit v of planes[i] times 2^i, as uint8, built
+    STEP_BLOCK positions at a time so each plane's unpacked bits stay in
+    cache. The bits are weighted by a multiply, which numpy vectorises for
+    uint8 and a shift it does not."""
+    nbytes = (size + 7) // 8
+    raw = [np.frombuffer(plane.to_bytes(nbytes, "little"), np.uint8) for plane in planes]
+    dist = np.zeros(8 * nbytes, dtype=np.uint8)
+    block = STEP_BLOCK // 8
+    for lo in range(0, nbytes, block):
+        part = dist[8 * lo : 8 * (lo + block)]
+        for i, plane_bytes in enumerate(raw):
+            bits = np.unpackbits(plane_bytes[lo : lo + block], bitorder="little")
+            part |= np.multiply(bits, np.uint8(1 << i), out=bits)
+    return dist[:size]
+
+
+def _first_steps(dist: np.ndarray, order) -> np.ndarray:
+    """step[i] = index of the first (coin, index) in order with dist[i - coin]
+    = dist[i] - 1, else 0, computed STEP_BLOCK positions at a time.
+
+    Within a block the first STEP_WIDE_COINS coins are compared on slices,
+    each claiming the positions still free; the later coins are tried only at
+    the positions left, by a gather. dist[i] - 1 wraps to 255 at distance 0,
+    which no position holds, so step stays 0 there.
+    """
+    size = dist.size
+    step = np.zeros(size, dtype=np.uint8)
+    hit = np.empty(STEP_BLOCK, dtype=bool)
+    free = np.empty(STEP_BLOCK, dtype=bool)
+    claim = np.empty(STEP_BLOCK, dtype=np.uint8)
+    for lo in range(0, size, STEP_BLOCK):
+        hi = min(lo + STEP_BLOCK, size)
+        want = dist[lo:hi] - np.uint8(1)
+        block = step[lo:hi]
+        for c, idx in order[:STEP_WIDE_COINS]:
+            a, b = max(lo, c), min(hi, size + c)  # the positions i with 0 <= i - c < size
+            if a >= b:
+                continue
+            n, part = b - a, block[a - lo : b - lo]
+            np.equal(dist[a - c : b - c], want[a - lo : b - lo], out=hit[:n])
+            hit[:n] &= np.equal(part, 0, out=free[:n])
+            np.multiply(hit[:n], np.uint8(idx), out=claim[:n])
+            part |= claim[:n]
+        left = np.flatnonzero(block == 0)
+        for c, idx in order[STEP_WIDE_COINS:]:
+            if not left.size:
+                break
+            j = left + (lo - c)
+            found = (j >= 0) & (j < size) & (dist.take(j, mode="clip") == want[left])
+            block[left[found]] = idx
+            left = left[~found]
+    return step
+
+
+def _finish_exact(r: int, step, radius: int) -> list[int]:
+    """The indices that the step table leads through from remainder r to zero.
+
+    One step-table read per term: the entry at r + radius names the coin to
+    take next. step is read one entry at a time, so a memoryview (as
+    _finisher gives) costs no numpy scalar. A zero entry at r != 0 means the
+    table does not lead to zero from there.
     """
     out = []
-    while r != 0:
-        d = dist[r + radius] - 1
-        for value, idx in coins:
-            rr = r - value
-            if -radius <= rr <= radius and dist[rr + radius] == d:
-                out.append(idx)
-                r = rr
-                break
-        else:
+    while r:
+        idx = step[r + radius]
+        if not idx:
             raise InternalCheckError(f"finisher table inconsistent at remainder {r}")
+        out.append(idx)
+        r -= TAU_SMALL[idx]
     return out
 
 
 def index_budget(target: int, c_bound: int | Fraction) -> int:
-    """Concrete index cap floor(c_bound * (|target|^{2/11} + 1))."""
-    root = integer_nth_root(target * target, 11)
+    """Concrete index cap floor(c_bound * (|target|^{2/11} + 1)).
+
+    The root floor(|target|^{2/11}) is exact: below FLOAT_ROOT_LIMIT a float
+    power seeds it and r^11 <= target^2 < (r + 1)^11 corrects it, past that
+    integer_nth_root finds it.
+    """
+    square = target * target
+    if square < FLOAT_ROOT_LIMIT:
+        root = int(abs(target) ** (2 / 11))
+        while root**11 > square:
+            root -= 1
+        while (root + 1) ** 11 <= square:
+            root += 1
+    else:
+        root = integer_nth_root(square, 11)
     return int(c_bound * (root + 1))
 
 

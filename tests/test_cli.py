@@ -346,6 +346,20 @@ def test_env_table_path(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_table_out_reads_the_environment_of_each_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so it must not freeze the variable
+    monkeypatch.delenv("TAU_TABLE_PATH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "table", "--limit", "20")
+    assert code == 0 and (tmp_path / "tau_table.txt").exists()
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "later.txt"
+    monkeypatch.setenv("TAU_TABLE_PATH", str(path))
+    code, out, _ = run(capsys, "table", "--limit", "30")
+    assert code == 0 and "limit=30" in out
+    assert load_table(path).limit == 30
+
+
 def test_module_entry_point_exits_3_on_missing_file():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-m", "tauwaring.cli", "check", "/nonexistent.json"],

@@ -402,6 +402,32 @@ def test_represent_greedy_stage(table_2k):
     assert cert.meta["max_index"] <= index_budget(5_000_000_000, 15)
 
 
+def near_root_boundaries():
+    """Targets where floor(|t|^(2/11)) steps: t = +-s^11 and t^2 just past or
+    short of r^11, each with its neighbours, up to |t| near 10^400."""
+    powers = st.integers(min_value=0, max_value=10**36).map(lambda s: s**11)
+    straddles = st.integers(min_value=1, max_value=10**72).map(lambda r: math.isqrt(r**11))
+    near = st.tuples(st.one_of(powers, straddles), st.integers(min_value=-1, max_value=1),
+                     st.sampled_from((1, -1)))
+    return near.map(lambda t: t[2] * (t[0] + t[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(min_value=-(10**400), max_value=10**400), near_root_boundaries()))
+@example(0)
+@example(1)
+@example(-1)
+@example(2**275 - 1)
+@example(2**275)
+@example(-(2**275))
+@example(2**50)
+@example(10**400)
+def test_index_budget_root_matches_integer_nth_root(target):
+    root = integer_nth_root(target * target, 11)
+    assert index_budget(target, 1) == root + 1
+    assert index_budget(target, 15) == 15 * (root + 1)
+
+
 def test_represent_table_too_small(table_2k):
     with pytest.raises(ValueError, match="budget"):
         represent_integer(10**40, RepresentationParams(), table_2k)
@@ -779,22 +805,48 @@ def frontier_bfs(coins, radius):
     return dist
 
 
-def test_finisher_distances_match_frontier_bfs(table_2k):
+@pytest.fixture(scope="module")
+def finisher_reference():
+    """(coin order, distances, radius) of the exact finisher, rebuilt here:
+    the coins tau(1..10) by (-|tau|, index) and frontier_bfs's distances."""
+    coins = tuple(TAU_SMALL[n] for n in range(1, 11))
+    order = tuple(sorted(zip(coins, range(1, 11)), key=lambda t: (-abs(t[0]), t[1])))
+    radius = DP_THRESHOLD + max(abs(c) for c in coins)
+    return order, frontier_bfs(coins, radius), radius
+
+
+def steps_from_distances(dist, order):
+    """The walk's rule over whole arrays: at each position the first coin in
+    order whose remainder is one closer to zero, 0 where none is (zero)."""
+    size = dist.size
+    step = np.zeros(size, dtype=np.uint8)
+    for value, idx in reversed(order):  # the first coin in order writes last
+        lo, hi = max(0, value), min(size, size + value)
+        closer = dist[lo - value : hi - value] == dist[lo:hi] - 1
+        step[lo:hi][closer] = idx
+    return step
+
+
+def test_finisher_steps_match_frontier_bfs(table_2k, finisher_reference):
     coins = tuple(table_2k.values[1:11])
     assert coins == tuple(TAU_SMALL[n] for n in range(1, 11))
-    _, view, radius = waring_int._finisher()
-    assert radius == DP_THRESHOLD + max(abs(c) for c in coins)
-    dist = view.obj
-    assert dist.dtype == np.uint8 and dist.max() == 33
-    assert np.array_equal(dist, frontier_bfs(coins, radius))
+    order, dist, radius = finisher_reference
+    view, lib_radius = waring_int._finisher()
+    assert lib_radius == radius == DP_THRESHOLD + max(abs(c) for c in coins)
+    step = view.obj
+    assert step.dtype == np.uint8 and step.size == 2 * radius + 1
+    assert dist.max() == 33
+    assert step[radius] == 0 and np.count_nonzero(step) == step.size - 1
+    assert np.array_equal(step, steps_from_distances(dist, order))
 
 
-def test_finisher_distances_is_read_only():
-    _, view, radius = waring_int._finisher()
+def test_finisher_steps_are_read_only_and_cached():
+    view, radius = waring_int._finisher()
     assert view.readonly and not view.obj.flags.writeable
+    assert view.obj.base is None  # it owns its 2.2 MB; no distance array stays behind it
     with pytest.raises(ValueError, match="read-only"):
         view.obj[radius + 1] = 0
-    assert waring_int._finisher()[1].obj is view.obj
+    assert waring_int._finisher()[0].obj is view.obj
 
 
 def numpy_scalar_finish(r, coins, dist, radius):
@@ -814,12 +866,44 @@ def numpy_scalar_finish(r, coins, dist, radius):
     return out
 
 
-def test_finish_exact_matches_numpy_scalar_walk(table_2k):
+def test_finish_exact_matches_numpy_scalar_walk(table_2k, finisher_reference):
+    order, dist, radius = finisher_reference
     coins = tuple(table_2k.values[1:11])
-    order, view, radius = waring_int._finisher()
     assert order == tuple(sorted(zip(coins, range(1, 11)), key=lambda t: (-abs(t[0]), t[1])))
+    step, _ = waring_int._finisher()
     remainders = [*range(-DP_THRESHOLD, DP_THRESHOLD + 1, 499), DP_THRESHOLD, -1, 1]
     for r in remainders:
-        got = waring_int._finish_exact(r, order, view, radius)
-        assert got == numpy_scalar_finish(r, order, view.obj, radius), r
+        got = waring_int._finish_exact(r, step, radius)
+        assert got == numpy_scalar_finish(r, order, dist, radius), r
         assert sum(table_2k.values[n] for n in got) == r
+    farthest = int(np.argmax(dist)) - radius
+    assert len(waring_int._finish_exact(farthest, step, radius)) == 33
+
+
+class CountingView:
+    """A step table that counts its reads."""
+
+    def __init__(self, step):
+        self.step, self.reads = step, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.step[i]
+
+
+def test_finish_exact_reads_the_step_table_once_per_term():
+    step, radius = waring_int._finisher()
+    for r in [*range(-DP_THRESHOLD, DP_THRESHOLD + 1, 9973), 0, 1, -1]:
+        counting = CountingView(step)
+        assert len(waring_int._finish_exact(r, counting, radius)) == counting.reads, r
+
+
+def test_finish_exact_refuses_a_zeroed_step_entry():
+    step, radius = waring_int._finisher()
+    r = 123457
+    first = waring_int._finish_exact(r, step, radius)[0]
+    damaged = bytearray(step)
+    damaged[r - TAU_SMALL[first] + radius] = 0
+    with pytest.raises(InternalCheckError,
+                       match=f"inconsistent at remainder {r - TAU_SMALL[first]}$"):
+        waring_int._finish_exact(r, damaged, radius)
