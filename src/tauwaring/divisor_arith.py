@@ -80,13 +80,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# A k-th root below 2^FLOAT_ROOT_BITS is seeded from the float root, which
+# lands within a few units of it; integer_nth_root corrects the seed both
+# ways, since how pow rounds is not pinned down. Floats end below 2^1024.
+FLOAT_ROOT_BITS = 50
+FLOAT_MAX_BITS = 1023
+
+
 def integer_nth_root(x: int, k: int) -> int:
-    """Floor of the k-th root of x >= 0, exact Newton iteration on integers."""
+    """Floor of the k-th root of x >= 0, exact: a float seed corrected on
+    integers while the root is below 2^FLOAT_ROOT_BITS and x fits a float,
+    Newton iteration on integers past that."""
     if x < 0 or k < 1:
         raise ValueError(f"need x >= 0 and k >= 1, got ({x}, {k})")
     if x == 0:
         return 0
-    r = 1 << ((x.bit_length() + k - 1) // k)
+    bits = x.bit_length()
+    if bits <= FLOAT_ROOT_BITS * k and bits <= FLOAT_MAX_BITS:
+        r = int(x ** (1 / k))
+        while r**k > x:
+            r -= 1
+        while (r + 1) ** k <= x:
+            r += 1
+        return r
+    r = 1 << ((bits + k - 1) // k)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:

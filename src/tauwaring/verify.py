@@ -344,12 +344,7 @@ class Certificate:
             else:
                 out[key] = _text(value, since)
         every, named = rules.meta_every, rules.meta_texts
-        if every is None:  # only the named meta fields may turn into text
-            out["meta"] = meta = self.meta.copy()
-            for k in named.keys() & meta.keys():
-                meta[k] = _text(meta[k], named[k])
-        else:
-            out["meta"] = {k: _text(v, named.get(k, every)) for k, v in self.meta.items()}
+        out["meta"] = {k: _text(v, named.get(k, every)) for k, v in self.meta.items()}
         return out
 
 

@@ -63,11 +63,6 @@ TAU_SMALL = {
 # the greedy descent.
 DP_THRESHOLD = 10**6
 
-# target^2 below this has its 11th root below 2^50, where the float power
-# |target|^(2/11) lands within 2 of the exact root; index_budget corrects it
-# both ways, since how pow rounds is not pinned down.
-FLOAT_ROOT_LIMIT = 1 << 550
-
 # Ladder positions a greedy step looks at on each side of its bisection point
 # for an index within the budget, before the call lists every such position.
 LADDER_PROBES = 8
@@ -382,21 +377,8 @@ def _finish_exact(r: int, step, radius: int) -> list[int]:
 
 
 def index_budget(target: int, c_bound: int | Fraction) -> int:
-    """Concrete index cap floor(c_bound * (|target|^{2/11} + 1)).
-
-    The root floor(|target|^{2/11}) is exact: below FLOAT_ROOT_LIMIT a float
-    power seeds it and r^11 <= target^2 < (r + 1)^11 corrects it, past that
-    integer_nth_root finds it.
-    """
-    square = target * target
-    if square < FLOAT_ROOT_LIMIT:
-        root = int(abs(target) ** (2 / 11))
-        while root**11 > square:
-            root -= 1
-        while (root + 1) ** 11 <= square:
-            root += 1
-    else:
-        root = integer_nth_root(square, 11)
+    """Concrete index cap floor(c_bound * (|target|^{2/11} + 1))."""
+    root = integer_nth_root(target * target, 11)
     return int(c_bound * (root + 1))
 
 

@@ -2,9 +2,11 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tauwaring.divisor_arith import (
+    FLOAT_MAX_BITS,
+    FLOAT_ROOT_BITS,
     build_sigma_table,
     integer_nth_root,
     iter_factor_pairs,
@@ -106,6 +108,48 @@ def test_coprime_to_23_factorial():
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=11))
 def test_integer_nth_root_brackets(x, k):
     r = integer_nth_root(x, k)
+    assert r**k <= x < (r + 1) ** k
+
+
+def newton_nth_root(x, k):
+    """Floor of the k-th root by integer Newton iteration alone (reference for
+    the float-seeded path of integer_nth_root)."""
+    if x == 0:
+        return 0
+    r = 1 << ((x.bit_length() + k - 1) // k)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            return r
+        r = nr
+
+
+def nth_root_boundaries():
+    """(x, k) where the floor root steps (x = s^k and its neighbours) or where
+    integer_nth_root leaves its float seed (x near 2^(FLOAT_ROOT_BITS k) and
+    2^FLOAT_MAX_BITS)."""
+    ks = st.integers(min_value=1, max_value=40)
+    step = st.integers(min_value=-1, max_value=1)
+    powers = st.tuples(st.integers(min_value=1, max_value=2**60), ks, step).map(
+        lambda t: (t[0] ** t[1] + t[2], t[1]))
+    edges = st.tuples(ks, st.sampled_from((FLOAT_MAX_BITS, None)), step).map(
+        lambda t: (2 ** (t[1] or FLOAT_ROOT_BITS * t[0]) + t[2], t[0]))
+    return st.one_of(powers, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.tuples(st.integers(min_value=0, max_value=10**800),
+                           st.integers(min_value=1, max_value=40)),
+                 nth_root_boundaries()))
+@example((2**550 - 1, 11))
+@example((2**550, 11))
+@example((2**FLOAT_MAX_BITS - 1, 21))
+@example((2**FLOAT_MAX_BITS, 21))
+@example((2**50 - 1, 1))
+def test_integer_nth_root_matches_newton(case):
+    x, k = case
+    r = integer_nth_root(x, k)
+    assert r == newton_nth_root(x, k)
     assert r**k <= x < (r + 1) ** k
 
 

@@ -424,6 +424,7 @@ def near_root_boundaries():
 @example(10**400)
 def test_index_budget_root_matches_integer_nth_root(target):
     root = integer_nth_root(target * target, 11)
+    assert root**11 <= target * target < (root + 1) ** 11
     assert index_budget(target, 1) == root + 1
     assert index_budget(target, 15) == 15 * (root + 1)
 
