@@ -6,6 +6,11 @@ apart: 0 success, 1 verification failure, 2 infeasible / search exhausted,
 3 invalid input or unsupported modulus. Every certificate-writing command
 re-verifies its output through the independent verifier before exiting 0.
 Only the verifier is imported up front, so `check --table` never loads numpy.
+
+A table file comes from --table, else TAU_TABLE_PATH. `represent` and `modp`
+parse only its first lines, as many as they would build without a file, and
+the whole file only where that prefix fails them; `check` and `verify` parse
+and check all of it, so only they see damage past the prefix.
 """
 
 from __future__ import annotations
@@ -40,16 +45,35 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _resolve_table(table_path, limit, fallback_limit) -> verify.TauTable:
+def _resolve_table(table_path, limit, fallback_limit, upto=None) -> verify.TauTable:
+    """The table file (--table, else TAU_TABLE_PATH) read to value line `upto`,
+    else a table built to --limit, else to fallback_limit."""
     if limit is not None and limit < 1:
         raise CliInputError("--limit must be >= 1")
-    if table_path:
-        return verify.load_table(table_path)
-    env_path = os.environ.get(TABLE_ENV)
-    if env_path:
-        return verify.load_table(env_path)
+    path = table_path or os.environ.get(TABLE_ENV)
+    if path:
+        return verify.load_table(path, upto)
     from .tau_core import build_tau_table_series
     return build_tau_table_series(limit or fallback_limit)
+
+
+def _solve(args, need, solve):
+    """(table, cert) from solve(table) -> (cert, settled); `need` is the
+    table size the command builds when no file is named. A table file is
+    parsed only to line `need`. Where that prefix may stop short of the file
+    (it holds `need` lines) and solve raises on it, or is not settled (its
+    window reached the prefix's end), solve runs again on the whole file: the
+    prefix never changes an outcome, and an error names the file's own limit."""
+    table = _resolve_table(args.table, args.limit, need, upto=need)
+    if table.limit == need and (args.table or os.environ.get(TABLE_ENV)):
+        try:
+            cert, settled = solve(table)
+            if settled:
+                return table, cert
+        except Exception:
+            pass
+        table = _resolve_table(args.table, args.limit, need)
+    return table, solve(table)[0]
 
 
 def _emit(out, cert, table, summary: str) -> int:
@@ -110,19 +134,25 @@ def cmd_represent(args) -> int:
             raise CliInputError(
                 f"residue mode emits exactly {waring_int.RESIDUE_TERM_COUNT} terms,"
                 f" which exceeds --max-terms {args.max_terms}")
-        cert = waring_int.represent_residue_198(target)
-        table = _resolve_table(args.table, args.limit, fallback_limit=105)
+        residue = waring_int.represent_residue_198(target)
+        need, represent = waring_int.MAX_RESIDUE_INDEX, lambda table: residue
     else:
         params = waring_int.RepresentationParams(
             c_bound=args.c_bound, max_terms=args.max_terms
         )
         budget = waring_int.index_budget(target, params.c_bound)
         # the zero certificate's six-term blocks reach index MAX_RESIDUE_INDEX
-        table = _resolve_table(args.table, args.limit,
-                               fallback_limit=max(budget, waring_int.MAX_RESIDUE_INDEX))
-        cert = waring_int.represent_integer(target, params, table)
-    if max(cert.plus) > table.limit:
-        raise ValueError(f"table covers {table.limit}, certificate needs index {max(cert.plus)}")
+        need = max(budget, waring_int.MAX_RESIDUE_INDEX)
+        represent = functools.partial(waring_int.represent_integer, target, params)
+
+    def solve(table):
+        cert = represent(table)
+        if max(cert.plus) > table.limit:
+            raise ValueError(f"table covers {table.limit},"
+                             f" certificate needs index {max(cert.plus)}")
+        return cert, True
+
+    table, cert = _solve(args, need, solve)
     return _emit(args.out, cert, table,
                  f"REPRESENT target={target} terms={cert.meta['term_count']}"
                  f" max_index={cert.meta['max_index']}")
@@ -134,14 +164,18 @@ def cmd_modp(args) -> int:
     # sum16 needs the table to reach p. The pm32 window of every sampled prime
     # up to 1e7 settled at 26.2 or 41.9 sqrt(p); 67 sqrt(p) is one growth step more.
     reach = p if args.mode == "sum16" or p < 2000 else min(p, 67 * isqrt(p))
-    table = _resolve_table(args.table, args.limit, fallback_limit=max(2000, reach))
-    if args.mode == "sum16":
-        ctx = modp_basis.build_abc_context(p, table)
-        cert = modp_basis.represent_sum16(args.lam, p, table, ctx=ctx)
-    else:
+
+    def solve(table):
+        if args.mode == "sum16":
+            ctx = modp_basis.build_abc_context(p, table)
+            return modp_basis.represent_sum16(args.lam, p, table, ctx=ctx), True
         represent = (modp_basis.represent_pm32 if args.mode == "pm32"
                      else modp_basis.represent_sum96)
-        cert = represent(args.lam, modp_basis.build_context(p, table), table)
+        ctx = modp_basis.build_context(p, table)
+        # a window held at the table's end may settle further on a longer table
+        return represent(args.lam, ctx, table), ctx.window[1] < table.limit
+
+    table, cert = _solve(args, max(2000, reach), solve)
     return _emit(args.out, cert, table,
                  f"MODP p={p} lambda={cert.lam} mode={cert.kind}"
                  f" terms={len(cert.plus)}+{len(cert.minus)} max_index={cert.meta['max_index']}")

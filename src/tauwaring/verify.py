@@ -70,20 +70,26 @@ def save_table(path, table: TauTable) -> None:
                               for n in range(lo, min(lo + _SAVE_BLOCK, table.limit + 1))]))
 
 
-def load_table(path) -> TauTable:
-    """Parse a saved table; raises TableFormatError with a line number on damage.
+def load_table(path, upto: int | None = None) -> TauTable:
+    """Parse a saved table, or its first `upto` value lines; raises
+    TableFormatError with a line number on damage.
 
-    Value lines are parsed a block of about _LOAD_BLOCK bytes at a time: one
-    translate() proves the block is digits and '-' with one tab and one
-    newline per line, and one json.loads turns every field into an int. A
-    block that fails either step, or whose indices are not the next ones,
-    goes through _load_lines, which accepts a superset of what JSON does
-    (leading zeros, say) with equal values, and names the first bad line.
+    The whole file is read and its framing checked (newline termination,
+    header, limit, line count) whatever `upto` is; then value lines 1..upto
+    are parsed, a block of about _LOAD_BLOCK bytes at a time: one translate()
+    proves the block is digits and '-' with one tab and one newline per line,
+    and one json.loads turns every field into an int. A block that fails
+    either step, or whose indices are not the next ones, goes through
+    _load_lines, which accepts a superset of what JSON does (leading zeros,
+    say) with equal values, and names the first bad line. No line past
+    `upto` is parsed, so damage there goes unseen.
     """
-    # A text read, so a non-ASCII byte raises the text decoder's error; a
-    # bytes read would report its position differently.
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        data = fh.read().encode("ascii")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        # Only the text decoder's error names the bad byte as before.
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            data = fh.read().encode("ascii")
     if not data.endswith(b"\n"):
         raise TableFormatError("line 1: file is not newline-terminated")
     if data.endswith(b"\n\n"):
@@ -101,12 +107,16 @@ def load_table(path) -> TauTable:
         raise TableFormatError(
             f"line {n_lines}: expected {limit} value lines, found {n_lines - 1}"
         )
+    last = limit if upto is None else min(upto, limit)
     values = [0]
     n = 1  # index of the block's first line
-    while start < len(data):
+    while n <= last:
         end = data.find(b"\n", start + _LOAD_BLOCK) + 1 or len(data)
         block = data[start:end]
         k = block.count(b"\n")
+        if n + k - 1 > last:  # cut the block at the newline that ends line `last`
+            k = last - n + 1
+            block = block[: len(block) - len(block.split(b"\n", k)[k])]
         nums = None
         if block.translate(None, b"0123456789-") == b"\t\n" * k:
             with suppress(ValueError):  # not JSON integers, or past int()'s digit limit
@@ -117,7 +127,7 @@ def load_table(path) -> TauTable:
         else:
             _load_lines(block.decode("ascii").split("\n")[:-1], n, values)
         start, n = end, n + k
-    return TauTable(limit=limit, values=values)
+    return TauTable(limit=last, values=values)
 
 
 def _load_lines(lines, n, values) -> None:

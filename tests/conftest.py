@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from tauwaring import verify
 from tauwaring.divisor_arith import build_sigma_table, sieve_spf
 from tauwaring.tau_core import build_prime_tau_map, build_tau_table_series
 
@@ -58,3 +61,24 @@ def sigma5_2k():
 @pytest.fixture(scope="session")
 def sigma11_2k():
     return build_sigma_table(11, 2000)
+
+
+@pytest.fixture
+def parsed_lines(monkeypatch):
+    """The counts of table value lines that verify.load_table turns into ints,
+    one per block, through its json.loads fast path or its _load_lines loop."""
+    counts = []
+    loads, load_lines = verify.json.loads, verify._load_lines
+
+    def counted_loads(text):
+        nums = loads(text)
+        counts.append(len(nums) // 2)
+        return nums
+
+    def counted_lines(lines, n, values):
+        counts.append(len(lines))
+        return load_lines(lines, n, values)
+
+    monkeypatch.setattr(verify, "json", SimpleNamespace(loads=counted_loads))
+    monkeypatch.setattr(verify, "_load_lines", counted_lines)
+    return counts

@@ -659,7 +659,7 @@ def test_represent_on_damaged_small_entries_ends_at_the_self_check(small_entries
 @pytest.fixture(scope="module")
 def damaged_tables(tmp_path_factory, table_20k, check_inputs):
     """A pm32 certificate, and saved 2e4 tables whose last line is damaged,
-    each with the error line that every command prints for it."""
+    each with the error line that every command reading that line prints."""
     workdir = tmp_path_factory.mktemp("damaged")
     cert = workdir / "cert.json"
     cert.write_text(json.dumps(check_inputs.certs["pm32"]))
@@ -683,11 +683,9 @@ def damaged_tables(tmp_path_factory, table_20k, check_inputs):
 
 @pytest.mark.parametrize("argv", [
     ("check", "{cert}", "--table", "{table}"),
-    ("represent", "--target", "5", "--table", "{table}"),
-    ("modp", "--p", "29", "--lambda", "3", "--mode", "pm32", "--table", "{table}"),
     ("verify", "--suite", "hecke", "--table", "{table}"),
     ("check", "{cert}"),
-], ids=["check", "represent", "modp", "verify", "check-env"])
+], ids=["check", "verify", "check-env"])
 def test_commands_name_a_damaged_last_table_line(damaged_tables, capsys, monkeypatch, argv):
     monkeypatch.setenv("TAU_TABLE_PATH", damaged_tables.table)
     args = [a.format(cert=damaged_tables.cert, table=damaged_tables.table) for a in argv]
@@ -697,3 +695,125 @@ def test_commands_name_a_damaged_last_table_line(damaged_tables, capsys, monkeyp
 def test_check_refuses_a_table_value_past_the_int_digit_limit(damaged_tables, capsys):
     code, out, err = run(capsys, "check", damaged_tables.cert, "--table", damaged_tables.huge)
     assert (code, out, err) == (3, "", damaged_tables.huge_error)
+
+
+# --------------------------------------- represent and modp read a table prefix
+
+# represent and modp read only the first lines of a table file, as many as
+# they would build without one; check and verify read all of it.
+PREFIX_CALLS = {"represent": ("represent", "--target", "5"),
+                "modp": ("modp", "--p", "29", "--lambda", "3", "--mode", "pm32")}
+
+
+@pytest.fixture(scope="module")
+def saved_20k(tmp_path_factory, table_20k):
+    path = tmp_path_factory.mktemp("prefix") / "table.txt"
+    save_table(path, table_20k)
+    return str(path)
+
+
+@pytest.mark.parametrize("call", PREFIX_CALLS)
+def test_prefix_commands_name_a_damaged_line_in_their_prefix(saved_20k, tmp_path, capsys,
+                                                             call):
+    lines = Path(saved_20k).read_bytes().split(b"\n")
+    lines[50] = b"50\t+" + lines[50].split(b"\t")[1]  # value line 50, line 51 of the file
+    table = tmp_path / "table.txt"
+    table.write_bytes(b"\n".join(lines))
+    assert run(capsys, *PREFIX_CALLS[call], "--table", str(table)) == (
+        3, "", f"error: line 51: malformed entry {lines[50].decode()!r}\n")
+
+
+@pytest.mark.parametrize("call", PREFIX_CALLS)
+def test_prefix_commands_serve_a_table_damaged_past_their_prefix(damaged_tables, tmp_path,
+                                                                 capsys, call):
+    out = tmp_path / "cert.json"
+    code, stdout, err = run(capsys, *PREFIX_CALLS[call], "--table", damaged_tables.table,
+                            "--out", str(out))
+    assert (code, err) == (0, "") and stdout.startswith(call.upper())
+    # check reads the whole file, so the same table fails it
+    assert run(capsys, "check", str(out), "--table", damaged_tables.table) == (
+        3, "", damaged_tables.error)
+
+
+@pytest.fixture
+def full_load(monkeypatch):
+    """Make every load_table call read the whole file, whatever prefix it asks for."""
+    real = verify.load_table
+    monkeypatch.setattr(verify, "load_table", lambda path, upto=None: real(path))
+
+
+# The CLI targets of the integer workload, perfbench/workloads.integer_inputs(seed,
+# FULL)["cli_targets"], for seeds 1 to 3.
+PERFBENCH_CLI_TARGETS = [
+    19785849742, 281258896501311, -5477320338847608, 111908953216, -1469232773808,
+    445717889, -653839, 2393820028494318,
+    59877369306, 198020727023, -717943308310, 647117886275, -1178191558010, 14406720358,
+    -12830835246, 13397900268,
+    -17742625, 1941556988, 257080417, 8080076, 297225835031227, -23148972160953,
+    -14603227280093832, -647220774204,
+]
+
+TRANSCRIPT_CALLS = [
+    *(("represent", "--target", str(t)) for t in (0, 5, -5, 999999, *PERFBENCH_CLI_TARGETS)),
+    ("represent", "--target", "10" * 20),  # an index budget past the table
+    ("represent", "--target", "370943", "--residue"),
+    *(("modp", "--p", str(p), "--lambda", "7", "--mode", mode)
+      for p in (29, 101, 499, 941, 2003, 500, 400000009) for mode in verify.MODP_CAPS),
+]
+
+
+@pytest.mark.parametrize("argv", TRANSCRIPT_CALLS, ids=" ".join)
+def test_prefix_gives_the_full_load_transcript(saved_20k, capsys, request, argv):
+    prefix = run(capsys, *argv, "--table", saved_20k)
+    request.getfixturevalue("full_load")
+    assert prefix == run(capsys, *argv, "--table", saved_20k)
+
+
+def test_prefix_errors_name_the_file_limit(saved_20k, capsys):
+    # p = 500 fails on the 2000-line prefix too; the rerun names the file's limit
+    code, _, err = run(capsys, "modp", "--p", "500", "--lambda", "1", "--mode", "pm32",
+                       "--table", saved_20k)
+    assert (code, err) == (3, "error: p must be a prime in (23, 20000^2], got 500\n")
+
+
+@pytest.mark.parametrize("mode", ["pm32", "sum96"])
+def test_prefix_rerun_when_the_window_reaches_its_end(saved_20k, capsys, monkeypatch, request,
+                                                      mode):
+    # The first window, 100 sqrt(499) + 1 = 2201, is held at the 2000-line
+    # prefix's end, so modp runs again on the whole file, where it stops at 2201.
+    monkeypatch.setattr(modp_basis, "WINDOW_START", 100)
+    real, calls = verify.load_table, []
+
+    def spy(path, upto=None):
+        calls.append(upto)
+        return real(path, upto)
+
+    monkeypatch.setattr(verify, "load_table", spy)
+    argv = ("modp", "--p", "499", "--lambda", "7", "--mode", mode, "--table", saved_20k)
+    prefix = run(capsys, *argv)
+    assert calls == [2000, None]
+    index_bound = 2201 ** 2 * (105 if mode == "sum96" else 1)
+    assert json.loads(prefix[1].splitlines()[0])["meta"]["index_bound"] == index_bound
+    request.getfixturevalue("full_load")
+    assert prefix == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("represent", "--target", "5", "--table", "{table}"), 105),
+    (("represent", "--target", "5"), 105),
+    (("represent", "--target", "123456789012345", "--table", "{table}"), 5475),
+    (("modp", "--p", "499", "--lambda", "3", "--mode", "pm32", "--table", "{table}"), 2000),
+    (("modp", "--p", "499", "--lambda", "3", "--mode", "sum16"), 2000),
+    (("check", "{cert}", "--table", "{table}"), 20000),
+    (("verify", "--suite", "zero-sums", "--table", "{table}"), 20000),
+], ids=["represent", "represent-env", "represent-large", "modp", "modp-env", "check",
+        "verify"])
+def test_commands_parse_only_the_table_lines_they_need(saved_20k, table_20k, tmp_path, capsys,
+                                                       monkeypatch, parsed_lines, argv, lines):
+    monkeypatch.setenv("TAU_TABLE_PATH", saved_20k)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(
+        represent_integer(5, RepresentationParams(), table_20k).to_json_dict()))
+    code, _, err = run(capsys, *(a.format(table=saved_20k, cert=cert) for a in argv))
+    assert (code, err) == (0, "")
+    assert sum(parsed_lines) == lines

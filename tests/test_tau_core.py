@@ -456,8 +456,9 @@ def test_load_accepts_signs_and_leading_zeros(tmp_path):
     assert load_table(path).values == [0, 0, 7, -12]
 
 
-def regex_load_table(path):
-    """load_table as it was with one regex match per line (test reference)."""
+def regex_load_table(path, upto=None):
+    """load_table as it was with one regex match per line (test reference),
+    its whole-file checks run first, then cut to the first `upto` lines."""
     with open(path, "r", encoding="ascii", newline="") as fh:
         text = fh.read()
     if not text.endswith("\n"):
@@ -475,8 +476,9 @@ def regex_load_table(path):
         raise TableFormatError(
             f"line {len(lines)}: expected {limit} value lines, found {len(lines) - 1}"
         )
+    last = limit if upto is None else min(upto, limit)
     values = [0]
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in enumerate(lines[1:last + 1], start=2):
         parts = line.split("\t")
         if len(parts) != 2 or not VALUE_RE.match(parts[1]):
             raise TableFormatError(f"line {i}: malformed entry {line!r}")
@@ -484,7 +486,7 @@ def regex_load_table(path):
         if parts[0] != str(n):
             raise TableFormatError(f"line {i}: expected index {n}, found {parts[0]!r}")
         values.append(int(parts[1]))
-    return TauTable(limit=limit, values=values)
+    return TauTable(limit=last, values=values)
 
 
 def traced_peak(fn, *args):
@@ -516,10 +518,12 @@ def saved_200(tmp_path_factory):
     return path.read_bytes(), path.with_name("edited.txt")
 
 
-def load_outcome(loader, path):
-    """(values, None) from loader(path), or (None, (exception type, text))."""
+def load_outcome(loader, path, upto=None):
+    """((limit, values), None) from loader(path, upto), or (None, (exception
+    type, text))."""
     try:
-        return loader(path).values, None
+        table = loader(path, upto)
+        return (table.limit, table.values), None
     except (TableFormatError, ValueError) as exc:  # ValueError: non-ASCII, int()'s digit limit
         return None, (type(exc), str(exc))
 
@@ -557,8 +561,9 @@ FUZZ_BYTES = b"0123456789-\t\n +_\r0"
                              st.integers(min_value=0), st.sampled_from(FUZZ_BYTES)),
                    min_size=1, max_size=4),
     block=st.integers(min_value=1, max_value=48),
+    upto=st.none() | st.integers(min_value=1, max_value=210),
 )
-def test_blocked_load_matches_regex_loader(saved_200, edits, block):
+def test_blocked_load_matches_regex_loader(saved_200, edits, block, upto):
     data, path = saved_200
     buf = bytearray(data)
     for op, pos, byte in edits:
@@ -571,8 +576,8 @@ def test_blocked_load_matches_regex_loader(saved_200, edits, block):
     path.write_bytes(buf)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_LOAD_BLOCK", block)
-        got = load_outcome(load_table, path)
-    assert got == load_outcome(regex_load_table, path)
+        got = load_outcome(load_table, path, upto)
+    assert got == load_outcome(regex_load_table, path, upto)
 
 
 def test_load_takes_leading_zeros_in_a_later_block(saved_200, monkeypatch, fallback_blocks):
@@ -621,6 +626,60 @@ def test_load_block_edges_at_the_end_of_the_file(saved_200, monkeypatch):
         monkeypatch.setattr(verify, "_LOAD_BLOCK", block)
         assert load_table(path).values == expected, block
 
+
+
+# ------------------------------------------------------------- prefix loads
+
+
+def test_load_prefix_at_block_edges(saved_200, monkeypatch, parsed_lines):
+    data, path = saved_200
+    path.write_bytes(data)
+    monkeypatch.setattr(verify, "_LOAD_BLOCK", 40)
+    starts = block_starts(data, 40)
+    full = build_tau_table_series(200).values
+    # a block's first line, its last line, limit - 1, limit, limit + 1, everything
+    for upto in (starts[3], starts[4] - 1, 199, 200, 201, None):
+        parsed_lines.clear()
+        last = 200 if upto is None else min(upto, 200)
+        table = load_table(path, upto)
+        assert (table.limit, table.values) == (last, full[: last + 1]), upto
+        assert sum(parsed_lines) == last, upto  # no line past the prefix is parsed
+
+
+@pytest.mark.parametrize("upto", [1, 149, 150, 151, 200, None])
+def test_load_prefix_reads_damage_only_within_it(saved_200, monkeypatch, upto):
+    data, path = saved_200
+    lines = data.split(b"\n")
+    lines[150] = b"150\t+1"  # value line 150, line 151 of the file
+    path.write_bytes(b"\n".join(lines))
+    monkeypatch.setattr(verify, "_LOAD_BLOCK", 40)
+    got = load_outcome(load_table, path, upto)
+    if upto is not None and upto < 150:
+        assert got == ((upto, build_tau_table_series(200).values[: upto + 1]), None)
+    else:
+        assert got == (None, (TableFormatError, "line 151: malformed entry '150\\t+1'"))
+    assert got == load_outcome(regex_load_table, path, upto)
+
+
+WHOLE_FILE_DAMAGE = {
+    "header": (lambda d: d.replace(b"v1", b"v2", 1),
+               "line 1: bad header 'TAU-TABLE v2 limit=200'"),
+    "limit": (lambda d: d.replace(b"limit=200", b"limit=0", 1), "line 1: limit must be >= 1"),
+    "line-count": (lambda d: d[: d.rindex(b"\n", 0, -1) + 1],
+                   "line 200: expected 200 value lines, found 199"),
+    "blank-line": (lambda d: d + b"\n", "trailing blank line at end of file"),
+    "no-newline": (lambda d: d[:-1], "line 1: file is not newline-terminated"),
+}
+
+
+@pytest.mark.parametrize("upto", [1, 105, None])
+@pytest.mark.parametrize("damage", WHOLE_FILE_DAMAGE)
+def test_load_prefix_keeps_the_whole_file_checks(saved_200, damage, upto):
+    data, path = saved_200
+    edit, message = WHOLE_FILE_DAMAGE[damage]
+    path.write_bytes(edit(data))
+    assert load_outcome(load_table, path, upto) == (None, (TableFormatError, message))
+    assert load_outcome(regex_load_table, path, upto) == (None, (TableFormatError, message))
 
 def test_load_reports_a_late_non_ascii_byte_as_before(tmp_path, table_20k):
     path = tmp_path / "t.txt"
