@@ -8,9 +8,10 @@ re-verifies its output through the independent verifier before exiting 0.
 Only the verifier is imported up front, so `check --table` never loads numpy.
 
 A table file comes from --table, else TAU_TABLE_PATH. `represent` and `modp`
-parse only its first lines, as many as they would build without a file, and
-the whole file only where that prefix fails them; `check` and `verify` parse
-and check all of it, so only they see damage past the prefix.
+parse only its first lines, as many as they would build without a file;
+`modp` parses the whole file too where that prefix may have cut its window
+or its error short. `check` and `verify` parse and check all of it, so only
+they see damage past the prefix.
 """
 
 from __future__ import annotations
@@ -45,35 +46,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _resolve_table(table_path, limit, fallback_limit, upto=None) -> verify.TauTable:
-    """The table file (--table, else TAU_TABLE_PATH) read to value line `upto`,
-    else a table built to --limit, else to fallback_limit."""
+def _table_file(table_path):
+    """The table file a command reads: --table, else TAU_TABLE_PATH, else None."""
+    return table_path or os.environ.get(TABLE_ENV) or None
+
+
+def _resolve_table(path, limit, fallback_limit, upto=None) -> verify.TauTable:
+    """The table file `path` read to value line `upto`, else a table built to
+    --limit, else to fallback_limit."""
     if limit is not None and limit < 1:
         raise CliInputError("--limit must be >= 1")
-    path = table_path or os.environ.get(TABLE_ENV)
     if path:
         return verify.load_table(path, upto)
     from .tau_core import build_tau_table_series
     return build_tau_table_series(limit or fallback_limit)
-
-
-def _solve(args, need, solve):
-    """(table, cert) from solve(table) -> (cert, settled); `need` is the
-    table size the command builds when no file is named. A table file is
-    parsed only to line `need`. Where that prefix may stop short of the file
-    (it holds `need` lines) and solve raises on it, or is not settled (its
-    window reached the prefix's end), solve runs again on the whole file: the
-    prefix never changes an outcome, and an error names the file's own limit."""
-    table = _resolve_table(args.table, args.limit, need, upto=need)
-    if table.limit == need and (args.table or os.environ.get(TABLE_ENV)):
-        try:
-            cert, settled = solve(table)
-            if settled:
-                return table, cert
-        except Exception:
-            pass
-        table = _resolve_table(args.table, args.limit, need)
-    return table, solve(table)[0]
 
 
 def _emit(out, cert, table, summary: str) -> int:
@@ -114,7 +100,7 @@ SUITES = {"mod691": "check_mod691", "mod256": "check_mod256_odd", "deligne": "ch
 
 def cmd_verify(args) -> int:
     from . import identity_suite
-    table = _resolve_table(args.table, args.limit, fallback_limit=2000)
+    table = _resolve_table(_table_file(args.table), args.limit, fallback_limit=2000)
     hi = min(args.limit or table.limit, table.limit)
     sweep = getattr(identity_suite, SUITES[args.suite])
     violations = (sweep(table) or []) if args.suite == "zero-sums" else sweep(table, hi=hi)
@@ -134,25 +120,20 @@ def cmd_represent(args) -> int:
             raise CliInputError(
                 f"residue mode emits exactly {waring_int.RESIDUE_TERM_COUNT} terms,"
                 f" which exceeds --max-terms {args.max_terms}")
-        residue = waring_int.represent_residue_198(target)
-        need, represent = waring_int.MAX_RESIDUE_INDEX, lambda table: residue
+        cert = waring_int.represent_residue_198(target)
+        table = _resolve_table(_table_file(args.table), args.limit, 105, upto=105)
     else:
         params = waring_int.RepresentationParams(
             c_bound=args.c_bound, max_terms=args.max_terms
         )
         budget = waring_int.index_budget(target, params.c_bound)
-        # the zero certificate's six-term blocks reach index MAX_RESIDUE_INDEX
+        # the zero certificate's six-term blocks reach index MAX_RESIDUE_INDEX;
+        # the solver reads no index past its budget, so a file's prefix serves
         need = max(budget, waring_int.MAX_RESIDUE_INDEX)
-        represent = functools.partial(waring_int.represent_integer, target, params)
-
-    def solve(table):
-        cert = represent(table)
-        if max(cert.plus) > table.limit:
-            raise ValueError(f"table covers {table.limit},"
-                             f" certificate needs index {max(cert.plus)}")
-        return cert, True
-
-    table, cert = _solve(args, need, solve)
+        table = _resolve_table(_table_file(args.table), args.limit, need, upto=need)
+        cert = waring_int.represent_integer(target, params, table)
+    if max(cert.plus) > table.limit:
+        raise ValueError(f"table covers {table.limit}, certificate needs index {max(cert.plus)}")
     return _emit(args.out, cert, table,
                  f"REPRESENT target={target} terms={cert.meta['term_count']}"
                  f" max_index={cert.meta['max_index']}")
@@ -164,8 +145,10 @@ def cmd_modp(args) -> int:
     # sum16 needs the table to reach p. The pm32 window of every sampled prime
     # up to 1e7 settled at 26.2 or 41.9 sqrt(p); 67 sqrt(p) is one growth step more.
     reach = p if args.mode == "sum16" or p < 2000 else min(p, 67 * isqrt(p))
+    need = max(2000, reach)
 
     def solve(table):
+        """The certificate on table, and whether a longer table leaves it as is."""
         if args.mode == "sum16":
             ctx = modp_basis.build_abc_context(p, table)
             return modp_basis.represent_sum16(args.lam, p, table, ctx=ctx), True
@@ -175,7 +158,21 @@ def cmd_modp(args) -> int:
         # a window held at the table's end may settle further on a longer table
         return represent(args.lam, ctx, table), ctx.window[1] < table.limit
 
-    table, cert = _solve(args, max(2000, reach), solve)
+    path = _table_file(args.table)
+    table = _resolve_table(path, args.limit, need, upto=need)
+    # A prefix of `need` lines may stop short of the file. Where it leaves the
+    # window unsettled, or raises an error that a table's size can decide, the
+    # whole file is read, so the outcome and error line are a full load's.
+    prefix = path and table.limit == need
+    try:
+        cert, settled = solve(table)
+    except (ValueError, InfeasibleError):
+        if not prefix:
+            raise
+        settled = False
+    if prefix and not settled:
+        table = verify.load_table(path)
+        cert = solve(table)[0]
     return _emit(args.out, cert, table,
                  f"MODP p={p} lambda={cert.lam} mode={cert.kind}"
                  f" terms={len(cert.plus)}+{len(cert.minus)} max_index={cert.meta['max_index']}")
@@ -207,7 +204,7 @@ def cmd_check(args) -> int:
     # memo, by the rest. Never sized from a certificate, so its claims cannot
     # set the work.
     table_of = functools.cache(
-        lambda: _resolve_table(args.table, args.limit, fallback_limit=2000))
+        lambda: _resolve_table(_table_file(args.table), args.limit, fallback_limit=2000))
     codes = [_check_file(path, table_of) for path in args.certificate]
     if len(codes) > 1:
         print(f"CHECKED files={len(codes)} ok={codes.count(EXIT_OK)}"

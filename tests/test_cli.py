@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tauwaring import cli, modp_basis, tau_core, verify, waring_int
 from tauwaring.cli import main
+from tauwaring.errors import InternalCheckError
 from tauwaring.modp_basis import (
     WindowPolicy,
     build_abc_context,
@@ -776,12 +777,9 @@ def test_prefix_errors_name_the_file_limit(saved_20k, capsys):
     assert (code, err) == (3, "error: p must be a prime in (23, 20000^2], got 500\n")
 
 
-@pytest.mark.parametrize("mode", ["pm32", "sum96"])
-def test_prefix_rerun_when_the_window_reaches_its_end(saved_20k, capsys, monkeypatch, request,
-                                                      mode):
-    # The first window, 100 sqrt(499) + 1 = 2201, is held at the 2000-line
-    # prefix's end, so modp runs again on the whole file, where it stops at 2201.
-    monkeypatch.setattr(modp_basis, "WINDOW_START", 100)
+@pytest.fixture
+def table_loads(monkeypatch):
+    """The `upto` of every verify.load_table call."""
     real, calls = verify.load_table, []
 
     def spy(path, upto=None):
@@ -789,13 +787,45 @@ def test_prefix_rerun_when_the_window_reaches_its_end(saved_20k, capsys, monkeyp
         return real(path, upto)
 
     monkeypatch.setattr(verify, "load_table", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["pm32", "sum96"])
+def test_prefix_rerun_when_the_window_reaches_its_end(saved_20k, capsys, monkeypatch, request,
+                                                      table_loads, mode):
+    # The first window, 100 sqrt(499) + 1 = 2201, is held at the 2000-line
+    # prefix's end, so modp runs again on the whole file, where it stops at 2201.
+    monkeypatch.setattr(modp_basis, "WINDOW_START", 100)
     argv = ("modp", "--p", "499", "--lambda", "7", "--mode", mode, "--table", saved_20k)
     prefix = run(capsys, *argv)
-    assert calls == [2000, None]
+    assert table_loads == [2000, None]
     index_bound = 2201 ** 2 * (105 if mode == "sum96" else 1)
     assert json.loads(prefix[1].splitlines()[0])["meta"]["index_bound"] == index_bound
     request.getfixturevalue("full_load")
     assert prefix == run(capsys, *argv)
+
+
+def test_prefix_error_that_no_table_size_decides_is_not_rerun(saved_20k, capsys, monkeypatch,
+                                                             table_loads):
+    def broken(p, table):
+        raise InternalCheckError("broken context")
+
+    monkeypatch.setattr(modp_basis, "build_context", broken)
+    assert run(capsys, "modp", "--p", "499", "--lambda", "7", "--mode", "pm32",
+               "--table", saved_20k) == (1, "", "internal check failed: broken context\n")
+    assert table_loads == [2000]
+
+
+@pytest.mark.parametrize("argv, code, upto", [
+    (("represent", "--target", "5"), 0, 105),
+    (("represent", "--target", "10" * 20), 3, 185265255),  # the budget is past the table
+    (("represent", "--target", "370943", "--residue"), 0, 105),
+    (("represent", "--target", "26", "--c-bound", "1"), 2, 105),
+], ids=["target", "past-table", "residue", "infeasible"])
+def test_represent_reads_the_table_once(saved_20k, capsys, table_loads, argv, code, upto):
+    # represent reads no index past its budget, so its prefix never needs a rerun
+    assert run(capsys, *argv, "--table", saved_20k)[0] == code
+    assert table_loads == [upto]
 
 
 @pytest.mark.parametrize("argv, lines", [
